@@ -9,11 +9,7 @@
 //! 5. graph fan-out degree sweep on the logstream DAG workload (how much
 //!    the `pipelines::graph` split/merge machinery buys over the linear
 //!    chain, and where the distributor/merge overhead bites);
-//! 6. scheduler policy sweep (help-first FIFO rings vs steal-first
-//!    Chase-Lev deques, DESIGN.md §3.1) over the wordcount and
-//!    logstream-digest services — written to `BENCH_sched.json` for the
-//!    CI `bench-check` gate alongside the human-readable table;
-//! 7. partition phase (DESIGN.md §7): the deterministic stage
+//! 6. partition phase (DESIGN.md §7): the deterministic stage
 //!    partitioner's quality on the real wordcount graph (cut, balance,
 //!    refinement rounds, cross-group steals under pinning) plus the
 //!    routing overhead of `hqrouter`-style sharding — the same closed
@@ -23,12 +19,12 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablations [--scale small] \
-//!     [--sched-only 1 | --partition-only 1] [--out BENCH_….json]
+//!     [--partition-only 1] [--out BENCH_….json]
 //! ```
 //!
-//! `--sched-only 1` / `--partition-only 1` run just that ablation (what
-//! CI's bench job uses so each gate gets a fresh record without paying
-//! for the full sweep).
+//! `--partition-only 1` runs just that ablation (what CI's bench job
+//! uses so the gate gets a fresh record without paying for the full
+//! sweep).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,13 +34,10 @@ use pipelines::graph::{Admission, ServiceConfig};
 use pipelines::ingress::{
     IngressClient, IngressConfig, IngressServer, JobOutcome, Router, RouterConfig,
 };
-use swan::{MetricsSnapshot, Runtime, RuntimeConfig, SchedulerPolicy};
+use swan::{Runtime, RuntimeConfig};
 use workloads::ferret::{run_hyperqueue, run_pthread, run_serial, FerretConfig, PthreadTuning};
 use workloads::logstream;
-use workloads::service::{
-    job_lines, percentile, run_logstream_service, run_wordcount_service, wordcount_spec,
-    ServiceWorkloadConfig,
-};
+use workloads::service::{job_lines, percentile, wordcount_spec, ServiceWorkloadConfig};
 use workloads::util::fnv1a;
 use workloads::wire::{encode_lines, WordcountCodec};
 
@@ -117,111 +110,6 @@ fn pipe_elems(
     (d, stats)
 }
 
-/// One policy's leg of ablation 6: closed-loop service medians plus the
-/// scheduler counters that explain them.
-struct SchedLeg {
-    label: &'static str,
-    wordcount_p50_us: f64,
-    logstream_p50_us: f64,
-    metrics: MetricsSnapshot,
-}
-
-fn sched_leg(
-    label: &'static str,
-    policy: SchedulerPolicy,
-    workers: usize,
-    jobs: usize,
-) -> SchedLeg {
-    let cfg = ServiceWorkloadConfig::bench(jobs);
-    let rt = Arc::new(Runtime::new(
-        RuntimeConfig::new().workers(workers).scheduler(policy),
-    ));
-    // Each run verifies every job against its serial elision inside the
-    // harness, so a policy that broke determinism would fail here, not
-    // just score differently.
-    let wc = run_wordcount_service(Arc::clone(&rt), &cfg);
-    let ls = run_logstream_service(Arc::clone(&rt), &cfg);
-    SchedLeg {
-        label,
-        wordcount_p50_us: wc.p50_us,
-        logstream_p50_us: ls.p50_us,
-        metrics: rt.metrics(),
-    }
-}
-
-fn counters_block(leg: &SchedLeg) -> String {
-    let m = &leg.metrics;
-    format!(
-        "  \"{}\": {{\n    \"tasks_executed\": {},\n    \"steals\": {},\n    \
-         \"steal_batch_items\": {},\n    \"steal_failures\": {},\n    \
-         \"helps_sync\": {},\n    \"helps_queue\": {},\n    \"parks\": {}\n  }}",
-        leg.label,
-        m.tasks_executed,
-        m.steals,
-        m.steal_batch_items,
-        m.steal_failures,
-        m.helps_sync,
-        m.helps_queue,
-        m.parks,
-    )
-}
-
-/// Ablation 6: scheduler policy sweep. Prints the table and writes the
-/// `BENCH_sched.json` perf record (gated by CI's bench-check).
-fn sched_policy_sweep(args: &bench::Args) {
-    let jobs = if args.is_small() { 150 } else { 1_000 };
-    let workers = bench::machine_cores().clamp(2, 8);
-    let steal_batch = SchedulerPolicy::DEFAULT_STEAL_BATCH;
-    println!("\nAblation 6: scheduler policy (help-first vs steal-first, {workers} workers)");
-    let legs = [
-        sched_leg("help_first", SchedulerPolicy::HelpFirst, workers, jobs),
-        sched_leg(
-            "steal_first",
-            SchedulerPolicy::StealFirst { steal_batch },
-            workers,
-            jobs,
-        ),
-    ];
-    println!(
-        "{:<14} {:>16} {:>16} {:>10} {:>12} {:>10}",
-        "policy", "wordcount p50", "logstream p50", "steals", "batch items", "parks"
-    );
-    for leg in &legs {
-        println!(
-            "{:<14} {:>13.1} us {:>13.1} us {:>10} {:>12} {:>10}",
-            leg.label,
-            leg.wordcount_p50_us,
-            leg.logstream_p50_us,
-            leg.metrics.steals,
-            leg.metrics.steal_batch_items,
-            leg.metrics.parks,
-        );
-    }
-
-    let out_path = args.get("out").unwrap_or("BENCH_sched.json");
-    let json = format!(
-        "{{\n  \"bench\": \"sched\",\n  \"jobs\": {jobs},\n  \"workers\": {workers},\n  \
-         \"steal_batch\": {steal_batch},\n  \"machine_cores\": {},\n  \
-         \"median_us\": {{\n    \"wordcount_p50_help_first\": {:.1},\n    \
-         \"wordcount_p50_steal_first\": {:.1},\n    \
-         \"logstream_p50_help_first\": {:.1},\n    \
-         \"logstream_p50_steal_first\": {:.1}\n  }},\n{},\n{}\n}}\n",
-        bench::machine_cores(),
-        legs[0].wordcount_p50_us,
-        legs[1].wordcount_p50_us,
-        legs[0].logstream_p50_us,
-        legs[1].logstream_p50_us,
-        counters_block(&legs[0]),
-        counters_block(&legs[1]),
-    );
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!(
-        "
-{out_path}:
-{json}"
-    );
-}
-
 /// One closed-loop wordcount client against `addr`: returns (sorted
 /// latencies µs, per-job response hashes) — the hashes are the
 /// byte-identity witness between the direct and routed phases.
@@ -241,14 +129,14 @@ fn wordcount_loop(
                 latencies.push(t.elapsed().as_secs_f64() * 1e6);
                 hashes.push(fnv1a(&bytes));
             }
-            other => panic!("ablation 7: job {j} did not produce a result: {other:?}"),
+            other => panic!("ablation 6: job {j} did not produce a result: {other:?}"),
         }
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
     (latencies, hashes)
 }
 
-/// A loopback wordcount ingress daemon for ablation 7; the caller owns
+/// A loopback wordcount ingress daemon for ablation 6; the caller owns
 /// shutdown order (server first, then runtime quiesce).
 fn wordcount_daemon(cfg: &ServiceWorkloadConfig) -> (IngressServer, Arc<Runtime>) {
     let rt = Arc::new(Runtime::with_workers(2));
@@ -271,14 +159,14 @@ fn wordcount_daemon(cfg: &ServiceWorkloadConfig) -> (IngressServer, Arc<Runtime>
     (server, rt)
 }
 
-/// Ablation 7: the deterministic partition's quality on the real
+/// Ablation 6: the deterministic partition's quality on the real
 /// wordcount graph, and the routing overhead of sharding — direct
 /// daemon vs a `Router` over two backends, byte-identity checked.
 /// Writes the `BENCH_partition.json` perf record (gated by bench-check).
 fn partition_sweep(args: &bench::Args) {
     let jobs = if args.is_small() { 150 } else { 600 };
     let cfg = ServiceWorkloadConfig::bench(jobs);
-    println!("\nAblation 7: deterministic partition + routed vs direct ingress ({jobs} jobs)");
+    println!("\nAblation 6: deterministic partition + routed vs direct ingress ({jobs} jobs)");
 
     // --- Partition quality: pin the wordcount stages to 2 worker groups,
     // run traffic, then rebalance from the measured edge counters.
@@ -337,7 +225,7 @@ fn partition_sweep(args: &bench::Args) {
     b_rt.quiesce();
     assert_eq!(
         direct_hashes, routed_hashes,
-        "ablation 7: routed responses diverged from the direct daemon"
+        "ablation 6: routed responses diverged from the direct daemon"
     );
     assert_eq!(rstats.shard_failures, 0, "backends must stay healthy");
 
@@ -376,10 +264,6 @@ fn partition_sweep(args: &bench::Args) {
 
 fn main() {
     let args = bench::Args::parse();
-    if args.get("sched-only").is_some() {
-        sched_policy_sweep(&args);
-        return;
-    }
     if args.get("partition-only").is_some() {
         partition_sweep(&args);
         return;
@@ -501,6 +385,5 @@ fn main() {
         );
     }
 
-    sched_policy_sweep(&args);
     partition_sweep(&args);
 }

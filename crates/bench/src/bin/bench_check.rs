@@ -29,13 +29,12 @@ use std::process::ExitCode;
 
 use bench::tinyjson::{flatten_numbers, parse, Value};
 
-const RECORDS: [&str; 7] = [
+const RECORDS: [&str; 6] = [
     "BENCH_queue_ops.json",
     "BENCH_pipegraph.json",
     "BENCH_service.json",
     "BENCH_ingress.json",
     "BENCH_journal.json",
-    "BENCH_sched.json",
     "BENCH_partition.json",
 ];
 

@@ -10,8 +10,8 @@
 //!   stream is **identical across all three worker counts**. Then a
 //!   **connection sweep** drives wordcount at 64/512/4096 concurrent
 //!   connections (the C10K shape the epoll ingress exists for) — at the
-//!   top count the phase matrix spans {1,2,8} workers × both scheduler
-//!   policies, all byte-identical. Emits `BENCH_ingress.json`
+//!   top count the phases span {1,2,8} workers, all byte-identical.
+//!   Emits `BENCH_ingress.json`
 //!   (throughput + p50/p95/p99, plus throughput/p99 vs connections) for
 //!   CI's `bench_check` gate.
 //! * **Live-daemon mode** (`--addr host:port`): the same closed loop
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use pipelines::graph::ServiceConfig;
 use pipelines::ingress::{FrameKind, IngressClient, IngressConfig, IngressServer, JobOutcome};
-use swan::{Runtime, RuntimeConfig, SchedulerPolicy};
+use swan::Runtime;
 use workloads::service::{
     job_lines, logstream_digest_spec, percentile, wordcount_spec, ServiceWorkloadConfig,
 };
@@ -231,21 +231,16 @@ fn sweep_workload(
 }
 
 /// One connection-sweep phase: `connections` closed-loop clients against
-/// a wordcount server with `workers` workers under `policy`, admission
-/// sized to the connection count (`max_queued ≈ C` — the sweep measures
-/// multiplexing capacity, not retry storms).
+/// a wordcount server with `workers` workers, admission sized to the
+/// connection count (`max_queued ≈ C` — the sweep measures multiplexing
+/// capacity, not retry storms).
 fn connection_phase(
     cfg: &ServiceWorkloadConfig,
     connections: usize,
     jobs: usize,
     workers: usize,
-    policy: SchedulerPolicy,
 ) -> PhaseReport {
-    let rt = Arc::new(Runtime::new(
-        RuntimeConfig::new()
-            .workers(workers..=workers)
-            .scheduler(policy),
-    ));
+    let rt = Arc::new(Runtime::with_workers(workers));
     let service_cfg = ServiceConfig {
         max_in_flight: cfg.max_in_flight,
         segment_capacity: cfg.segment_capacity,
@@ -277,47 +272,41 @@ fn connection_phase(
 }
 
 /// The connection sweep: wordcount at 64/512/4096 concurrent
-/// connections. The lower counts are single measured phases (2 workers,
-/// default policy); the top count runs the full determinism matrix —
-/// {1,2,8} workers × both scheduler policies — and every phase's
-/// responses must hash byte-identical. Returns one report per count.
+/// connections. The lower counts are single measured phases (2
+/// workers); the top count runs the determinism sweep — {1,2,8} workers —
+/// and every phase's responses must hash byte-identical. Returns one
+/// report per count.
 fn sweep_connections(cfg: &ServiceWorkloadConfig, jobs: usize) -> Vec<(usize, PhaseReport)> {
-    let steal_batch = SchedulerPolicy::DEFAULT_STEAL_BATCH;
     let mut out = Vec::new();
     for connections in [64usize, 512, 4096] {
         let jobs_c = jobs.max(connections); // at least one job per connection
         let report = if connections == 4096 {
             let mut reference: Option<Vec<u64>> = None;
             let mut last: Option<PhaseReport> = None;
-            for policy in [
-                SchedulerPolicy::HelpFirst,
-                SchedulerPolicy::StealFirst { steal_batch },
-            ] {
-                for workers in [1usize, 2, 8] {
-                    let r = connection_phase(cfg, connections, jobs_c, workers, policy);
-                    match &reference {
-                        None => reference = Some(r.response_hashes.clone()),
-                        Some(h) => {
-                            if *h != r.response_hashes {
-                                eprintln!(
-                                    "ingress_load: FAILED — responses at {connections} \
-                                     connections / {workers} workers / {policy:?} are not \
-                                     byte-identical to the first phase"
-                                );
-                                std::process::exit(1);
-                            }
+            for workers in [1usize, 2, 8] {
+                let r = connection_phase(cfg, connections, jobs_c, workers);
+                match &reference {
+                    None => reference = Some(r.response_hashes.clone()),
+                    Some(h) => {
+                        if *h != r.response_hashes {
+                            eprintln!(
+                                "ingress_load: FAILED — responses at {connections} \
+                                 connections / {workers} workers are not \
+                                 byte-identical to the first phase"
+                            );
+                            std::process::exit(1);
                         }
                     }
-                    last = Some(r);
                 }
+                last = Some(r);
             }
             println!(
                 "ingress_load: wordcount @ {connections} connections: byte-identical \
-                 across 1/2/8 workers × both scheduler policies ✓"
+                 across 1/2/8 workers ✓"
             );
-            last.expect("six phases ran")
+            last.expect("three phases ran")
         } else {
-            connection_phase(cfg, connections, jobs_c, 2, SchedulerPolicy::HelpFirst)
+            connection_phase(cfg, connections, jobs_c, 2)
         };
         println!(
             "ingress_load: wordcount @ {connections} connections: {} jobs in {:.2}s \

@@ -73,8 +73,7 @@ use crate::reorder::ReorderBuffer;
 use crate::service::{PlacementCursor, PoolCursor};
 
 pub use crate::service::{
-    Admission, CompiledGraph, GraphSpec, JobError, JobHandle, SchedulerStats, ServiceConfig,
-    Submission,
+    Admission, CompiledGraph, GraphSpec, JobError, JobHandle, ServiceConfig, Submission,
 };
 
 /// Default segment capacity for graph edges — small enough that short

@@ -26,8 +26,8 @@ use parking_lot::Mutex;
 
 use super::wire::{encode_frame, Frame, FrameDecoder, FrameKind, JobCodec};
 use super::{
-    admit_durable, admit_submit, complete_durable, encode_result_frame, stats_json, Counters,
-    DurableAction, DurableOutcome, Shared, SubmitAction, Waiter,
+    admit_durable, admit_submit, complete_durable, encode_result_frame, Counters, DurableAction,
+    DurableOutcome, Shared, SubmitAction, Waiter,
 };
 use crate::service::JobHandle;
 
@@ -360,10 +360,6 @@ enum Reply<O> {
         req_id: u64,
         message: String,
     },
-    Stats {
-        req_id: u64,
-        body: String,
-    },
     /// A freshly accepted durable job: the writer joins the handle, makes
     /// the outcome journal-durable via `complete_durable`, *then* writes
     /// the Result/Error frame.
@@ -508,10 +504,6 @@ fn handle_frame<C: JobCodec>(
                 message,
             },
         },
-        FrameKind::Stats => Reply::Stats {
-            req_id: frame.req_id,
-            body: stats_json(shared),
-        },
         FrameKind::SubmitDurable => {
             let (tx, rx) = mpsc::channel();
             match admit_durable(shared, &frame, Waiter::Channel(tx)) {
@@ -571,7 +563,6 @@ fn handle_frame<C: JobCodec>(
         FrameKind::Result
         | FrameKind::Retry
         | FrameKind::Error
-        | FrameKind::StatsOk
         | FrameKind::QueryOk
         | FrameKind::StatsEvent => {
             shared
@@ -768,12 +759,6 @@ fn writer_loop<C: JobCodec>(
                     continue;
                 }
                 encode_frame(FrameKind::Error, req_id, message.as_bytes(), &mut out);
-            }
-            Reply::Stats { req_id, body } => {
-                if !sock_ok(&mut socket_alive) {
-                    continue;
-                }
-                encode_frame(FrameKind::StatsOk, req_id, body.as_bytes(), &mut out);
             }
             Reply::Query { req_id, body } => {
                 if !sock_ok(&mut socket_alive) {

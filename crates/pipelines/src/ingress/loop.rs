@@ -40,7 +40,7 @@ use super::conn::{encode_outcome, parse_subscribe_body, Conn, LoopCore, ReplyAdd
 use super::wire::{encode_frame, Frame, FrameKind, JobCodec};
 use super::{
     admit_durable, admit_submit, complete_durable, encode_result_frame, sleep_with_shutdown,
-    stats_json, stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction, Waiter,
+    stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction, Waiter,
 };
 use crate::service::JobHandle;
 
@@ -555,16 +555,6 @@ fn dispatch_frame<C: JobCodec>(
             SubmitAction::Rejected { queued } => push_retry(conn, frame.req_id, queued),
             SubmitAction::Bad(message) => push_error(shared, conn, frame.req_id, message),
         },
-        FrameKind::Stats => {
-            let mut out = Vec::new();
-            encode_frame(
-                FrameKind::StatsOk,
-                frame.req_id,
-                stats_json(shared).as_bytes(),
-                &mut out,
-            );
-            conn.push_ready(out, false);
-        }
         FrameKind::SubmitDurable => {
             // The waiter's address is the slot this frame will reserve;
             // the completion cannot arrive before the slot exists because
@@ -644,7 +634,6 @@ fn dispatch_frame<C: JobCodec>(
         FrameKind::Result
         | FrameKind::Retry
         | FrameKind::Error
-        | FrameKind::StatsOk
         | FrameKind::QueryOk
         | FrameKind::StatsEvent => {
             shared

@@ -46,8 +46,7 @@
 //! | 2    | Result        | s → c     | job output ([`JobCodec::encode_result`]) |
 //! | 3    | Retry         | s → c     | u32 LE: waiting-line depth at refusal |
 //! | 4    | Error         | s → c     | UTF-8 message (`req_id` 0 = connection-level) |
-//! | 5    | Stats         | c → s     | empty                                 |
-//! | 6    | StatsOk       | s → c     | UTF-8 JSON snapshot                   |
+//! | 5, 6 | *(reserved)*  |           | rejected as unknown kinds             |
 //! | 7    | SubmitDurable | c → s     | job payload; `req_id` = durable job id |
 //! | 8    | Ack           | c → s     | empty — confirm receipt of `req_id`'s result |
 //! | 9    | Query         | c → s     | empty — ask `req_id`'s durable status |
@@ -90,7 +89,7 @@
 //!
 //! # Ordering and determinism
 //!
-//! Every reply — Result, Retry, Error, StatsOk, QueryOk — flows through
+//! Every reply — Result, Retry, Error, QueryOk — flows through
 //! one per-connection FIFO: a slot is reserved the moment its request is
 //! parsed, and only a contiguous run of completed slots at the front may
 //! reach the socket (in the fallback, the same invariant is carried by
@@ -733,53 +732,6 @@ pub(crate) fn stats_text<C: JobCodec>(shared: &Shared<C>) -> String {
         lag: d.journal.lag(),
     });
     t.encode_text()
-}
-
-/// The deprecated `Stats`/`StatsOk` JSON blob, kept one release for
-/// clients that still parse it; [`stats_text`] is the replacement.
-pub(crate) fn stats_json<C: JobCodec>(shared: &Shared<C>) -> String {
-    let t = shared.graph.telemetry();
-    let js = t.admission;
-    let is = shared.counters.snapshot();
-    format!(
-        "{{\"in_flight\": {}, \"queued\": {}, \"submitted\": {}, \"completed\": {}, \
-         \"max_in_flight\": {}, \"jobs_accepted\": {}, \"jobs_completed\": {}, \
-         \"retries_sent\": {}, \"connections\": {}, \
-         \"results_dropped\": {}, \"durable_jobs\": {}, \"durable_dupes\": {}, \
-         \"acks\": {}, \"queries\": {}, \"accept_errors\": {}, \"loop_wakeups\": {}, \
-         \"job_retries\": {}, \"jobs_failed\": {}, \
-         \"tasks_executed\": {}, \"steals\": {}, \"steal_batch_items\": {}, \
-         \"steal_failures\": {}, \"parks\": {}, \
-         \"edge_lock_acquisitions\": {}, \"edge_pool_draws\": {}, \
-         \"segments_allocated\": {}, \"segments_pooled\": {}}}",
-        js.in_flight,
-        js.queued,
-        js.submitted,
-        js.completed,
-        js.max_in_flight,
-        is.jobs_accepted,
-        is.jobs_completed,
-        is.retries_sent,
-        is.connections,
-        is.results_dropped,
-        is.durable_jobs,
-        is.durable_dupes,
-        is.acks,
-        is.queries,
-        is.accept_errors,
-        is.loop_wakeups,
-        js.retries,
-        js.failed,
-        t.sched.tasks_executed,
-        t.sched.steals,
-        t.sched.steal_batch_items,
-        t.sched.steal_failures,
-        t.sched.parks,
-        t.queues.lock_acquisitions,
-        t.queues.pool_draws,
-        t.storage.segments_allocated,
-        t.storage.segments_pooled,
-    )
 }
 
 /// Encodes a job result (or failure) as the response frame for `req_id`,
@@ -1566,25 +1518,6 @@ impl IngressClient {
                 crate::telemetry::TelemetrySnapshot::parse_text(&text)
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
             }
-            other => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unexpected {other:?} reply to a stats request"),
-            )),
-        }
-    }
-
-    /// Requests and returns the server's stats JSON — the transitional
-    /// `Stats`/`StatsOk` frame pair.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use IngressClient::stats (typed TelemetrySnapshot); the JSON frame \
-                is kept one release for old clients"
-    )]
-    pub fn stats_raw(&mut self, req_id: u64) -> std::io::Result<String> {
-        self.send(FrameKind::Stats, req_id, &[])?;
-        let frame = self.recv()?;
-        match frame.kind {
-            FrameKind::StatsOk => Ok(String::from_utf8_lossy(&frame.body).into_owned()),
             other => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 format!("unexpected {other:?} reply to a stats request"),

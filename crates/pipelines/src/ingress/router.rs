@@ -20,7 +20,7 @@
 //! | Submit             | `rendezvous_route(req_id, N)`                   |
 //! | SubmitDurable      | `rendezvous_route(req_id, N)` — stable across restarts, minimal remap when N changes |
 //! | Query, Ack         | same hash — lands on the shard that owns the id |
-//! | Stats, Subscribe(0)| backend 0 (a representative snapshot)           |
+//! | Subscribe(0)       | backend 0 (a representative snapshot)           |
 //! | Subscribe(>0)      | refused with an Error frame: periodic ticks are
 //! |                    | out-of-band and cannot be merged deterministically |
 //!
@@ -500,10 +500,6 @@ fn route_frame(
             let shard = rendezvous_route(frame.req_id, n);
             forward_to(shared, writes, tx, shard, &frame)
         }
-        // Stats and one-shot telemetry go to shard 0: a representative
-        // snapshot (per-shard totals differ by construction; aggregation
-        // is hqtop's job, not the router's).
-        FrameKind::Stats => forward_to(shared, writes, tx, 0, &frame),
         FrameKind::Subscribe => {
             let interval = frame
                 .body

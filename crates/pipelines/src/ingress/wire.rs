@@ -24,10 +24,8 @@ pub enum FrameKind {
     Retry = 3,
     /// Server → client: job or protocol failure (UTF-8 message body).
     Error = 4,
-    /// Client → server: request a stats snapshot (empty body).
-    Stats = 5,
-    /// Server → client: stats snapshot (UTF-8 JSON body).
-    StatsOk = 6,
+    // 5 and 6 are reserved: old clients may still send them, so they
+    // must keep decoding as unknown kinds rather than be reassigned.
     /// Client → server: run one *durable* job; `req_id` is the
     /// client-assigned durable job id (non-zero). Requires a server bound
     /// with [`super::IngressServer::bind_durable`].
@@ -61,8 +59,6 @@ impl FrameKind {
             2 => FrameKind::Result,
             3 => FrameKind::Retry,
             4 => FrameKind::Error,
-            5 => FrameKind::Stats,
-            6 => FrameKind::StatsOk,
             7 => FrameKind::SubmitDurable,
             8 => FrameKind::Ack,
             9 => FrameKind::Query,
@@ -346,23 +342,25 @@ mod tests {
         dec.extend(&3u32.to_le_bytes());
         assert_eq!(dec.next_frame(), Err(FrameError::Truncated { len: 3 }));
 
-        let mut dec = FrameDecoder::new(64);
-        let mut wire = Vec::new();
-        encode_frame(FrameKind::Submit, 9, b"x", &mut wire);
-        wire[4] = 0xEE; // stomp the kind byte
-        dec.extend(&wire);
-        assert_eq!(dec.next_frame(), Err(FrameError::UnknownKind(0xEE)));
+        for kind in [5u8, 6, 0xEE] {
+            let mut dec = FrameDecoder::new(64);
+            let mut wire = Vec::new();
+            encode_frame(FrameKind::Submit, 9, b"x", &mut wire);
+            wire[4] = kind; // stomp the kind byte
+            dec.extend(&wire);
+            assert_eq!(dec.next_frame(), Err(FrameError::UnknownKind(kind)));
+        }
     }
 
     #[test]
     fn decoder_compacts_consumed_prefix() {
         let mut dec = FrameDecoder::new(DEFAULT_MAX_FRAME_LEN);
         let mut wire = Vec::new();
-        encode_frame(FrameKind::Stats, 5, &[], &mut wire);
+        encode_frame(FrameKind::Query, 5, &[], &mut wire);
         for round in 0..10_000u64 {
             dec.extend(&wire);
             let f = dec.next_frame().unwrap().unwrap();
-            assert_eq!((f.kind, f.req_id), (FrameKind::Stats, 5), "round {round}");
+            assert_eq!((f.kind, f.req_id), (FrameKind::Query, 5), "round {round}");
         }
         // The whole point of compaction: memory stays bounded.
         assert!(dec.buf.capacity() < 1024 * 1024);

@@ -57,8 +57,8 @@ pub use partition::{
 };
 pub use reorder::{ReorderBuffer, ReorderQueue};
 pub use service::{
-    Admission, CompiledGraph, GraphSpec, JobError, JobHandle, SchedulerStats, ServiceConfig,
-    ServiceStorageStats, Submission, SubmitError,
+    Admission, CompiledGraph, GraphSpec, JobError, JobHandle, ServiceConfig, ServiceStorageStats,
+    Submission,
 };
 pub use spsc::{spsc, SpscReceiver, SpscRing, SpscSender};
 pub use tbb::{Item, TbbPipeline};

@@ -54,9 +54,7 @@ use std::time::Instant;
 
 use hyperqueue::{PoolStats, QueueStats, SegmentPool, Tagged};
 use parking_lot::Mutex;
-use swan::{
-    JobTable, JobTableStats, JobTicket, MetricsSnapshot, RetryDecision, RetryPolicy, Runtime,
-};
+use swan::{JobTable, JobTicket, RetryDecision, RetryPolicy, Runtime};
 
 use crate::graph::{GraphBuilder, Node, Partition, DEFAULT_EDGE_CAPACITY, DEFAULT_IO_BATCH};
 use crate::partition::{partition, GraphTopology, PartitionConfig, TopologyBuilder};
@@ -574,7 +572,7 @@ impl PlacementPlan {
 }
 
 /// Aggregate segment-storage counters of a [`CompiledGraph`] (summed over
-/// its per-edge pools; see [`CompiledGraph::pool_stats`] for the
+/// its per-edge pools; see [`TelemetrySnapshot::edges`] for the
 /// per-edge breakdown).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStorageStats {
@@ -816,9 +814,8 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
     ///
     /// An accepted job runs when the admission gate (FIFO, bounded
     /// in-flight) lets it through; its output is the serial elision of
-    /// the graph applied to `input`, independent of worker count, of the
-    /// configured [`swan::SchedulerPolicy`], and of whatever other jobs
-    /// are in flight.
+    /// the graph applied to `input`, independent of worker count and of
+    /// whatever other jobs are in flight.
     pub fn submit(&self, input: Vec<I>, admission: Admission) -> Submission<I, O> {
         let (reply, rx) = mpsc::channel();
         let submit = self.core.submit.lock();
@@ -848,31 +845,6 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
         Submission::Accepted(JobHandle { id, rx })
     }
 
-    /// Submits one job, always accepting it.
-    #[deprecated(since = "0.2.0", note = "use `submit(input, Admission::Unbounded)`")]
-    pub fn run_job(&self, input: Vec<I>) -> JobHandle<O> {
-        self.submit(input, Admission::Unbounded).expect_accepted()
-    }
-
-    /// Bounded-queue submission returning the legacy `Result` shape.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `submit(input, Admission::Bounded { max_queued })`"
-    )]
-    pub fn try_run_job(
-        &self,
-        input: Vec<I>,
-        max_queued: usize,
-    ) -> Result<JobHandle<O>, SubmitError<I>> {
-        match self.submit(input, Admission::Bounded { max_queued }) {
-            Submission::Accepted(handle) => Ok(handle),
-            Submission::Rejected { depth, input } => Err(SubmitError::Busy {
-                queued: depth,
-                input,
-            }),
-        }
-    }
-
     /// The runtime this graph serves jobs on.
     pub fn runtime(&self) -> &Arc<Runtime> {
         &self.core.rt
@@ -881,9 +853,7 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
     /// The consolidated observability snapshot (DESIGN.md §6.5): one
     /// [`TelemetrySnapshot`] carrying the scheduler counters, per-edge
     /// and aggregate queue/storage counters, the admission gate, and
-    /// this graph's per-job-class latency histogram. This replaces the
-    /// per-layer getters (`job_stats`, `pool_stats`, `storage_stats`,
-    /// `scheduler_stats`), which are deprecated shims over it.
+    /// this graph's per-job-class latency histogram.
     ///
     /// Counter values follow the [`crate::telemetry::read_counter`]
     /// contract: individually monotonic, approximate while jobs run,
@@ -950,18 +920,6 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
         Some(snap)
     }
 
-    /// Admission/job counters (see [`swan::JobTableStats`]).
-    #[deprecated(since = "0.3.0", note = "use `telemetry().admission`")]
-    pub fn job_stats(&self) -> JobTableStats {
-        self.telemetry().admission
-    }
-
-    /// Per-edge segment-pool counters, in edge creation order.
-    #[deprecated(since = "0.3.0", note = "use `telemetry().edges[i].pool`")]
-    pub fn pool_stats(&self) -> Vec<PoolStats> {
-        self.telemetry().edges.iter().map(|e| e.pool).collect()
-    }
-
     /// Tops every edge pool up to `segments_per_edge` parked segments, so
     /// subsequent jobs provably never touch the heap. How many segments a
     /// job can demand per edge is timing-dependent (an unthrottled
@@ -973,31 +931,6 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
     /// running jobs are not counted as parked.
     pub fn prewarm(&self, segments_per_edge: usize) {
         self.core.pools.prewarm(segments_per_edge);
-    }
-
-    /// Aggregate storage counters across all edges; the
-    /// `segments_allocated` curve going flat across jobs is the
-    /// zero-allocation steady state.
-    #[deprecated(since = "0.3.0", note = "use `telemetry().storage`")]
-    pub fn storage_stats(&self) -> ServiceStorageStats {
-        self.telemetry().storage
-    }
-
-    /// The pre-telemetry consolidated snapshot: the scheduler, queue,
-    /// storage and admission sections of [`CompiledGraph::telemetry`]
-    /// without the per-edge breakdown or the latency histograms.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `telemetry()`, which adds per-edge and latency sections"
-    )]
-    pub fn scheduler_stats(&self) -> SchedulerStats {
-        let t = self.telemetry();
-        SchedulerStats {
-            sched: t.sched,
-            queues: t.queues,
-            storage: t.storage,
-            admission: t.admission,
-        }
     }
 }
 
@@ -1079,52 +1012,6 @@ impl<I, O> Submission<I, O> {
     /// True when the submission was accepted.
     pub fn is_accepted(&self) -> bool {
         matches!(self, Submission::Accepted(_))
-    }
-}
-
-/// One consolidated, allocation-free observability snapshot of a
-/// [`CompiledGraph`] (see [`CompiledGraph::scheduler_stats`]): the swan
-/// scheduler counters (tasks, steals, steal batch sizes, helps, parks),
-/// the retired-queue fast-path totals accumulated by every edge's
-/// [`SegmentPool`], the aggregate segment-storage counters, and the
-/// admission gate. Every leaf is plain `Copy` data, so snapshots can be
-/// taken on hot paths (the ingress Stats frame) without heap traffic.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SchedulerStats {
-    /// Runtime scheduler counters ([`swan::MetricsSnapshot`]).
-    pub sched: MetricsSnapshot,
-    /// Retired-queue totals summed across edges ([`QueueStats`]); live
-    /// queues report here once they retire at job teardown.
-    pub queues: QueueStats,
-    /// Aggregate segment storage across all edge pools.
-    pub storage: ServiceStorageStats,
-    /// Admission/job counters ([`swan::JobTableStats`]).
-    pub admission: JobTableStats,
-}
-
-/// Why [`CompiledGraph::try_run_job`] refused a job. Carries the input
-/// back so the caller can retry without cloning it up front. Legacy shape
-/// kept for the deprecated `try_run_job` shim; [`Submission::Rejected`]
-/// is the replacement.
-#[derive(Debug)]
-pub enum SubmitError<I> {
-    /// The admission queue is at its `max_queued` bound. Retry later;
-    /// `queued` is the waiting-line depth observed at refusal.
-    Busy {
-        /// Jobs accepted but not yet admitted when the refusal happened.
-        queued: usize,
-        /// The rejected job input, returned to the caller.
-        input: Vec<I>,
-    },
-}
-
-impl<I> std::fmt::Display for SubmitError<I> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Busy { queued, .. } => {
-                write!(f, "admission queue full ({queued} jobs waiting)")
-            }
-        }
     }
 }
 
@@ -1452,27 +1339,6 @@ mod tests {
             .expect_accepted()
             .join();
         assert_eq!(ok, vec![2]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_route_through_submit() {
-        let (_rt, graph) = square_graph(2, 4);
-        let out = graph.run_job(vec![3]).join();
-        assert_eq!(out, vec![9]);
-        let out = graph.try_run_job(vec![4], 4).expect("under bound").join();
-        assert_eq!(out, vec![16]);
-        // The deprecated stats getters are shims over telemetry(): every
-        // one must agree with the sections of the snapshot it mirrors.
-        let t = graph.telemetry();
-        assert_eq!(graph.job_stats(), t.admission);
-        assert_eq!(
-            graph.pool_stats(),
-            t.edges.iter().map(|e| e.pool).collect::<Vec<_>>()
-        );
-        assert_eq!(graph.storage_stats(), t.storage);
-        let s = graph.scheduler_stats();
-        assert_eq!((s.storage, s.admission), (t.storage, t.admission));
     }
 
     #[test]

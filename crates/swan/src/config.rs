@@ -1,60 +1,6 @@
-//! Runtime configuration: the fluent [`RuntimeConfig`] builder and the
-//! [`SchedulerPolicy`] selector.
+//! Runtime configuration: the fluent [`RuntimeConfig`] builder.
 
 use std::ops::RangeInclusive;
-use std::time::Duration;
-
-/// Which worker-loop scheduler the runtime runs (see DESIGN.md §3.1 for
-/// the decision table). Both policies preserve determinism — programs on
-/// this runtime are scale-free, so the policy changes throughput and
-/// stealing behaviour, never observable output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerPolicy {
-    /// Per-worker FIFO rings, injector before stealing, single-task
-    /// steals. Pops approximate the serial elision's program order, which
-    /// keeps pipeline producers ahead of their consumers and minimises
-    /// blocked-consumer helping. The historical default.
-    HelpFirst,
-    /// Per-worker Chase-Lev deques: owner LIFO bottom (depth-first, cache
-    /// hot), thieves FIFO top with steal-half batching, injector checked
-    /// after steal probes fail. The classic Cilk-style regime — better
-    /// under fork-join-heavy and irregular DAG load.
-    StealFirst {
-        /// Upper bound on one steal batch (the thief takes
-        /// `min(steal_batch, ceil(victim_len/2))` ids). 0 behaves as 1.
-        steal_batch: usize,
-    },
-}
-
-impl SchedulerPolicy {
-    /// The policy CI matrices select via the `HQ_SCHED` environment
-    /// variable (`help-first`, `steal-first`, or `steal-first:N` with a
-    /// batch bound), if set and well-formed. [`RuntimeConfig::default`]
-    /// applies this, so a test binary run under `HQ_SCHED=steal-first`
-    /// exercises the deque scheduler without per-test plumbing.
-    pub fn from_env() -> Option<Self> {
-        Self::parse(&std::env::var("HQ_SCHED").ok()?)
-    }
-
-    /// Parses a policy selector: `help-first`, `steal-first`, or
-    /// `steal-first:N` (N = steal batch bound). The grammar shared by
-    /// `HQ_SCHED` and `hqd --scheduler`.
-    pub fn parse(raw: &str) -> Option<Self> {
-        match raw.trim() {
-            "help-first" => Some(Self::HelpFirst),
-            "steal-first" => Some(Self::StealFirst {
-                steal_batch: Self::DEFAULT_STEAL_BATCH,
-            }),
-            other => {
-                let batch = other.strip_prefix("steal-first:")?.parse().ok()?;
-                Some(Self::StealFirst { steal_batch: batch })
-            }
-        }
-    }
-
-    /// Default steal-half batch bound.
-    pub const DEFAULT_STEAL_BATCH: usize = 16;
-}
 
 /// Initial and maximum worker counts, the argument to
 /// [`RuntimeConfig::workers`]. Converts from a plain count (`4` — fixed
@@ -88,18 +34,17 @@ impl From<RangeInclusive<usize>> for WorkerRange {
 /// Configuration for a [`crate::Runtime`], built fluently:
 ///
 /// ```
-/// use swan::{RuntimeConfig, SchedulerPolicy};
+/// use swan::RuntimeConfig;
 ///
-/// let cfg = RuntimeConfig::new()
-///     .workers(1..=8)
-///     .scheduler(SchedulerPolicy::StealFirst { steal_batch: 16 });
+/// let cfg = RuntimeConfig::new().workers(1..=8);
 /// assert_eq!((cfg.workers, cfg.max_workers), (1, 8));
 /// ```
 ///
 /// The defaults follow the paper's philosophy: programs are *scale-free*,
 /// so the only knob a user normally touches is implicit (the machine's
-/// core count). Everything else exists for the benchmark harness and the
-/// test suite (chaos mode, the scheduler-policy ablation).
+/// core count). The scheduler itself has no knobs (DESIGN.md §3.1);
+/// what remains is sizing, partition pinning, and the test suite's chaos
+/// mode.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Number of worker threads. Defaults to `std::thread::available_parallelism()`.
@@ -111,11 +56,6 @@ pub struct RuntimeConfig {
     /// Clamped up to `workers`; defaults to `workers` (no elasticity
     /// headroom).
     pub max_workers: usize,
-    /// Worker-loop scheduling policy. Defaults to
-    /// [`SchedulerPolicy::HelpFirst`], overridable process-wide via the
-    /// `HQ_SCHED` environment variable (see
-    /// [`SchedulerPolicy::from_env`]).
-    pub scheduler: SchedulerPolicy,
     /// Number of worker groups for partition pinning (DESIGN.md §7.1).
     /// Worker `idx` belongs to group `idx % worker_groups`; tasks spawned
     /// with [`crate::Scope::spawn_pinned`] enqueue to their group's
@@ -126,14 +66,6 @@ pub struct RuntimeConfig {
     /// the scale-free determinism guarantee are unaffected. Default 1
     /// (grouping off).
     pub worker_groups: usize,
-    /// Maximum depth of nested "help" execution a blocked worker will stack
-    /// before falling back to passive waiting. Bounds stack growth of the
-    /// help-first scheduling discipline (see DESIGN.md §3.1).
-    pub max_help_depth: usize,
-    /// How long a worker parks at a time while idle or blocked. Short parks
-    /// sidestep lost-wakeup corner cases at negligible cost for the
-    /// millisecond-scale pipeline stages this runtime targets.
-    pub park_timeout: Duration,
     /// Chaos-testing mode: seeded random delays before task execution, used
     /// by the determinism test-suite to shake out order-dependent bugs.
     pub chaos: Option<ChaosConfig>,
@@ -149,8 +81,8 @@ pub struct ChaosConfig {
 }
 
 impl RuntimeConfig {
-    /// Starts a builder from the defaults (machine core count, help-first
-    /// unless `HQ_SCHED` overrides).
+    /// Starts a builder from the defaults (machine core count, no
+    /// elasticity headroom, grouping and chaos off).
     pub fn new() -> Self {
         Self::default()
     }
@@ -165,12 +97,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Selects the worker-loop scheduler.
-    pub fn scheduler(mut self, policy: SchedulerPolicy) -> Self {
-        self.scheduler = policy;
-        self
-    }
-
     /// Sets the number of worker groups for partition pinning (min 1;
     /// 1 disables grouping). See [`crate::Scope::spawn_pinned`].
     pub fn worker_groups(mut self, groups: usize) -> Self {
@@ -178,38 +104,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Bounds nested help-execution depth.
-    pub fn max_help_depth(mut self, depth: usize) -> Self {
-        self.max_help_depth = depth.max(1);
-        self
-    }
-
-    /// Sets the idle/blocked park interval.
-    pub fn park_timeout(mut self, timeout: Duration) -> Self {
-        self.park_timeout = timeout;
-        self
-    }
-
     /// Adds chaos-mode jitter (testing only).
     pub fn with_chaos(mut self, seed: u64, max_delay_us: u64) -> Self {
         self.chaos = Some(ChaosConfig { seed, max_delay_us });
         self
-    }
-
-    /// Default configuration with `workers` worker threads.
-    #[deprecated(since = "0.2.0", note = "use `RuntimeConfig::new().workers(n)`")]
-    pub fn with_workers(workers: usize) -> Self {
-        Self::new().workers(workers)
-    }
-
-    /// Elastic configuration: starts with `workers` threads and reserves
-    /// capacity to grow up to `max_workers`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `RuntimeConfig::new().workers(min..=max)`"
-    )]
-    pub fn with_worker_range(workers: usize, max_workers: usize) -> Self {
-        Self::new().workers(workers.max(1)..=max_workers)
     }
 }
 
@@ -221,10 +119,7 @@ impl Default for RuntimeConfig {
         Self {
             workers,
             max_workers: workers,
-            scheduler: SchedulerPolicy::from_env().unwrap_or(SchedulerPolicy::HelpFirst),
             worker_groups: 1,
-            max_help_depth: 64,
-            park_timeout: Duration::from_micros(200),
             chaos: None,
         }
     }
@@ -254,46 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_builder_sets_policy() {
-        let c = RuntimeConfig::new().scheduler(SchedulerPolicy::StealFirst { steal_batch: 4 });
-        assert_eq!(c.scheduler, SchedulerPolicy::StealFirst { steal_batch: 4 });
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        let shim = RuntimeConfig::with_workers(3);
-        assert_eq!((shim.workers, shim.max_workers), (3, 3));
-        assert_eq!(RuntimeConfig::with_workers(0).workers, 1);
-        let shim = RuntimeConfig::with_worker_range(4, 2);
-        assert_eq!((shim.workers, shim.max_workers), (4, 4));
-        let shim = RuntimeConfig::with_worker_range(1, 8);
-        assert_eq!((shim.workers, shim.max_workers), (1, 8));
-    }
-
-    #[test]
     fn chaos_builder_sets_fields() {
         let c = RuntimeConfig::new().workers(2).with_chaos(42, 100);
         let chaos = c.chaos.expect("chaos set");
         assert_eq!(chaos.seed, 42);
         assert_eq!(chaos.max_delay_us, 100);
-    }
-
-    #[test]
-    fn policy_parser_accepts_the_ci_matrix_forms() {
-        // Parse the *strings* the CI matrix uses without touching the
-        // process environment (tests run concurrently).
-        let parse = SchedulerPolicy::parse;
-        assert_eq!(parse("help-first"), Some(SchedulerPolicy::HelpFirst));
-        assert_eq!(
-            parse("steal-first"),
-            Some(SchedulerPolicy::StealFirst { steal_batch: 16 })
-        );
-        assert_eq!(
-            parse("steal-first:4"),
-            Some(SchedulerPolicy::StealFirst { steal_batch: 4 })
-        );
-        assert_eq!(parse("work-first"), None);
-        assert_eq!(parse("steal-first:x"), None);
     }
 }

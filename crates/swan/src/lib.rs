@@ -48,7 +48,7 @@ mod sched;
 mod scope;
 pub mod util;
 
-pub use config::{ChaosConfig, RuntimeConfig, SchedulerPolicy, WorkerRange};
+pub use config::{ChaosConfig, RuntimeConfig, WorkerRange};
 pub use dataflow::{
     next_object_id, AcquireCtx, DepArg, DepList, InDep, InOutDep, OutDep, ReadGuard, Versioned,
     WriteGuard,

@@ -5,7 +5,7 @@
 //! frequent work stealing activity"). These counters let the benchmark
 //! harness and the test-suite observe that behaviour directly; the service
 //! layer folds a [`MetricsSnapshot`] into its consolidated
-//! `SchedulerStats` frame.
+//! `TelemetrySnapshot`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,12 +16,12 @@ pub struct Metrics {
     /// Tasks whose bodies were executed to completion.
     pub tasks_executed: AtomicU64,
     /// Successful steal operations (one per victim probe that yielded at
-    /// least one task; a steal-first batch counts once).
+    /// least one task; a batch counts once).
     pub steals: AtomicU64,
     /// Steal probes that found nothing (empty victim or lost CAS race).
     pub steal_failures: AtomicU64,
     /// Total task ids moved by steals. `steal_batch_items / steals` is
-    /// the observed mean batch size (always 1 under help-first).
+    /// the observed mean batch size.
     pub steal_batch_items: AtomicU64,
     /// Steals (or group-injector pops) that crossed a worker-group
     /// boundary — the liveness fallback of partition pinning. Stays near

@@ -28,23 +28,40 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::config::{RuntimeConfig, SchedulerPolicy};
+use crate::config::RuntimeConfig;
 use crate::frame::{Frame, FrameId, HelpMode};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::sched::{Deque, Injector, Registry, Ring, RunnableTask, Sleeper, WorkerQueue};
+use crate::sched::{Deque, Injector, Registry, RunnableTask, Sleeper};
 use crate::scope::Scope;
 use crate::util::{Backoff, XorShift64};
 
-/// Capacity of each per-worker queue (ring or deque); overflow goes to
-/// the unbounded global injector.
+/// Capacity of each per-worker deque; overflow goes to the unbounded
+/// global injector.
 const QUEUE_CAPACITY: usize = 512;
 
+/// Upper bound on one steal batch: a thief takes
+/// `min(STEAL_BATCH, ceil(victim_len/2))` ids per successful probe.
+const STEAL_BATCH: usize = 16;
+
+/// Maximum depth of nested "help" execution a blocked worker will stack
+/// before falling back to passive waiting. Bounds stack growth of
+/// filtered help (see DESIGN.md §3.1).
+const MAX_HELP_DEPTH: usize = 64;
+
+/// How long a worker parks at a time while idle or blocked. Short parks
+/// sidestep lost-wakeup corner cases at negligible cost for the
+/// millisecond-scale pipeline stages this runtime targets.
+const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
 thread_local! {
-    /// Queue index of the current worker thread (None on external threads).
-    static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The worker slot the current thread staffs: its runtime (the
+    /// address of the `RtInner` the worker's own `Arc` keeps alive) and
+    /// queue index. None on external threads.
+    static WORKER_SLOT: Cell<Option<(*const RtInner, usize)>> = const { Cell::new(None) };
     /// Nesting depth of help-execution on this thread's stack.
     static HELP_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
@@ -58,7 +75,7 @@ pub(crate) struct RtInner {
     /// `idx` (group `idx % len`) drains its own group's injector ahead of
     /// the global one. Empty when `worker_groups <= 1`.
     pub(crate) group_injectors: Vec<Injector>,
-    pub(crate) queues: Vec<WorkerQueue>,
+    pub(crate) queues: Vec<Deque>,
     pub(crate) sleeper: Sleeper,
     pub(crate) metrics: Metrics,
     /// Elastic worker target: the worker on queue `idx` retires as soon as
@@ -76,12 +93,22 @@ impl RtInner {
         FrameId(self.next_id.fetch_add(1, Ordering::Relaxed))
     }
 
+    /// Queue index of the current thread if it is one of *this* runtime's
+    /// workers. A worker of another runtime that opens a scope or helps
+    /// here is an external thread: its index names a slot in its own
+    /// runtime, and deque pushes are owner-only.
+    fn worker_index(&self) -> Option<usize> {
+        WORKER_SLOT.with(|w| match w.get() {
+            Some((rt, idx)) if std::ptr::eq(rt, self) => Some(idx),
+            _ => None,
+        })
+    }
+
     /// Makes task `id` runnable: local queue if on a worker, else injector.
     pub(crate) fn enqueue(&self, id: FrameId) {
-        let pushed = WORKER_INDEX.with(|w| match w.get() {
-            Some(idx) => self.queues[idx].push(id.0).is_ok(),
-            None => false,
-        });
+        let pushed = self
+            .worker_index()
+            .is_some_and(|idx| self.queues[idx].push(id.0).is_ok());
         if !pushed {
             self.injector.push(id.0);
         }
@@ -98,10 +125,9 @@ impl RtInner {
         if n > 1 {
             if let Some(g) = group {
                 let g = g as usize % n;
-                let pushed = WORKER_INDEX.with(|w| match w.get() {
-                    Some(idx) if idx % n == g => self.queues[idx].push(id.0).is_ok(),
-                    _ => false,
-                });
+                let pushed = self
+                    .worker_index()
+                    .is_some_and(|idx| idx % n == g && self.queues[idx].push(id.0).is_ok());
                 if !pushed {
                     self.group_injectors[g].push(id.0);
                 }
@@ -169,7 +195,7 @@ impl RtInner {
         let mut backoff = Backoff::new();
         while frame.children_active() > 0 {
             if backoff.is_completed() {
-                self.sleeper.park(self.config.park_timeout);
+                self.sleeper.park(PARK_TIMEOUT);
             } else {
                 backoff.snooze();
             }
@@ -192,7 +218,7 @@ impl RtInner {
                 }
                 if backoff.is_completed() {
                     Metrics::incr(&self.metrics.parks);
-                    self.sleeper.park(self.config.park_timeout);
+                    self.sleeper.park(PARK_TIMEOUT);
                 } else {
                     backoff.snooze();
                 }
@@ -225,7 +251,7 @@ impl RtInner {
             }
             if backoff.is_completed() {
                 Metrics::incr(&self.metrics.parks);
-                self.sleeper.park(self.config.park_timeout);
+                self.sleeper.park(PARK_TIMEOUT);
             } else {
                 backoff.snooze();
             }
@@ -233,10 +259,10 @@ impl RtInner {
     }
 
     /// Claims and executes one help-eligible task. Returns false if none is
-    /// eligible or the help stack is already `max_help_depth` deep.
+    /// eligible or the help stack is already [`MAX_HELP_DEPTH`] deep.
     fn try_help(self: &Arc<Self>, blocked: &Arc<Frame>, mode: HelpMode) -> bool {
         let depth = HELP_DEPTH.with(Cell::get);
-        if depth >= self.config.max_help_depth {
+        if depth >= MAX_HELP_DEPTH {
             return false;
         }
         let Some(task) = self.registry.claim_filtered(mode, blocked) else {
@@ -252,15 +278,11 @@ impl RtInner {
         true
     }
 
-    /// Worker's task-finding policy (DESIGN.md §3.1). Both policies drain
-    /// the local queue first; they differ in what comes next:
-    ///
-    /// * **help-first** — injector before stealing, single-task steals.
-    ///   External submissions and overflow stay ahead of other workers'
-    ///   backlogs, approximating program order.
-    /// * **steal-first** — steal-half batches before the injector. An
-    ///   idle worker first rebalances in-flight work (the Cilk regime),
-    ///   touching the shared injector only when every victim probe fails.
+    /// Worker's task-finding order (DESIGN.md §3.1): the local deque
+    /// (LIFO), then steal-half batches from random victims, then the
+    /// global injector. An idle worker first rebalances in-flight work
+    /// (the Cilk regime), touching the shared injector only when every
+    /// victim probe fails.
     ///
     /// With worker groups on: pinned work bound for this worker's own
     /// group comes right after the local queue, and foreign groups'
@@ -276,13 +298,9 @@ impl RtInner {
         if let Some(task) = self.pop_own_group_injector(idx) {
             return Some(task);
         }
-        let found = match self.config.scheduler {
-            SchedulerPolicy::HelpFirst => self.pop_injector().or_else(|| self.steal(idx, rng, 1)),
-            SchedulerPolicy::StealFirst { steal_batch } => self
-                .steal(idx, rng, steal_batch.max(1))
-                .or_else(|| self.pop_injector()),
-        };
-        found.or_else(|| self.pop_foreign_group_injectors(idx))
+        self.steal(idx, rng)
+            .or_else(|| self.pop_injector())
+            .or_else(|| self.pop_foreign_group_injectors(idx))
     }
 
     /// Claims the next runnable task from the global injector.
@@ -332,11 +350,12 @@ impl RtInner {
     }
 
     /// Random victim probes (a couple of rounds; the worker loop
-    /// retries). Steals up to `batch` ids per successful probe; extras
-    /// land in this worker's own queue. With worker groups on, the first
-    /// round of probes stays inside this worker's group — cross-group
-    /// steals are a fallback and counted as such (DESIGN.md §7.1).
-    fn steal(&self, idx: usize, rng: &mut XorShift64, batch: usize) -> Option<RunnableTask> {
+    /// retries). Steals up to [`STEAL_BATCH`] ids per successful probe;
+    /// extras land in this worker's own queue. With worker groups on, the
+    /// first round of probes stays inside this worker's group —
+    /// cross-group steals are a fallback and counted as such (DESIGN.md
+    /// §7.1).
+    fn steal(&self, idx: usize, rng: &mut XorShift64) -> Option<RunnableTask> {
         let n = self.queues.len();
         if n <= 1 {
             return None;
@@ -352,7 +371,8 @@ impl RtInner {
             if cross && probe < n {
                 continue; // first round: same-group victims only
             }
-            let (first, stolen) = self.queues[victim].steal_batch_into(&self.queues[idx], batch);
+            let (first, stolen) =
+                self.queues[victim].steal_batch_into(&self.queues[idx], STEAL_BATCH);
             let Some(first) = first else {
                 Metrics::incr(&self.metrics.steal_failures);
                 continue;
@@ -377,7 +397,7 @@ impl RtInner {
     }
 
     fn worker_main(self: Arc<Self>, idx: usize) {
-        WORKER_INDEX.with(|w| w.set(Some(idx)));
+        WORKER_SLOT.with(|w| w.set(Some((Arc::as_ptr(&self), idx))));
         let mut rng =
             XorShift64::new(0xC0FF_EE00 ^ (idx as u64 + 1).wrapping_mul(0x1234_5678_9ABC));
         loop {
@@ -396,9 +416,9 @@ impl RtInner {
                 continue;
             }
             Metrics::incr(&self.metrics.parks);
-            self.sleeper.park(self.config.park_timeout);
+            self.sleeper.park(PARK_TIMEOUT);
         }
-        WORKER_INDEX.with(|w| w.set(None));
+        WORKER_SLOT.with(|w| w.set(None));
     }
 }
 
@@ -439,14 +459,7 @@ impl Runtime {
         let workers = config.workers.max(1);
         let max_workers = config.max_workers.max(workers);
         let queues = (0..max_workers)
-            .map(|_| match config.scheduler {
-                SchedulerPolicy::HelpFirst => {
-                    WorkerQueue::Fifo(Ring::with_capacity(QUEUE_CAPACITY))
-                }
-                SchedulerPolicy::StealFirst { .. } => {
-                    WorkerQueue::Deque(Deque::with_capacity(QUEUE_CAPACITY))
-                }
-            })
+            .map(|_| Deque::with_capacity(QUEUE_CAPACITY))
             .collect();
         // Worker groups beyond the queue count would be permanently
         // unstaffed; clamp so every group owns at least one worker slot.
@@ -512,11 +525,6 @@ impl Runtime {
     /// Upper bound for [`Runtime::resize_workers`].
     pub fn max_workers(&self) -> usize {
         self.inner.queues.len()
-    }
-
-    /// The worker-loop scheduling policy this runtime runs.
-    pub fn scheduler(&self) -> SchedulerPolicy {
-        self.inner.config.scheduler
     }
 
     /// Number of worker groups available for partition pinning (1 when
@@ -615,7 +623,7 @@ impl Runtime {
     /// waiting costs nothing while jobs run.
     pub fn quiesce(&self) {
         while self.inner.open_scopes.load(Ordering::SeqCst) > 0 {
-            self.inner.sleeper.park(self.inner.config.park_timeout);
+            self.inner.sleeper.park(PARK_TIMEOUT);
         }
     }
 
@@ -628,9 +636,7 @@ impl Runtime {
             if now >= deadline {
                 return false;
             }
-            self.inner
-                .sleeper
-                .park((deadline - now).min(self.inner.config.park_timeout));
+            self.inner.sleeper.park((deadline - now).min(PARK_TIMEOUT));
         }
         true
     }
@@ -739,21 +745,23 @@ mod tests {
 
     #[test]
     fn nested_spawns_complete_before_scope_returns() {
-        let rt = Runtime::with_workers(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c2 = Arc::clone(&counter);
-        rt.scope(move |s| {
-            let c3 = c2;
-            s.spawn((), move |s, ()| {
-                for _ in 0..8 {
-                    let c = Arc::clone(&c3);
-                    s.spawn((), move |_, ()| {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
+        for workers in [1usize, 2, 4] {
+            let rt = Runtime::with_workers(workers);
+            let counter = Arc::new(AtomicUsize::new(0));
+            let c2 = Arc::clone(&counter);
+            rt.scope(move |s| {
+                let c3 = c2;
+                s.spawn((), move |s, ()| {
+                    for _ in 0..32 {
+                        let c = Arc::clone(&c3);
+                        s.spawn((), move |_, ()| {
+                            c.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                });
             });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
+            assert_eq!(counter.load(Ordering::SeqCst), 32, "{workers} workers");
+        }
     }
 
     #[test]
@@ -931,101 +939,33 @@ mod tests {
         assert!(rt.quiesce_timeout(std::time::Duration::from_secs(1)));
     }
 
-    fn steal_first_rt(workers: usize) -> Runtime {
-        Runtime::new(
-            RuntimeConfig::new()
-                .workers(workers)
-                .scheduler(SchedulerPolicy::StealFirst { steal_batch: 4 }),
-        )
-    }
-
     #[test]
-    fn steal_first_runs_simple_and_nested_tasks() {
-        for workers in [1usize, 2, 4] {
-            let rt = steal_first_rt(workers);
-            assert_eq!(
-                rt.scheduler(),
-                SchedulerPolicy::StealFirst { steal_batch: 4 }
-            );
-            let counter = Arc::new(AtomicUsize::new(0));
-            let c2 = Arc::clone(&counter);
-            rt.scope(move |s| {
-                let c3 = c2;
-                s.spawn((), move |s, ()| {
-                    for _ in 0..32 {
-                        let c = Arc::clone(&c3);
+    fn full_deque_overflow_spills_to_injector() {
+        // Spawn far more tasks than one deque holds (capacity 512) from a
+        // single frame: the overflow must ride the injector, and every
+        // child must still run exactly once. At 1 worker no thief can
+        // drain the deque, so all of the excess takes the injector path.
+        const CHILDREN: usize = 2000;
+        for workers in [1usize, 2] {
+            let rt = Runtime::with_workers(workers);
+            let runs: Vec<AtomicUsize> = (0..CHILDREN).map(|_| AtomicUsize::new(0)).collect();
+            rt.scope(|s| {
+                s.spawn((), |s, ()| {
+                    for run in &runs {
                         s.spawn((), move |_, ()| {
-                            c.fetch_add(1, Ordering::SeqCst);
+                            run.fetch_add(1, Ordering::SeqCst);
                         });
                     }
                 });
             });
-            assert_eq!(counter.load(Ordering::SeqCst), 32, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn steal_first_deep_fork_join() {
-        fn go<'s>(s: &crate::scope::Scope<'s>, n: u64, out: &'s AtomicU64) {
-            if n < 2 {
-                out.fetch_add(n, Ordering::Relaxed);
-                return;
+            for (i, run) in runs.iter().enumerate() {
+                assert_eq!(
+                    run.load(Ordering::SeqCst),
+                    1,
+                    "child {i}, {workers} workers"
+                );
             }
-            s.spawn((), move |s, ()| go(s, n - 1, out));
-            go(s, n - 2, out);
         }
-        let rt = steal_first_rt(4);
-        let out = AtomicU64::new(0);
-        rt.scope(|s| go(s, 15, &out));
-        assert_eq!(out.load(Ordering::SeqCst), 610); // fib(15)
-    }
-
-    #[test]
-    fn steal_first_resize_mid_job_does_not_lose_tasks() {
-        let rt = Runtime::new(
-            RuntimeConfig::new()
-                .workers(4..=8)
-                .scheduler(SchedulerPolicy::StealFirst { steal_batch: 16 }),
-        );
-        let counter = AtomicUsize::new(0);
-        rt.scope(|s| {
-            for i in 0..256 {
-                s.spawn((), |_, ()| {
-                    let mut x = 0u64;
-                    for j in 0..20_000u64 {
-                        x = x.wrapping_mul(31).wrapping_add(j);
-                    }
-                    std::hint::black_box(x);
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-                if i == 64 {
-                    rt.resize_workers(1);
-                }
-                if i == 128 {
-                    rt.resize_workers(8);
-                }
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 256);
-    }
-
-    #[test]
-    fn steal_first_overflow_spills_to_injector() {
-        // Spawn far more tasks than one deque holds (capacity 512) from a
-        // single frame: the overflow must ride the injector, and every
-        // task must still run exactly once.
-        let rt = steal_first_rt(2);
-        let counter = AtomicUsize::new(0);
-        rt.scope(|s| {
-            s.spawn((), |s, ()| {
-                for _ in 0..2000 {
-                    s.spawn((), |_, ()| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 2000);
     }
 
     #[test]
@@ -1104,13 +1044,8 @@ mod tests {
     }
 
     #[test]
-    fn grouped_steal_first_completes_fork_join() {
-        let rt = Runtime::new(
-            RuntimeConfig::new()
-                .workers(4)
-                .worker_groups(2)
-                .scheduler(SchedulerPolicy::StealFirst { steal_batch: 4 }),
-        );
+    fn grouped_runtime_completes_fork_join() {
+        let rt = Runtime::new(RuntimeConfig::new().workers(4).worker_groups(2));
         let out = AtomicU64::new(0);
         let out_ref = &out;
         rt.scope(|s| {
@@ -1130,7 +1065,7 @@ mod tests {
     #[test]
     fn work_is_actually_stolen_across_workers() {
         // A chain of sequentially-spawning tasks from one frame, each doing
-        // real work, should exercise the rings; with several workers some
+        // real work, should exercise the deques; with several workers some
         // steals or injector traffic must occur. We assert the weaker
         // property that all tasks ran and multiple workers participated.
         let rt = Runtime::with_workers(4);

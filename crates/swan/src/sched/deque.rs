@@ -1,9 +1,9 @@
 //! A bounded Chase-Lev work-stealing deque of task ids.
 //!
-//! The steal-first scheduler (DESIGN.md §3.1) gives each worker one of
-//! these instead of a FIFO ring: the **owner** pushes and pops at the
-//! *bottom* (LIFO, depth-first — the freshest spawn runs next, keeping
-//! its working set hot), while **thieves** steal from the *top* (FIFO,
+//! The scheduler (DESIGN.md §3.1) gives each worker one of these: the
+//! **owner** pushes and pops at the *bottom* (LIFO, depth-first — the
+//! freshest spawn runs next, keeping its working set hot), while
+//! **thieves** steal from the *top* (FIFO,
 //! breadth-first — a thief takes the oldest task, which under help-first
 //! spawning is the one closest to the root and therefore the largest
 //! chunk of work).

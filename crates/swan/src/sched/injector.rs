@@ -1,6 +1,6 @@
 //! Global injection queue.
 //!
-//! Overflow from the per-worker rings and submissions from non-worker
+//! Overflow from the per-worker deques and submissions from non-worker
 //! threads (e.g. the thread calling [`crate::Runtime::scope`]) land here.
 //! A mutex-protected deque is sufficient: the injector is off the fast path
 //! and contention is bounded by spawn rate, not element rate.

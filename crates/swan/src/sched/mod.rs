@@ -1,71 +1,13 @@
-//! Scheduler internals: per-worker queues (FIFO rings or Chase-Lev
-//! deques, per [`crate::SchedulerPolicy`]), the global injector, the task
-//! registry (the single arbiter of task state), and idle parking.
+//! Scheduler internals: per-worker Chase-Lev deques, the global
+//! injector, the task registry (the single arbiter of task state), and
+//! idle parking.
 
 mod deque;
 mod injector;
 mod registry;
-mod ring;
 mod sleeper;
 
 pub use deque::Deque;
 pub use injector::Injector;
 pub use registry::{Registry, ReleaseFn, RunnableTask, TaskBody};
-pub use ring::Ring;
 pub use sleeper::Sleeper;
-
-/// The per-worker queue behind one worker slot. Which variant every slot
-/// uses is fixed at runtime construction by the configured
-/// [`crate::SchedulerPolicy`]: help-first keeps the FIFO ring (pops
-/// approximate program order), steal-first uses the Chase-Lev deque
-/// (owner LIFO bottom, thief FIFO top). See DESIGN.md §3.1.
-pub enum WorkerQueue {
-    /// Vyukov MPMC FIFO ring — the help-first queue.
-    Fifo(Ring),
-    /// Chase-Lev deque — the steal-first queue.
-    Deque(Deque),
-}
-
-impl WorkerQueue {
-    /// Pushes a task id from the owning worker; `Err` when full (the
-    /// caller overflows into the global injector).
-    pub fn push(&self, id: u64) -> Result<(), u64> {
-        match self {
-            WorkerQueue::Fifo(r) => r.push(id),
-            WorkerQueue::Deque(d) => d.push(id),
-        }
-    }
-
-    /// Owner-side pop: FIFO front for the ring, LIFO bottom for the deque.
-    pub fn pop(&self) -> Option<u64> {
-        match self {
-            WorkerQueue::Fifo(r) => r.pop(),
-            WorkerQueue::Deque(d) => d.pop(),
-        }
-    }
-
-    /// Steals from this queue into `dest` (the calling worker's own
-    /// queue). Returns the first stolen id (for immediate execution) and
-    /// the total count stolen. The ring variant ignores `dest` and
-    /// `max` — it steals exactly one, matching the help-first policy's
-    /// single-task probes.
-    pub fn steal_batch_into(&self, dest: &WorkerQueue, max: usize) -> (Option<u64>, usize) {
-        match (self, dest) {
-            (WorkerQueue::Deque(src), WorkerQueue::Deque(dst)) => src.steal_batch_into(dst, max),
-            (src, _) => match src.pop_or_steal() {
-                Some(id) => (Some(id), 1),
-                None => (None, 0),
-            },
-        }
-    }
-
-    /// Takes one id from whichever end a foreign thread may touch: the
-    /// shared FIFO end of a ring, the thief end of a deque. Used by
-    /// single-item steals and by mixed-variant fallbacks.
-    fn pop_or_steal(&self) -> Option<u64> {
-        match self {
-            WorkerQueue::Fifo(r) => r.pop(),
-            WorkerQueue::Deque(d) => d.steal(),
-        }
-    }
-}

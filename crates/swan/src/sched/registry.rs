@@ -1,9 +1,9 @@
 //! The task registry: the single arbiter of task state.
 //!
 //! Every spawned task lives here from spawn until completion. Per-worker
-//! rings and the injector hold only task *ids* (hints); ownership of a
+//! deques and the injector hold only task *ids* (hints); ownership of a
 //! task's body is transferred exactly once through [`Registry::claim`] or
-//! [`Registry::claim_filtered`], so duplicated or stale ids in the rings are
+//! [`Registry::claim_filtered`], so duplicated or stale ids in the deques are
 //! harmless.
 //!
 //! The registry also stores the dataflow dependence graph: a task's

@@ -5,7 +5,7 @@ use core::ops::{Deref, DerefMut};
 /// lines, 128 bytes, to defeat adjacent-line prefetching on x86).
 ///
 /// Used to keep producer-side and consumer-side indices of the SPSC queue
-/// segments, and the heads of the work-stealing rings, on distinct cache
+/// segments, and the ends of the work-stealing deques, on distinct cache
 /// lines so that the single-producer/single-consumer fast paths do not
 /// false-share.
 #[derive(Default)]

@@ -8,8 +8,6 @@
 //! ```text
 //! hqd [--addr 127.0.0.1:7171] [--workload wordcount|logstream]
 //!     [--workers N]          0 (default) = persistent(): one per core, elastic
-//!     [--scheduler P]        help-first (default) | steal-first | steal-first:N
-//!                            (N = steal batch); HQ_SCHED sets the default
 //!     [--max-in-flight N]    admission bound, default 4
 //!     [--max-queued N]       accepted-but-waiting bound, default 64 (then RETRY)
 //!     [--degree N]           fan-out/shard degree inside each job, default 4
@@ -38,15 +36,14 @@ use std::time::Duration;
 use pipelines::graph::ServiceConfig;
 use pipelines::ingress::{IngressConfig, IngressServer};
 use pipelines::journal::{Journal, JournalConfig};
-use swan::{RetryPolicy, Runtime, RuntimeConfig, SchedulerPolicy};
+use swan::{RetryPolicy, Runtime, RuntimeConfig};
 use workloads::service::{logstream_digest_spec, wordcount_spec};
 use workloads::wire::{LogstreamCodec, WordcountCodec};
 
-const KNOWN_FLAGS: [&str; 12] = [
+const KNOWN_FLAGS: [&str; 11] = [
     "--addr",
     "--workload",
     "--workers",
-    "--scheduler",
     "--max-in-flight",
     "--max-queued",
     "--degree",
@@ -111,17 +108,6 @@ fn main() {
     );
     let journal_dir = flag(&args, "--journal-dir");
 
-    // --scheduler overrides HQ_SCHED, which overrides help-first.
-    let scheduler = match flag(&args, "--scheduler") {
-        None => RuntimeConfig::default().scheduler,
-        Some(v) => SchedulerPolicy::parse(&v).unwrap_or_else(|| {
-            eprintln!(
-                "hqd: --scheduler expects help-first, steal-first or \
-                 steal-first:N, got {v:?}"
-            );
-            std::process::exit(2);
-        }),
-    };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let worker_range = if workers == 0 {
         // persistent() shape: one worker per core, elastic headroom to 8.
@@ -129,11 +115,7 @@ fn main() {
     } else {
         workers..=workers
     };
-    let rt = Arc::new(Runtime::new(
-        RuntimeConfig::new()
-            .workers(worker_range)
-            .scheduler(scheduler),
-    ));
+    let rt = Arc::new(Runtime::new(RuntimeConfig::new().workers(worker_range)));
     let service_cfg = ServiceConfig {
         max_in_flight,
         retry: RetryPolicy::retries(max_retries.min(u32::MAX as usize) as u32),
@@ -223,12 +205,11 @@ fn main() {
         );
     }
     println!(
-        "hqd: serving {workload} on {} ({} workers, {:?}, \
+        "hqd: serving {workload} on {} ({} workers, \
          max_in_flight {max_in_flight}, max_queued {max_queued}, \
          event_loops {event_loops}{})",
         server.local_addr(),
         rt.active_workers(),
-        rt.scheduler(),
         match &journal_dir {
             Some(dir) => format!(", journal {dir}, max_retries {max_retries}"),
             None => String::new(),

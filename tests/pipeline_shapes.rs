@@ -16,7 +16,7 @@
 //! linear-chain and fan-out drivers at every worker count.
 
 use hyperqueues::pipelines::graph::{GraphBuilder, Partition};
-use hyperqueues::swan::{Runtime, RuntimeConfig, SchedulerPolicy};
+use hyperqueues::swan::Runtime;
 use hyperqueues::workloads::{bzip2, dedup, ferret, logstream};
 use proptest::prelude::*;
 
@@ -131,23 +131,9 @@ fn serial_elision(total: u64, ops: &[ShapeOp]) -> (Vec<u64>, Vec<u64>) {
     (vals, tees)
 }
 
-/// Both scheduler policies, exercised by every determinism sweep below:
-/// the serial-elision oracle must hold regardless of how idle workers
-/// find tasks (help-first FIFO rings vs steal-first Chase-Lev deques).
-const POLICIES: [SchedulerPolicy; 2] = [
-    SchedulerPolicy::HelpFirst,
-    SchedulerPolicy::StealFirst { steal_batch: 4 },
-];
-
 /// Builds and runs the same shape on the graph layer.
-fn graph_run(
-    total: u64,
-    ops: &[ShapeOp],
-    seg_cap: usize,
-    workers: usize,
-    policy: SchedulerPolicy,
-) -> (Vec<u64>, Vec<u64>) {
-    let rt = Runtime::new(RuntimeConfig::new().workers(workers).scheduler(policy));
+fn graph_run(total: u64, ops: &[ShapeOp], seg_cap: usize, workers: usize) -> (Vec<u64>, Vec<u64>) {
+    let rt = Runtime::with_workers(workers);
     let mut out = Vec::new();
     let tee_count = ops.iter().filter(|o| matches!(o, ShapeOp::Tee)).count();
     let mut tee_sums = vec![0u64; tee_count];
@@ -223,18 +209,16 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..5),
     ) {
         let (expect, expect_tees) = serial_elision(total, &ops);
-        for policy in POLICIES {
-            for workers in [1usize, 2, 8] {
-                let (got, tees) = graph_run(total, &ops, seg_cap, workers, policy);
-                prop_assert_eq!(
-                    &got, &expect,
-                    "main output diverged: {workers} workers, cap {seg_cap}, {policy:?}, ops {ops:?}"
-                );
-                prop_assert_eq!(
-                    &tees, &expect_tees,
-                    "tee branch diverged: {workers} workers, cap {seg_cap}, {policy:?}, ops {ops:?}"
-                );
-            }
+        for workers in [1usize, 2, 8] {
+            let (got, tees) = graph_run(total, &ops, seg_cap, workers);
+            prop_assert_eq!(
+                &got, &expect,
+                "main output diverged: {workers} workers, cap {seg_cap}, ops {ops:?}"
+            );
+            prop_assert_eq!(
+                &tees, &expect_tees,
+                "tee branch diverged: {workers} workers, cap {seg_cap}, ops {ops:?}"
+            );
         }
     }
 }
@@ -248,21 +232,19 @@ fn logstream_all_drivers_agree_across_worker_counts() {
     let cfg = logstream::LogConfig::small();
     let lines = logstream::corpus(&cfg);
     let (serial, _) = logstream::run_serial(&cfg, &lines);
-    for policy in POLICIES {
-        for workers in [1, 2, 8] {
-            let rt = Runtime::new(RuntimeConfig::new().workers(workers).scheduler(policy));
+    for workers in [1, 2, 8] {
+        let rt = Runtime::with_workers(workers);
+        assert_eq!(
+            logstream::run_linear(&cfg, &lines, &rt),
+            serial,
+            "linear at {workers} workers"
+        );
+        for degree in [1, 3, cfg.shards] {
             assert_eq!(
-                logstream::run_linear(&cfg, &lines, &rt),
+                logstream::run_graph(&cfg, &lines, &rt, degree),
                 serial,
-                "linear at {workers} workers under {policy:?}"
+                "graph degree {degree} at {workers} workers"
             );
-            for degree in [1, 3, cfg.shards] {
-                assert_eq!(
-                    logstream::run_graph(&cfg, &lines, &rt, degree),
-                    serial,
-                    "graph degree {degree} at {workers} workers under {policy:?}"
-                );
-            }
         }
     }
 }

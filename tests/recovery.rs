@@ -6,8 +6,8 @@
 //! replayed job re-runs through the same deterministic graph, so the
 //! recovered result bytes can be `assert_eq!`-ed against the serial
 //! elision — crash recovery is exactly testable, not best-effort. The
-//! matrix covers 1/2/8 workers under both scheduler policies; every
-//! combination must reconcile to the same per-job bytes.
+//! sweep covers 1/2/8 workers; every worker count must reconcile to the
+//! same per-job bytes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -33,11 +33,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// Spawns the real `hqd` binary serving wordcount over `journal_dir` and
 /// waits for its "serving" banner, returning the bound address. Port 0
 /// keeps parallel test combos from colliding.
-fn spawn_hqd(
-    journal_dir: &Path,
-    workers: usize,
-    scheduler: &str,
-) -> (Child, String, BufReader<ChildStdout>) {
+fn spawn_hqd(journal_dir: &Path, workers: usize) -> (Child, String, BufReader<ChildStdout>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hqd"))
         .args([
             "--addr",
@@ -46,8 +42,6 @@ fn spawn_hqd(
             "wordcount",
             "--workers",
             &workers.to_string(),
-            "--scheduler",
-            scheduler,
             "--degree",
             "3",
             "--journal-dir",
@@ -95,16 +89,16 @@ fn expected(cfg: &ServiceWorkloadConfig, j: usize) -> Vec<u8> {
     expected_wordcount_bytes(&job_lines(cfg, j))
 }
 
-/// One full crash/recover cycle at a given worker count and scheduler:
+/// One full crash/recover cycle at a given worker count:
 /// burst durable submits, SIGKILL mid-burst, restart over the same
 /// journal, reconcile every job, ack, verify, quit. Returns the per-job
 /// result bytes the *recovered* daemon served.
-fn crash_and_recover(workers: usize, scheduler: &str) -> Vec<Vec<u8>> {
+fn crash_and_recover(workers: usize) -> Vec<Vec<u8>> {
     let cfg = ServiceWorkloadConfig::small(); // degree 3, matching --degree below
-    let dir = temp_dir(&format!("w{workers}-{scheduler}"));
+    let dir = temp_dir(&format!("w{workers}"));
 
     // --- Life 1: burst, then die without warning. -----------------------
-    let (mut child, addr, _stdout) = spawn_hqd(&dir, workers, scheduler);
+    let (mut child, addr, _stdout) = spawn_hqd(&dir, workers);
     let mut client = IngressClient::connect(&addr).expect("connect to hqd");
     for j in 0..JOBS {
         let payload = encode_lines(&job_lines(&cfg, j));
@@ -128,7 +122,7 @@ fn crash_and_recover(workers: usize, scheduler: &str) -> Vec<Vec<u8>> {
     let _ = child.wait();
 
     // --- Life 2: recover and reconcile. ---------------------------------
-    let (child, addr, _stdout) = spawn_hqd(&dir, workers, scheduler);
+    let (child, addr, _stdout) = spawn_hqd(&dir, workers);
     let mut client = IngressClient::connect(&addr).expect("reconnect to hqd");
     let mut results = Vec::with_capacity(JOBS);
     for j in 0..JOBS {
@@ -146,7 +140,7 @@ fn crash_and_recover(workers: usize, scheduler: &str) -> Vec<Vec<u8>> {
                     bytes,
                     expected(&cfg, j),
                     "job {j} bytes diverged after crash recovery \
-                     ({workers} workers, {scheduler})"
+                     ({workers} workers)"
                 );
                 results.push(bytes);
             }
@@ -174,18 +168,16 @@ fn crash_and_recover(workers: usize, scheduler: &str) -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn sigkill_recovery_is_byte_identical_across_workers_and_policies() {
+fn sigkill_recovery_is_byte_identical_across_workers() {
     let mut baseline: Option<Vec<Vec<u8>>> = None;
-    for scheduler in ["help-first", "steal-first"] {
-        for workers in [1usize, 2, 8] {
-            let results = crash_and_recover(workers, scheduler);
-            match &baseline {
-                None => baseline = Some(results),
-                Some(expect) => assert_eq!(
-                    &results, expect,
-                    "recovered results diverged at {workers} workers, {scheduler}"
-                ),
-            }
+    for workers in [1usize, 2, 8] {
+        let results = crash_and_recover(workers);
+        match &baseline {
+            None => baseline = Some(results),
+            Some(expect) => assert_eq!(
+                &results, expect,
+                "recovered results diverged at {workers} workers"
+            ),
         }
     }
 }
@@ -196,7 +188,7 @@ fn acked_jobs_stay_retired_across_another_restart() {
     let dir = temp_dir("retire");
 
     // Life 1: complete and ack a job gracefully.
-    let (child, addr, _stdout) = spawn_hqd(&dir, 2, "help-first");
+    let (child, addr, _stdout) = spawn_hqd(&dir, 2);
     let mut client = IngressClient::connect(&addr).expect("connect");
     let payload = encode_lines(&job_lines(&cfg, 0));
     let outcome = client
@@ -211,7 +203,7 @@ fn acked_jobs_stay_retired_across_another_restart() {
     quit_hqd(child);
 
     // Life 2: the acked id must still be retired, not re-run.
-    let (child, addr, _stdout) = spawn_hqd(&dir, 2, "help-first");
+    let (child, addr, _stdout) = spawn_hqd(&dir, 2);
     let mut client = IngressClient::connect(&addr).expect("reconnect");
     let (status, _) = client.query(1).expect("query after restart");
     assert_eq!(

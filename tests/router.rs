@@ -1,7 +1,7 @@
 //! End-to-end router determinism over real sockets: the same batch
-//! pushed through `hqrouter`'s engine over {1, 2, 3} backend daemons,
-//! under both scheduler policies, must produce a per-connection reply
-//! stream **byte-identical** to the single-daemon run (DESIGN.md §7.2).
+//! pushed through `hqrouter`'s engine over {1, 2, 3} backend daemons
+//! must produce a per-connection reply stream **byte-identical** to the
+//! single-daemon run (DESIGN.md §7.2).
 //!
 //! The backends here are in-process `IngressServer`s (real TCP, no
 //! subprocess overhead); the SIGKILL fault path with the real `hqd`
@@ -18,7 +18,7 @@ use pipelines::ingress::{
 };
 use pipelines::journal::{Journal, JournalConfig};
 use pipelines::partition::rendezvous_route;
-use swan::{Runtime, RuntimeConfig, SchedulerPolicy};
+use swan::Runtime;
 use workloads::service::{job_lines, wordcount_spec, ServiceWorkloadConfig};
 use workloads::wire::{encode_lines, expected_wordcount_bytes, WordcountCodec};
 
@@ -34,12 +34,8 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn wordcount_server(workers: usize, policy: &str) -> (Arc<Runtime>, IngressServer) {
-    let rt = Arc::new(Runtime::new(
-        RuntimeConfig::new()
-            .workers(workers)
-            .scheduler(SchedulerPolicy::parse(policy).expect("known policy")),
-    ));
+fn wordcount_server(workers: usize) -> (Arc<Runtime>, IngressServer) {
+    let rt = Arc::new(Runtime::with_workers(workers));
     let graph = Arc::new(wordcount_spec(3, 16).compile(
         Arc::clone(&rt),
         ServiceConfig {
@@ -107,7 +103,7 @@ fn routed_reply_streams_are_byte_identical_to_single_daemon() {
 
     // The ground truth: one daemon serving the whole batch — whose
     // replies are themselves the serial elision's bytes, checked first.
-    let (_rt, single) = wordcount_server(2, "help-first");
+    let (_rt, single) = wordcount_server(2);
     let baseline = reply_stream(single.local_addr(), &cfg);
     single.shutdown();
     let mut expected = Vec::new();
@@ -124,35 +120,33 @@ fn routed_reply_streams_are_byte_identical_to_single_daemon() {
         "single-daemon stream must be the serial elision"
     );
 
-    // The sweep: {1,2,3} shards × both policies × varied worker counts.
-    for policy in ["help-first", "steal-first"] {
-        for backends in [1usize, 2, 3] {
-            let mut keep = Vec::new();
-            let mut addrs = Vec::new();
-            for i in 0..backends {
-                let (rt, server) = wordcount_server(1 + i, policy);
-                addrs.push(server.local_addr().to_string());
-                keep.push((rt, server));
-            }
-            let router = Router::bind("127.0.0.1:0", RouterConfig::to(addrs)).expect("bind router");
-            let routed = reply_stream(router.local_addr(), &cfg);
-            assert_eq!(
-                routed, baseline,
-                "reply stream diverged through {backends} backend(s) under {policy}"
-            );
-            let stats = router.shutdown();
-            assert_eq!(
-                (
-                    stats.retries_synthesized,
-                    stats.errors_synthesized,
-                    stats.shard_failures
-                ),
-                (0, 0, 0),
-                "a healthy fleet must never need synthesized replies"
-            );
-            assert_eq!(stats.frames_in, JOBS as u64);
-            assert_eq!(stats.replies_out, JOBS as u64);
+    // The sweep: {1,2,3} shards × varied worker counts.
+    for backends in [1usize, 2, 3] {
+        let mut keep = Vec::new();
+        let mut addrs = Vec::new();
+        for i in 0..backends {
+            let (rt, server) = wordcount_server(1 + i);
+            addrs.push(server.local_addr().to_string());
+            keep.push((rt, server));
         }
+        let router = Router::bind("127.0.0.1:0", RouterConfig::to(addrs)).expect("bind router");
+        let routed = reply_stream(router.local_addr(), &cfg);
+        assert_eq!(
+            routed, baseline,
+            "reply stream diverged through {backends} backend(s)"
+        );
+        let stats = router.shutdown();
+        assert_eq!(
+            (
+                stats.retries_synthesized,
+                stats.errors_synthesized,
+                stats.shard_failures
+            ),
+            (0, 0, 0),
+            "a healthy fleet must never need synthesized replies"
+        );
+        assert_eq!(stats.frames_in, JOBS as u64);
+        assert_eq!(stats.replies_out, JOBS as u64);
     }
 }
 

@@ -55,8 +55,6 @@ fn spawn_hqd(addr: &str, journal_dir: &Path) -> Hqd {
             "wordcount",
             "--workers",
             "2",
-            "--scheduler",
-            "help-first",
             "--degree",
             "3",
             "--journal-dir",

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use hyperqueues::pipelines::graph::{Admission, GraphSpec, ServiceConfig};
-use hyperqueues::swan::{Runtime, RuntimeConfig, SchedulerPolicy};
+use hyperqueues::swan::{Runtime, RuntimeConfig};
 use hyperqueues::workloads::service::{
     build_wordcount_service, job_lines, logstream_digest_serial, logstream_digest_spec,
     wordcount_serial, ServiceWorkloadConfig,
@@ -42,48 +42,37 @@ fn sustained_jobs() -> usize {
         .unwrap_or(1000)
 }
 
-/// Both scheduler policies: concurrent-job determinism must hold whether
-/// idle workers help through FIFO rings or steal from Chase-Lev deques.
-const POLICIES: [SchedulerPolicy; 2] = [
-    SchedulerPolicy::HelpFirst,
-    SchedulerPolicy::StealFirst { steal_batch: 8 },
-];
-
 #[test]
 fn concurrent_jobs_deterministic_on_1_2_8_workers() {
     let cfg = small_cfg(16);
     let expected: Vec<_> = (0..cfg.jobs)
         .map(|j| wordcount_serial(&job_lines(&cfg, j)))
         .collect();
-    for policy in POLICIES {
-        for workers in [1usize, 2, 8] {
-            let rt = Arc::new(Runtime::new(
-                RuntimeConfig::new().workers(workers).scheduler(policy),
-            ));
-            let graph = build_wordcount_service(rt, &cfg);
-            // Submit everything up front so jobs genuinely overlap (up to
-            // the admission bound), then join in submission order.
-            let handles: Vec<_> = (0..cfg.jobs)
-                .map(|j| {
-                    graph
-                        .submit(job_lines(&cfg, j), Admission::Unbounded)
-                        .expect_accepted()
-                })
-                .collect();
-            for (j, h) in handles.into_iter().enumerate() {
-                assert_eq!(
-                    h.join(),
-                    expected[j],
-                    "job {j} diverged from its serial elision at {workers}                      workers under {policy:?}"
-                );
-            }
-            let stats = graph.telemetry().admission;
-            assert_eq!(stats.completed, cfg.jobs as u64);
-            assert!(
-                stats.high_water_in_flight <= cfg.max_in_flight,
-                "admission bound violated at {workers} workers: {stats:?}"
+    for workers in [1usize, 2, 8] {
+        let rt = Arc::new(Runtime::with_workers(workers));
+        let graph = build_wordcount_service(rt, &cfg);
+        // Submit everything up front so jobs genuinely overlap (up to
+        // the admission bound), then join in submission order.
+        let handles: Vec<_> = (0..cfg.jobs)
+            .map(|j| {
+                graph
+                    .submit(job_lines(&cfg, j), Admission::Unbounded)
+                    .expect_accepted()
+            })
+            .collect();
+        for (j, h) in handles.into_iter().enumerate() {
+            assert_eq!(
+                h.join(),
+                expected[j],
+                "job {j} diverged from its serial elision at {workers} workers"
             );
         }
+        let stats = graph.telemetry().admission;
+        assert_eq!(stats.completed, cfg.jobs as u64);
+        assert!(
+            stats.high_water_in_flight <= cfg.max_in_flight,
+            "admission bound violated at {workers} workers: {stats:?}"
+        );
     }
 }
 
@@ -216,16 +205,8 @@ proptest! {
         max_in_flight in 1usize..5,
         seg_cap in 2usize..32,
         workers in 1usize..4,
-        steal_first in any::<bool>(),
     ) {
-        let policy = if steal_first {
-            SchedulerPolicy::StealFirst { steal_batch: 8 }
-        } else {
-            SchedulerPolicy::HelpFirst
-        };
-        let rt = Arc::new(Runtime::new(
-            RuntimeConfig::new().workers(workers).scheduler(policy),
-        ));
+        let rt = Arc::new(Runtime::with_workers(workers));
         let graph = GraphSpec::<u64, u64>::new()
             .fanout_map(3, 8, |x| x.wrapping_mul(x) ^ 0x9E37)
             .filter_map(|x| (x % 3 != 1).then_some(x))
