@@ -437,6 +437,21 @@ impl<'g, 'scope, T: Send + 'static> Node<'g, 'scope, T> {
         });
     }
 
+    /// Terminal stage: a sink task gathers every value, in order, and
+    /// hands the finished vector to `done` — [`Node::collect_into`] for
+    /// callers with no frame to lend a `&mut Vec` from (a detached root).
+    pub fn collect_with<F>(self, done: F)
+    where
+        F: FnOnce(Vec<T>) + Send + 'scope,
+    {
+        let batch = self.gb.io_batch;
+        self.gb.spawn_stage((self.q.popdep(),), move |_, (mut c,)| {
+            let mut out = Vec::new();
+            while c.pop_batch_into(batch, &mut out) > 0 {}
+            done(out);
+        });
+    }
+
     /// Terminal stage: a sink task invokes `f` on every value in serial
     /// order.
     pub fn for_each<F>(self, mut f: F)

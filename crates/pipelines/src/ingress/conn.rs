@@ -23,13 +23,14 @@ use std::time::{Duration, Instant};
 
 use epoll::{Epoll, EventFd};
 use parking_lot::Mutex;
+use swan::Refused;
 
 use super::wire::{encode_frame, Frame, FrameDecoder, FrameKind, JobCodec};
 use super::{
-    admit_durable, admit_submit, complete_durable, encode_result_frame, Counters, DurableAction,
-    DurableOutcome, Shared, SubmitAction, Waiter,
+    admit_durable, admit_submit, complete_durable, encode_job_result, encode_result_frame,
+    Counters, DurableAction, DurableOutcome, Shared, SubmitAction, Waiter,
 };
-use crate::service::JobHandle;
+use crate::service::{Admission, JobHandle, Submission};
 
 /// Replies a connection may queue ahead of reading more requests. Past
 /// this the loop drops read interest on the socket: a client that
@@ -56,7 +57,8 @@ pub(crate) struct Completion {
 }
 
 /// What other threads hand a loop: connections from the acceptor,
-/// completions from the pump pool and the durable path.
+/// completions from the workers that finished jobs and from the journal
+/// flusher (the durable path).
 #[derive(Default)]
 pub(crate) struct Inbox {
     pub conns: Vec<TcpStream>,
@@ -147,7 +149,7 @@ pub(crate) enum PendingSlot {
 /// protocol — responses leave in exactly request order, byte-identical at
 /// any worker count — is carried by `pending`: every request reserves the
 /// next slot when it is *parsed*, immediate replies fill theirs on the
-/// spot, job replies fill theirs whenever the pump finishes, and only a
+/// spot, job replies fill theirs whenever the job finishes, and only a
 /// contiguous run of filled slots at the front may move to the socket.
 pub(crate) struct Conn {
     pub stream: TcpStream,
@@ -483,6 +485,20 @@ fn reader_loop<C: JobCodec>(
     }
 }
 
+/// The fallback's way into the graph: the blocking [`JobHandle`] its
+/// writer thread will wait on.
+fn submit_handle<C: JobCodec>(
+    shared: &Shared<C>,
+) -> impl FnOnce(Vec<C::In>, Admission) -> Result<JobHandle<C::Out>, Refused<Vec<C::In>>> + '_ {
+    |input, admission| match shared.graph.submit(input, admission) {
+        Submission::Accepted(handle) => Ok(handle),
+        Submission::Rejected { depth, input } => Err(Refused {
+            depth,
+            request: input,
+        }),
+    }
+}
+
 /// Dispatches one parsed frame; `false` closes the connection.
 fn handle_frame<C: JobCodec>(
     shared: &Shared<C>,
@@ -490,7 +506,7 @@ fn handle_frame<C: JobCodec>(
     reply_tx: &mpsc::Sender<Reply<C::Out>>,
 ) -> bool {
     let reply = match frame.kind {
-        FrameKind::Submit => match admit_submit(shared, &frame.body) {
+        FrameKind::Submit => match admit_submit(shared, &frame.body, submit_handle(shared)) {
             SubmitAction::Accepted(handle) => Reply::Job {
                 req_id: frame.req_id,
                 handle,
@@ -506,7 +522,7 @@ fn handle_frame<C: JobCodec>(
         },
         FrameKind::SubmitDurable => {
             let (tx, rx) = mpsc::channel();
-            match admit_durable(shared, &frame, Waiter::Channel(tx)) {
+            match admit_durable(shared, &frame, Waiter::Channel(tx), submit_handle(shared)) {
                 DurableAction::Fresh(handle) => Reply::DurableJob {
                     req_id: frame.req_id,
                     handle,
@@ -676,28 +692,7 @@ fn writer_loop<C: JobCodec>(
                         .fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                match result {
-                    Ok(vals) => {
-                        let mut body = Vec::new();
-                        shared.codec.encode_result(&vals, &mut body);
-                        encode_result_frame(
-                            &shared.counters,
-                            shared.cfg.max_frame_len,
-                            req_id,
-                            Ok(&body),
-                            &mut out,
-                        );
-                    }
-                    Err(e) => {
-                        encode_result_frame(
-                            &shared.counters,
-                            shared.cfg.max_frame_len,
-                            req_id,
-                            Err(&e.to_string()),
-                            &mut out,
-                        );
-                    }
-                }
+                encode_job_result(&shared, req_id, result, &mut out);
             }
             Reply::DurableJob { req_id, handle } => {
                 is_job_result = true;

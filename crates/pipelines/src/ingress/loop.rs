@@ -1,6 +1,6 @@
 //! The event-driven server mode (Linux): N loop threads multiplex every
-//! connection over epoll, and a small completion pump pool turns blocking
-//! [`JobHandle::wait`] calls into eventfd-woken [`Completion`] postings.
+//! connection over epoll, and nothing else — no thread ever waits on a
+//! job or on an fsync on a job's behalf.
 //!
 //! Thread anatomy, replacing the fallback's two threads per connection:
 //!
@@ -10,15 +10,18 @@
 //! * `hqd-loop-N` owns a slab of [`Conn`] state machines. Each epoll wait
 //!   returns readable sockets (parse frames, dispatch), writable sockets
 //!   (resume partial writes), or the loop's own eventfd (drain the inbox:
-//!   new connections from the acceptor, completions from the pumps).
-//! * `hqd-pump-N` threads block on [`JobHandle::wait`] — the one blocking
-//!   operation the loops must never perform — then journal (durable path)
-//!   and post the encoded reply back to the owning loop. The pool is
-//!   sound at a small fixed size because outstanding handles are bounded
-//!   by graph admission (`max_in_flight + max_queued`), not by connection
-//!   count; duplicate durable submits never occupy a pump (their waiters
-//!   are posted directly by `complete_durable`), so pumps cannot deadlock
-//!   waiting on each other.
+//!   new connections from the acceptor, completions from wherever jobs
+//!   finished).
+//!
+//! A submit hands the graph a completion callback
+//! ([`crate::service::CompiledGraph::submit_with`]). The runtime worker
+//! that finishes the job runs it: encode the Result/Error frame, post it
+//! to the owning loop's inbox, ring its eventfd. Per job that is two
+//! hand-offs — loop → worker through the injector, worker → loop through
+//! the eventfd. A durable job's callback stages the terminal record
+//! instead ([`super::complete_durable_then`]), and the encode-and-post
+//! tail continues from the journal's group-commit flusher once the record
+//! is on disk.
 //!
 //! Connection slots carry a generation counter; completions are
 //! addressed by `(conn, gen, slot)` so a slot reused after a disconnect
@@ -29,59 +32,40 @@
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use epoll::{Epoll, EventFd};
-use parking_lot::Mutex;
 
 use super::conn::{encode_outcome, parse_subscribe_body, Conn, LoopCore, ReplyAddr, PENDING_CAP};
 use super::wire::{encode_frame, Frame, FrameKind, JobCodec};
 use super::{
-    admit_durable, admit_submit, complete_durable, encode_result_frame, sleep_with_shutdown,
+    admit_durable, admit_submit, complete_durable_then, encode_job_result, sleep_with_shutdown,
     stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction, Waiter,
 };
-use crate::service::JobHandle;
 
 /// Token of each loop's own eventfd (connection tokens are slab indices,
 /// which can never reach this).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// A blocking join delegated to the pump pool, with the reply slot it
-/// must fill when the job resolves.
-pub(crate) enum PumpTask<O> {
-    Plain {
-        addr: ReplyAddr,
-        req_id: u64,
-        handle: JobHandle<O>,
-    },
-    Durable {
-        addr: ReplyAddr,
-        job_id: u64,
-        handle: JobHandle<O>,
-    },
-}
-
 /// The event-mode thread ensemble, joined at shutdown in dependency
-/// order: acceptor first (no new connections), then loops (drain every
-/// pending reply), then pumps (their senders are gone once the loops
-/// exit).
+/// order: acceptor first (no new connections), then loops (each exits
+/// once every pending reply of its connections has been posted back and
+/// flushed).
 pub(crate) struct EventMode {
     pub cores: Vec<Arc<LoopCore>>,
     pub accept_wake: Arc<EventFd>,
     pub loops: Vec<JoinHandle<()>>,
-    pub pumps: Vec<JoinHandle<()>>,
 }
 
-/// Spawns the loop threads, pump pool, and epoll acceptor. Returns the
-/// ensemble plus the acceptor handle (stored where the fallback acceptor
-/// would be).
+/// Spawns the loop threads and the epoll acceptor. Returns the ensemble
+/// plus the acceptor handle (stored where the fallback acceptor would
+/// be).
 pub(crate) fn spawn_event_mode<C: JobCodec>(
     listener: TcpListener,
     shared: &Arc<Shared<C>>,
     n_loops: usize,
-    n_pumps: usize,
 ) -> std::io::Result<(EventMode, JoinHandle<()>)> {
     let mut cores = Vec::with_capacity(n_loops);
     for _ in 0..n_loops {
@@ -95,32 +79,17 @@ pub(crate) fn spawn_event_mode<C: JobCodec>(
     accept_epoll.add(listener.as_raw_fd(), 0, epoll::interest::READ)?;
     accept_epoll.add(accept_wake.raw_fd(), 1, epoll::interest::READ)?;
 
-    let (pump_tx, pump_rx) = mpsc::channel::<PumpTask<C::Out>>();
-    let pump_rx = Arc::new(Mutex::new(pump_rx));
-    let mut pumps = Vec::with_capacity(n_pumps);
-    for i in 0..n_pumps {
-        let shared = Arc::clone(shared);
-        let rx = Arc::clone(&pump_rx);
-        pumps.push(
-            std::thread::Builder::new()
-                .name(format!("hqd-pump-{i}"))
-                .spawn(move || pump_loop(shared, rx))
-                .expect("failed to spawn completion pump thread"),
-        );
-    }
     let mut loops = Vec::with_capacity(n_loops);
     for (i, core) in cores.iter().enumerate() {
         let shared = Arc::clone(shared);
         let core = Arc::clone(core);
-        let tx = pump_tx.clone();
         loops.push(
             std::thread::Builder::new()
                 .name(format!("hqd-loop-{i}"))
-                .spawn(move || event_loop(shared, core, tx))
+                .spawn(move || event_loop(shared, core))
                 .expect("failed to spawn event-loop thread"),
         );
     }
-    drop(pump_tx); // pumps exit once every loop has dropped its sender
     let acceptor = {
         let shared = Arc::clone(shared);
         let cores = cores.clone();
@@ -135,7 +104,6 @@ pub(crate) fn spawn_event_mode<C: JobCodec>(
             cores,
             accept_wake,
             loops,
-            pumps,
         },
         acceptor,
     ))
@@ -177,85 +145,8 @@ fn accept_loop_event<C: JobCodec>(
     }
 }
 
-/// The pump pool body: take a task, block on the handle, journal if
-/// durable, post the encoded reply to the owning loop. Exits when every
-/// loop has dropped its sender.
-fn pump_loop<C: JobCodec>(
-    shared: Arc<Shared<C>>,
-    rx: Arc<Mutex<mpsc::Receiver<PumpTask<C::Out>>>>,
-) {
-    loop {
-        // Hold the lock across recv (Receiver is !Sync); contention is
-        // irrelevant because a parked pump holds it only while idle.
-        let task = rx.lock().recv();
-        let Ok(task) = task else { return };
-        match task {
-            PumpTask::Plain {
-                addr,
-                req_id,
-                handle,
-            } => {
-                let result = handle.wait();
-                shared
-                    .counters
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut out = Vec::new();
-                match result {
-                    Ok(vals) => {
-                        let mut body = Vec::new();
-                        shared.codec.encode_result(&vals, &mut body);
-                        encode_result_frame(
-                            &shared.counters,
-                            shared.cfg.max_frame_len,
-                            req_id,
-                            Ok(&body),
-                            &mut out,
-                        );
-                    }
-                    Err(e) => encode_result_frame(
-                        &shared.counters,
-                        shared.cfg.max_frame_len,
-                        req_id,
-                        Err(&e.to_string()),
-                        &mut out,
-                    ),
-                }
-                addr.post(out, true);
-            }
-            PumpTask::Durable {
-                addr,
-                job_id,
-                handle,
-            } => {
-                let result = handle.wait();
-                shared
-                    .counters
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                // Journal + publish even for a dead socket: the client
-                // will reconnect and resume exactly because this ran.
-                // append_sync happens here, on a pump thread — the loops
-                // never touch the disk.
-                let durable = shared
-                    .durable
-                    .as_ref()
-                    .expect("durable pump tasks only exist on durable servers");
-                let outcome = complete_durable(&shared, durable, job_id, result);
-                let mut out = Vec::new();
-                encode_outcome(&shared, job_id, &outcome, &mut out);
-                addr.post(out, true);
-            }
-        }
-    }
-}
-
 /// One event loop: epoll over its slab of connections plus its eventfd.
-fn event_loop<C: JobCodec>(
-    shared: Arc<Shared<C>>,
-    core: Arc<LoopCore>,
-    pump_tx: mpsc::Sender<PumpTask<C::Out>>,
-) {
+fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
     let mut slab: Vec<(u32, Option<Conn>)> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut events: Vec<epoll::Event> = Vec::with_capacity(256);
@@ -285,7 +176,7 @@ fn event_loop<C: JobCodec>(
                 continue;
             };
             if ev.readable() {
-                on_readable(&shared, &core, &pump_tx, conn, idx, &mut chunk);
+                on_readable(&shared, &core, conn, idx, &mut chunk);
             }
             touched.push(idx);
         }
@@ -458,7 +349,6 @@ fn emit_due_ticks<C: JobCodec>(
 fn on_readable<C: JobCodec>(
     shared: &Arc<Shared<C>>,
     core: &Arc<LoopCore>,
-    pump_tx: &mpsc::Sender<PumpTask<C::Out>>,
     conn: &mut Conn,
     idx: usize,
     chunk: &mut [u8],
@@ -486,7 +376,7 @@ fn on_readable<C: JobCodec>(
                     match conn.dec.next_frame() {
                         Ok(Some(frame)) => {
                             shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                            dispatch_frame(shared, core, pump_tx, conn, idx, frame);
+                            dispatch_frame(shared, core, conn, idx, frame);
                             if conn.closing {
                                 return;
                             }
@@ -527,59 +417,64 @@ fn push_error<C: JobCodec>(shared: &Shared<C>, conn: &mut Conn, req_id: u64, mes
 }
 
 /// Loop-mode frame dispatch: the same decisions as the fallback's
-/// `handle_frame`, but replies land in the connection's slot FIFO and
-/// blocking joins go to the pump pool.
+/// `handle_frame`, but replies land in the connection's slot FIFO and a
+/// job's reply is posted to its slot by the job's completion callback.
 fn dispatch_frame<C: JobCodec>(
     shared: &Arc<Shared<C>>,
     core: &Arc<LoopCore>,
-    pump_tx: &mpsc::Sender<PumpTask<C::Out>>,
     conn: &mut Conn,
     idx: usize,
     frame: Frame,
 ) {
+    // The address of the slot a job frame reserves once it is accepted.
+    // A completion cannot arrive before the slot exists: only this
+    // thread applies its own inbox.
+    let next_slot = |conn: &Conn| ReplyAddr {
+        core: Arc::clone(core),
+        conn: idx as u32,
+        gen: conn.gen,
+        slot: conn.next_slot,
+    };
     match frame.kind {
-        FrameKind::Submit => match admit_submit(shared, &frame.body) {
-            SubmitAction::Accepted(handle) => {
-                let addr = ReplyAddr {
-                    core: Arc::clone(core),
-                    conn: idx as u32,
-                    gen: conn.gen,
-                    slot: conn.alloc_waiting_slot(),
-                };
-                let _ = pump_tx.send(PumpTask::Plain {
-                    addr,
-                    req_id: frame.req_id,
-                    handle,
-                });
-            }
-            SubmitAction::Rejected { queued } => push_retry(conn, frame.req_id, queued),
-            SubmitAction::Bad(message) => push_error(shared, conn, frame.req_id, message),
-        },
-        FrameKind::SubmitDurable => {
-            // The waiter's address is the slot this frame will reserve;
-            // the completion cannot arrive before the slot exists because
-            // only this thread applies its own inbox.
-            let addr = ReplyAddr {
-                core: Arc::clone(core),
-                conn: idx as u32,
-                gen: conn.gen,
-                slot: conn.next_slot,
+        FrameKind::Submit => {
+            let (sh, req_id, addr) = (Arc::clone(shared), frame.req_id, next_slot(conn));
+            let submit = |input, admission| {
+                shared.graph.submit_with(input, admission, move |result| {
+                    sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                    let mut out = Vec::new();
+                    encode_job_result(&sh, req_id, result, &mut out);
+                    addr.post(out, true);
+                })
             };
-            match admit_durable(shared, &frame, Waiter::Loop(addr.clone())) {
-                DurableAction::Fresh(handle) => {
-                    let slot = conn.alloc_waiting_slot();
-                    debug_assert_eq!(slot, addr.slot);
-                    let _ = pump_tx.send(PumpTask::Durable {
-                        addr,
-                        job_id: frame.req_id,
-                        handle,
-                    });
+            match admit_submit(shared, &frame.body, submit) {
+                SubmitAction::Accepted(_) => {
+                    conn.alloc_waiting_slot();
                 }
-                DurableAction::Wait => {
-                    // Registered as a table waiter; complete_durable will
-                    // post straight to this slot — no pump occupied.
-                    let slot = conn.alloc_waiting_slot();
-                    debug_assert_eq!(slot, addr.slot);
+                SubmitAction::Rejected { queued } => push_retry(conn, frame.req_id, queued),
+                SubmitAction::Bad(message) => push_error(shared, conn, frame.req_id, message),
+            }
+        }
+        FrameKind::SubmitDurable => {
+            let (sh, job_id, addr) = (Arc::clone(shared), frame.req_id, next_slot(conn));
+            let reply = addr.clone();
+            let submit = |input, admission| {
+                shared.graph.submit_with(input, admission, move |result| {
+                    sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                    // Journal + publish even for a dead socket: the client
+                    // will reconnect and resume exactly because this ran.
+                    complete_durable_then(sh, job_id, result, move |sh, outcome| {
+                        let mut out = Vec::new();
+                        encode_outcome(sh, job_id, &outcome, &mut out);
+                        reply.post(out, true);
+                    });
+                })
+            };
+            match admit_durable(shared, &frame, Waiter::Loop(addr), submit) {
+                // Fresh: the callback above answers. Wait: registered as
+                // a table waiter; the original's completion posts
+                // straight to this slot.
+                DurableAction::Fresh(_) | DurableAction::Wait => {
+                    conn.alloc_waiting_slot();
                 }
                 DurableAction::Done(outcome) => {
                     let mut out = Vec::new();

@@ -18,15 +18,19 @@
 //! multiplexing its share of connections as nonblocking state machines —
 //! parse with [`FrameDecoder`], reserve a reply slot per request, write
 //! through a bounded per-connection buffer with partial-write
-//! resumption. Blocking job joins happen on a small completion-pump
-//! pool whose results come back to the owning loop over an
-//! eventfd-woken queue, so an *idle* connection costs zero wakeups and
-//! thread count is independent of connection count (C10K and beyond).
+//! resumption. Nothing joins a job: a submit carries a completion
+//! callback ([`CompiledGraph::submit_with`]), the runtime worker that
+//! finishes the job encodes the reply and posts it to the owning loop's
+//! eventfd-woken inbox, and a durable job's journal tail continues from
+//! the group-commit flusher ([`Journal::append_then`]). So an *idle*
+//! connection costs zero wakeups, and the server's thread count is the
+//! acceptor plus the loops — independent of connections and of jobs in
+//! flight (C10K and beyond).
 //! Everywhere else — and with `event_loops: 0` — the portable fallback
 //! serves each connection with a reader/writer thread pair.
 //! Module layout mirrors the split: `wire` (frames/codec), `conn`
 //! (per-connection state machine + fallback), `loop` (event loops,
-//! pumps, epoll acceptor).
+//! epoll acceptor).
 //!
 //! # Wire format
 //!
@@ -110,9 +114,9 @@
 //!   frame its own limit calls oversized — the job ran, but the client
 //!   gets an `Error` instead of the result.
 //! * A client that disconnects mid-job never leaks work: every accepted
-//!   job's handle is joined whether or not the socket can still be
-//!   written, so the job drains through the graph normally (undelivered
-//!   results count as `results_dropped`).
+//!   job's completion is accounted whether or not the socket can still
+//!   be written, so the job drains through the graph normally
+//!   (undelivered results count as `results_dropped`).
 //! * `accept()` errors are classified: resource exhaustion (EMFILE/
 //!   ENFILE/ENOMEM) backs off exponentially instead of spinning, and
 //!   every failure counts toward `accept_errors`.
@@ -146,9 +150,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
+use swan::Refused;
 
 use crate::journal::{encode_failed_body, JobReplayStatus, Journal, RecordKind, Replay};
-use crate::service::{Admission, CompiledGraph, JobError, JobHandle, Submission};
+use crate::service::{Admission, CompiledGraph, JobError, JobHandle};
 use crate::telemetry::JournalTelemetry;
 
 // ---------------------------------------------------------------------------
@@ -201,10 +206,6 @@ pub struct IngressConfig {
     /// true bound is `write_buf_limit` + one frame). Default 256 KiB,
     /// clamped to at least 4 KiB.
     pub write_buf_limit: usize,
-    /// Completion-pump threads joining job handles in event mode. Sound
-    /// at a small fixed size: outstanding handles are bounded by graph
-    /// admission, not by connections. Clamped to at least 1. Default 4.
-    pub completion_threads: usize,
 }
 
 impl Default for IngressConfig {
@@ -216,7 +217,6 @@ impl Default for IngressConfig {
             max_retired_ids: 4096,
             event_loops: default_event_loops(),
             write_buf_limit: 256 * 1024,
-            completion_threads: 4,
         }
     }
 }
@@ -256,7 +256,7 @@ pub struct IngressStats {
     pub bytes_out: u64,
     /// Submits accepted into the graph's admission queue.
     pub jobs_accepted: u64,
-    /// Accepted jobs whose handle has been joined (drained) — equals
+    /// Accepted jobs that have completed (drained) — equals
     /// `jobs_accepted` once traffic stops, even for dead clients.
     pub jobs_completed: u64,
     /// Submits refused with a Retry frame (admission queue full).
@@ -332,10 +332,8 @@ pub(crate) type DurableOutcome = Result<Arc<Vec<u8>>, String>;
 
 /// A duplicate submitter waiting on an in-flight durable id. The
 /// fallback's writer thread blocks on a channel; an event loop must
-/// never block, so its waiter is the reply-slot address that
-/// [`complete_durable`] posts the encoded frame to directly — which is
-/// also what keeps duplicate submits from ever occupying a completion
-/// pump (the pump-pool soundness argument).
+/// never block, so its waiter is the reply-slot address that the
+/// original's completion posts the encoded frame to directly.
 pub(crate) enum Waiter {
     Channel(mpsc::Sender<DurableOutcome>),
     #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
@@ -422,38 +420,37 @@ pub(crate) struct Shared<C: JobCodec> {
     pub durable: Option<Arc<DurableState>>,
 }
 
-/// Journals a durable job's terminal state (Result/Failed record,
-/// fsync-durable before returning), publishes it in the table, and wakes
-/// every duplicate submitter waiting on the id — channel waiters get the
-/// outcome, loop waiters get the fully encoded frame posted straight to
-/// their reply slot. The returned outcome is what the caller should
-/// encode into its own reply frame — the Result frame therefore never
-/// precedes the record that makes it replayable.
-pub(crate) fn complete_durable<C: JobCodec>(
-    shared: &Shared<C>,
-    durable: &DurableState,
-    job_id: u64,
+/// Encodes a durable job's terminal journal record — Result or Failed —
+/// and the outcome that record makes replayable.
+fn terminal_record<C: JobCodec>(
+    codec: &C,
     result: Result<Vec<C::Out>, JobError>,
-) -> DurableOutcome {
-    let outcome: DurableOutcome = match result {
+) -> (RecordKind, Arc<Vec<u8>>, DurableOutcome) {
+    match result {
         Ok(vals) => {
             let mut body = Vec::new();
-            shared.codec.encode_result(&vals, &mut body);
-            durable
-                .journal
-                .append_sync(RecordKind::Result, job_id, &body);
-            Ok(Arc::new(body))
+            codec.encode_result(&vals, &mut body);
+            let body = Arc::new(body);
+            (RecordKind::Result, Arc::clone(&body), Ok(body))
         }
         Err(e) => {
             let message = e.to_string();
-            durable.journal.append_sync(
-                RecordKind::Failed,
-                job_id,
-                &encode_failed_body(e.attempts(), &message),
-            );
-            Err(message)
+            let body = encode_failed_body(e.attempts(), &message);
+            (RecordKind::Failed, Arc::new(body), Err(message))
         }
-    };
+    }
+}
+
+/// Publishes a journaled outcome in the table and wakes every duplicate
+/// submitter waiting on the id — channel waiters get the outcome, loop
+/// waiters get the fully encoded frame posted straight to their reply
+/// slot.
+fn publish_durable<C: JobCodec>(
+    shared: &Shared<C>,
+    durable: &DurableState,
+    job_id: u64,
+    outcome: &DurableOutcome,
+) {
     let waiters = {
         let mut table = durable.table.lock();
         let entry = table
@@ -463,7 +460,7 @@ pub(crate) fn complete_durable<C: JobCodec>(
         match entry {
             DurableEntry::InFlight(waiters) => {
                 let waiters = std::mem::take(waiters);
-                *entry = match &outcome {
+                *entry = match outcome {
                     Ok(bytes) => DurableEntry::Done(Arc::clone(bytes)),
                     Err(msg) => DurableEntry::Failed(msg.clone()),
                 };
@@ -483,57 +480,103 @@ pub(crate) fn complete_durable<C: JobCodec>(
             }
             Waiter::Loop(addr) => {
                 let mut frame = Vec::new();
-                match &outcome {
-                    Ok(bytes) => encode_result_frame(
-                        &shared.counters,
-                        shared.cfg.max_frame_len,
-                        job_id,
-                        Ok(bytes),
-                        &mut frame,
-                    ),
-                    Err(msg) => encode_result_frame(
-                        &shared.counters,
-                        shared.cfg.max_frame_len,
-                        job_id,
-                        Err(msg),
-                        &mut frame,
-                    ),
-                }
+                conn::encode_outcome(shared, job_id, outcome, &mut frame);
                 addr.post(frame, true);
             }
         }
     }
+}
+
+/// Journals a durable job's terminal state (Result/Failed record,
+/// fsync-durable before returning), then publishes it
+/// ([`publish_durable`]). The returned outcome is what the caller should
+/// encode into its own reply frame — the Result frame therefore never
+/// precedes the record that makes it replayable. Blocks on the fsync:
+/// for the fallback's writer threads and the recovery thread.
+pub(crate) fn complete_durable<C: JobCodec>(
+    shared: &Shared<C>,
+    durable: &DurableState,
+    job_id: u64,
+    result: Result<Vec<C::Out>, JobError>,
+) -> DurableOutcome {
+    let (kind, body, outcome) = terminal_record(&*shared.codec, result);
+    durable.journal.append_sync(kind, job_id, &body);
+    publish_durable(shared, durable, job_id, &outcome);
     outcome
+}
+
+/// [`complete_durable`] without a thread that waits: stages the terminal
+/// record and returns; once the record is durable the journal's flusher
+/// publishes the outcome and hands it to `then` (which encodes and posts
+/// the submitter's own reply). Called by the worker that finished the
+/// job.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+pub(crate) fn complete_durable_then<C: JobCodec>(
+    shared: Arc<Shared<C>>,
+    job_id: u64,
+    result: Result<Vec<C::Out>, JobError>,
+    then: impl FnOnce(&Shared<C>, DurableOutcome) + Send + 'static,
+) {
+    let durable = Arc::clone(
+        shared
+            .durable
+            .as_ref()
+            .expect("durable jobs only exist on durable servers"),
+    );
+    let (kind, body, outcome) = terminal_record(&*shared.codec, result);
+    // `admit_durable` journals the Submit record while it still holds the
+    // table lock it accepted the job under; passing through that lock
+    // keeps this record behind it in the log.
+    drop(durable.table.lock());
+    let journal = Arc::clone(&durable.journal);
+    journal.append_then(
+        kind,
+        job_id,
+        &body,
+        Box::new(move || {
+            publish_durable(&shared, &durable, job_id, &outcome);
+            then(&shared, outcome);
+        }),
+    );
 }
 
 // ---------------------------------------------------------------------------
 // Frame decisions shared by both server modes.
 // ---------------------------------------------------------------------------
 
-/// Outcome of one Submit frame's admission decision.
-pub(crate) enum SubmitAction<O> {
-    Accepted(JobHandle<O>),
+/// Outcome of one Submit frame's admission decision. `H` is what the
+/// server mode's `submit` closure got back for an accepted job: the
+/// fallback's blocking [`JobHandle`], or `()` from an event loop, which
+/// submitted with a completion callback instead.
+pub(crate) enum SubmitAction<H> {
+    Accepted(H),
     Rejected { queued: u32 },
     Bad(String),
 }
 
 /// Decodes and admits one Submit body (counters included): the single
-/// admission path both server modes go through.
-pub(crate) fn admit_submit<C: JobCodec>(shared: &Shared<C>, body: &[u8]) -> SubmitAction<C::Out> {
+/// admission path both server modes go through, each with its own way of
+/// handing the decoded job to the graph under the [`Admission`] it is
+/// given.
+pub(crate) fn admit_submit<C: JobCodec, H>(
+    shared: &Shared<C>,
+    body: &[u8],
+    submit: impl FnOnce(Vec<C::In>, Admission) -> Result<H, Refused<Vec<C::In>>>,
+) -> SubmitAction<H> {
     match shared.codec.decode_job(body) {
         Ok(input) => {
             let admission = Admission::Bounded {
                 max_queued: shared.cfg.max_queued.max(1),
             };
-            match shared.graph.submit(input, admission) {
-                Submission::Accepted(handle) => {
+            match submit(input, admission) {
+                Ok(accepted) => {
                     shared
                         .counters
                         .jobs_accepted
                         .fetch_add(1, Ordering::Relaxed);
-                    SubmitAction::Accepted(handle)
+                    SubmitAction::Accepted(accepted)
                 }
-                Submission::Rejected { depth, .. } => {
+                Err(Refused { depth, .. }) => {
                     shared.counters.retries_sent.fetch_add(1, Ordering::Relaxed);
                     SubmitAction::Rejected {
                         queued: depth.min(u32::MAX as usize) as u32,
@@ -545,11 +588,13 @@ pub(crate) fn admit_submit<C: JobCodec>(shared: &Shared<C>, body: &[u8]) -> Subm
     }
 }
 
-/// Outcome of one SubmitDurable frame's decision.
-pub(crate) enum DurableAction<O> {
-    /// Fresh id: journaled and admitted; join the handle, then
-    /// [`complete_durable`], then reply.
-    Fresh(JobHandle<O>),
+/// Outcome of one SubmitDurable frame's decision (`H` as in
+/// [`SubmitAction`]).
+pub(crate) enum DurableAction<H> {
+    /// Fresh id: journaled and admitted; its completion goes through
+    /// [`complete_durable`] (or [`complete_durable_then`]), then the
+    /// reply.
+    Fresh(H),
     /// Duplicate of an in-flight id: the passed-in [`Waiter`] was
     /// registered and will be resolved by the original's completion.
     Wait,
@@ -565,11 +610,12 @@ pub(crate) enum DurableAction<O> {
 /// One SubmitDurable frame. The whole decision — duplicate detection,
 /// admission, journaling, table insertion — happens under the table lock,
 /// so two connections racing the same id cannot both run the job.
-pub(crate) fn admit_durable<C: JobCodec>(
+pub(crate) fn admit_durable<C: JobCodec, H>(
     shared: &Shared<C>,
     frame: &Frame,
     waiter: Waiter,
-) -> DurableAction<C::Out> {
+    submit: impl FnOnce(Vec<C::In>, Admission) -> Result<H, Refused<Vec<C::In>>>,
+) -> DurableAction<H> {
     let Some(durable) = &shared.durable else {
         return DurableAction::Refuse {
             req_id: frame.req_id,
@@ -611,8 +657,8 @@ pub(crate) fn admit_durable<C: JobCodec>(
                 let admission = Admission::Bounded {
                     max_queued: shared.cfg.max_queued.max(1),
                 };
-                match shared.graph.submit(input, admission) {
-                    Submission::Accepted(handle) => {
+                match submit(input, admission) {
+                    Ok(accepted) => {
                         // Journal before the client can observe the
                         // acceptance. No explicit sync here: the WAL is
                         // sequential, so the Result record's sync (which
@@ -626,9 +672,9 @@ pub(crate) fn admit_durable<C: JobCodec>(
                             .counters
                             .jobs_accepted
                             .fetch_add(1, Ordering::Relaxed);
-                        DurableAction::Fresh(handle)
+                        DurableAction::Fresh(accepted)
                     }
-                    Submission::Rejected { depth, .. } => {
+                    Err(Refused { depth, .. }) => {
                         shared.counters.retries_sent.fetch_add(1, Ordering::Relaxed);
                         DurableAction::Rejected {
                             queued: depth.min(u32::MAX as usize) as u32,
@@ -732,6 +778,25 @@ pub(crate) fn stats_text<C: JobCodec>(shared: &Shared<C>) -> String {
         lag: d.journal.lag(),
     });
     t.encode_text()
+}
+
+/// Encodes a finished non-durable job as the response frame for
+/// `req_id`.
+pub(crate) fn encode_job_result<C: JobCodec>(
+    shared: &Shared<C>,
+    req_id: u64,
+    result: Result<Vec<C::Out>, JobError>,
+    out: &mut Vec<u8>,
+) {
+    let (counters, max_frame_len) = (&shared.counters, shared.cfg.max_frame_len);
+    match result {
+        Ok(vals) => {
+            let mut body = Vec::new();
+            shared.codec.encode_result(&vals, &mut body);
+            encode_result_frame(counters, max_frame_len, req_id, Ok(&body), out);
+        }
+        Err(e) => encode_result_frame(counters, max_frame_len, req_id, Err(&e.to_string()), out),
+    }
 }
 
 /// Encodes a job result (or failure) as the response frame for `req_id`,
@@ -871,6 +936,9 @@ pub struct IngressServer {
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     #[cfg(target_os = "linux")]
     event: Option<evloop::EventMode>,
+    /// The journal of a [`bind_durable`](IngressServer::bind_durable)
+    /// server, whose flusher runs the durable jobs' reply continuations.
+    journal: Option<Arc<Journal>>,
 }
 
 impl IngressServer {
@@ -968,12 +1036,11 @@ impl IngressServer {
             conns: Arc::clone(&conns),
             #[cfg(target_os = "linux")]
             event: None,
+            journal: durable.map(|(journal, _)| journal),
         };
         #[cfg(target_os = "linux")]
         if event_loops > 0 {
-            let pumps = shared.cfg.completion_threads.max(1);
-            let (event, acceptor) =
-                evloop::spawn_event_mode(listener, &shared, event_loops, pumps)?;
+            let (event, acceptor) = evloop::spawn_event_mode(listener, &shared, event_loops)?;
             server.event = Some(event);
             server.acceptor = Some(acceptor);
             return Ok((server, report));
@@ -999,8 +1066,11 @@ impl IngressServer {
     }
 
     /// Graceful shutdown: stops accepting, lets every connection finish
-    /// the frames it already read, drains every accepted job, and joins
-    /// all threads. Jobs the graph admitted are never abandoned.
+    /// the frames it already read, drains every accepted job — each is
+    /// answered before this returns — and joins all threads. Jobs the
+    /// graph admitted are never abandoned. A job's completion callback
+    /// may still be returning on its worker afterwards:
+    /// [`swan::Runtime::quiesce`] waits that out.
     pub fn shutdown(mut self) -> IngressStats {
         self.stop_and_join();
         self.counters.snapshot()
@@ -1025,13 +1095,15 @@ impl IngressServer {
             for h in event.loops.drain(..) {
                 let _ = h.join();
             }
-            // The loops dropped their pump senders on exit.
-            for h in event.pumps.drain(..) {
-                let _ = h.join();
-            }
         }
         for c in self.conns.lock().drain(..) {
             let _ = c.join();
+        }
+        // Every reply has been posted by now, but a durable job's
+        // continuation may still be unwinding on the flusher: a flush
+        // returns only after the continuations before it have finished.
+        if let Some(journal) = &self.journal {
+            journal.flush();
         }
     }
 }
@@ -1412,7 +1484,7 @@ impl IngressClient {
     ///
     /// Unlike the non-durable loop, a **dropped connection is not
     /// fatal**: the job id is journaled server-side, so the client
-    /// reconnects (up to [`DURABLE_RECONNECT_ATTEMPTS`] tries on the
+    /// reconnects (up to `DURABLE_RECONNECT_ATTEMPTS` tries on the
     /// same backoff schedule) and resumes via [`IngressClient::query`] —
     /// a `Done` id yields its journaled bytes without re-running, an
     /// `InFlight` id is awaited, and an `Unknown` id (the crash ate the

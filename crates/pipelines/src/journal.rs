@@ -38,7 +38,9 @@
 //! [`Journal::append`] only stages bytes under a mutex and wakes the
 //! flusher thread; the `write` + `fsync` happen off the caller's path.
 //! [`Journal::sync`] blocks until the fsync covering a record's sequence
-//! number has completed. While one fsync is in flight, every append that
+//! number has completed; [`Journal::append_then`] instead leaves a
+//! continuation for the flusher to run once that fsync is done, so no
+//! thread waits on the disk at all. While one fsync is in flight, every append that
 //! arrives behind it lands in the next batch, so N concurrent appenders
 //! amortize to far fewer than N fsyncs (the `journal_load` bench asserts
 //! < 1 fsync per job at depth ≥ 32). [`JournalConfig::fsync_batch`] caps
@@ -473,13 +475,19 @@ pub fn replay_dir(dir: &Path) -> std::io::Result<Replay> {
 // The journal.
 // ---------------------------------------------------------------------------
 
+/// Runs on the flusher thread once its record is durable (see
+/// [`Journal::append_then`]).
+pub type Continuation = Box<dyn FnOnce() + Send>;
+
 /// Bytes staged by appenders, drained by the flusher. `entries` records
 /// each staged record's end offset in `buf` plus its sequence number, so
-/// the flusher can cut a batch at a record boundary.
+/// the flusher can cut a batch at a record boundary; `then` holds the
+/// continuations of [`Journal::append_then`] records, in sequence order.
 #[derive(Default)]
 struct Staged {
     buf: Vec<u8>,
     entries: Vec<(u64, usize)>,
+    then: Vec<(u64, Continuation)>,
 }
 
 struct Counters {
@@ -573,6 +581,30 @@ impl Journal {
     /// (pass to [`Journal::sync`] to wait for durability). Cheap: one
     /// mutexed buffer append, no I/O.
     pub fn append(&self, kind: RecordKind, job_id: u64, body: &[u8]) -> u64 {
+        self.stage(kind, job_id, body, None)
+    }
+
+    /// [`append`](Journal::append) plus a continuation: `then` runs on
+    /// the flusher thread once the fsync covering the record has
+    /// completed — the non-blocking counterpart of
+    /// [`append_sync`](Journal::append_sync), for callers that must not
+    /// wait (a runtime worker finishing a job). Continuations run in
+    /// record order, outside every journal lock, and before the sync
+    /// watermark moves past their record — so once
+    /// [`flush`](Journal::flush) returns, every earlier continuation has
+    /// run and been dropped. They hold up the group commit behind them:
+    /// keep them short, and never block on the journal from one.
+    pub fn append_then(
+        &self,
+        kind: RecordKind,
+        job_id: u64,
+        body: &[u8],
+        then: Continuation,
+    ) -> u64 {
+        self.stage(kind, job_id, body, Some(then))
+    }
+
+    fn stage(&self, kind: RecordKind, job_id: u64, body: &[u8], then: Option<Continuation>) -> u64 {
         let mut staged = self.staged.lock();
         // Seq assignment happens under the staged lock so staging order
         // equals seq order: take_batch publishes the *last* staged
@@ -585,6 +617,7 @@ impl Journal {
         encode_record(kind, job_id, body, &mut staged.buf);
         let end = staged.buf.len();
         staged.entries.push((seq, end));
+        staged.then.extend(then.map(|f| (seq, f)));
         drop(staged);
         self.counters.appends.fetch_add(1, Ordering::Relaxed);
         self.staged_cv.notify_one();
@@ -699,8 +732,12 @@ impl Drop for Journal {
 }
 
 /// Takes up to `fsync_batch` staged records (cut at a record boundary).
-/// Returns the batch bytes and the last covered sequence number.
-fn take_batch(staged: &mut Staged, fsync_batch: usize) -> Option<(Vec<u8>, u64)> {
+/// Returns the batch bytes, the last covered sequence number and the
+/// continuations of the covered records.
+fn take_batch(
+    staged: &mut Staged,
+    fsync_batch: usize,
+) -> Option<(Vec<u8>, u64, Vec<(u64, Continuation)>)> {
     if staged.entries.is_empty() {
         return None;
     }
@@ -712,7 +749,9 @@ fn take_batch(staged: &mut Staged, fsync_batch: usize) -> Option<(Vec<u8>, u64)>
     for (_, end) in staged.entries.iter_mut() {
         *end -= cut;
     }
-    Some((batch, last_seq))
+    let covered = staged.then.partition_point(|(seq, _)| *seq <= last_seq);
+    let then = staged.then.drain(..covered).collect();
+    Some((batch, last_seq, then))
 }
 
 fn flusher_loop(journal: Arc<Journal>, mut file: File, mut index: u64) {
@@ -732,7 +771,7 @@ fn flusher_loop(journal: Arc<Journal>, mut file: File, mut index: u64) {
                     .wait_for(&mut staged, Duration::from_millis(50));
             }
         };
-        let Some((bytes, last_seq)) = batch else {
+        let Some((bytes, last_seq, then)) = batch else {
             let _ = file.sync_data();
             return;
         };
@@ -774,7 +813,11 @@ fn flusher_loop(journal: Arc<Journal>, mut file: File, mut index: u64) {
         // Publish durability even on a write error: callers blocked in
         // sync() must not hang because the disk died. (A production
         // system would surface the error; here the stats make it
-        // visible: bytes_written stops advancing.)
+        // visible: bytes_written stops advancing.) Continuations first,
+        // so a sync() or flush() past them means they are finished.
+        for (_, f) in then {
+            f();
+        }
         let mut durable = journal.durable.lock();
         *durable = last_seq;
         drop(durable);
@@ -899,6 +942,34 @@ mod tests {
         // Every waiter returned, and the published watermark covers the
         // highest assigned seq — no stranded durability.
         assert_eq!(*journal.durable.lock(), total);
+        drop(journal);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_then_continues_in_record_order_once_durable() {
+        let dir = temp_dir("then");
+        let mut cfg = JournalConfig::at(&dir);
+        cfg.fsync_batch = 2; // several groups, continuations split across them
+        let (journal, _) = Journal::open(cfg).unwrap();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for id in 0..9u64 {
+            let (ran, dir) = (Arc::clone(&ran), dir.clone());
+            journal.append_then(
+                RecordKind::Submit,
+                id,
+                b"then",
+                Box::new(move || {
+                    // Durable means a fresh scan of the files sees it.
+                    let on_disk = replay_dir(&dir).unwrap().jobs.contains_key(&id);
+                    ran.lock().push((id, on_disk));
+                }),
+            );
+        }
+        // flush() past a record implies its continuation has finished.
+        journal.flush();
+        let expect: Vec<(u64, bool)> = (0..9).map(|id| (id, true)).collect();
+        assert_eq!(*ran.lock(), expect);
         drop(journal);
         let _ = std::fs::remove_dir_all(&dir);
     }

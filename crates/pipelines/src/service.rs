@@ -7,14 +7,21 @@
 //! [`GraphSpec::compile`] turns it into a [`CompiledGraph`] that serves
 //! many independent jobs:
 //!
-//! * [`CompiledGraph::submit`] submits one job (a finite input stream)
-//!   under an [`Admission`] discipline and returns a [`Submission`]
-//!   immediately; accepted jobs run concurrently up to the admission
-//!   bound and each job's output is bitwise-identical to its serial
-//!   elision, regardless of how jobs interleave;
+//! * [`CompiledGraph::submit_with`] submits one job (a finite input
+//!   stream) under an [`Admission`] discipline and returns immediately;
+//!   the job runs as a detached root on the runtime's workers
+//!   ([`swan::Runtime::spawn_root`]) and its completion callback fires
+//!   exactly once, on the worker that finished it. No thread waits on a
+//!   job's behalf; [`CompiledGraph::submit`] is the same path with a
+//!   one-shot [`JobHandle`] as the callback. Accepted jobs run
+//!   concurrently up to the admission bound and each job's output is
+//!   bitwise-identical to its serial elision, regardless of how jobs
+//!   interleave;
 //! * admission is FIFO-fair and bounded by a [`swan::JobTable`]
-//!   (`max_in_flight` in [`ServiceConfig`]); `Admission::Bounded` adds
-//!   the accepted-but-waiting backpressure bound network front-ends use;
+//!   (`max_in_flight` in [`ServiceConfig`]): past the bound the *request*
+//!   waits in the table and the next finishing job starts it;
+//!   `Admission::Bounded` adds the accepted-but-waiting backpressure
+//!   bound network front-ends use;
 //! * every graph edge owns a [`SegmentPool`]: job N's queues hand their
 //!   segments back on teardown and job N+1's queues draw them out again,
 //!   so a warm graph sustains jobs with **zero segment allocations**
@@ -47,14 +54,13 @@
 
 use std::any::Any;
 use std::cell::Cell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hyperqueue::{PoolStats, QueueStats, SegmentPool, Tagged};
 use parking_lot::Mutex;
-use swan::{JobTable, JobTicket, RetryDecision, RetryPolicy, Runtime};
+use swan::{Entered, JobTable, Refused, RetryDecision, RetryPolicy, Runtime, Scope};
 
 use crate::graph::{GraphBuilder, Node, Partition, DEFAULT_EDGE_CAPACITY, DEFAULT_IO_BATCH};
 use crate::partition::{partition, GraphTopology, PartitionConfig, TopologyBuilder};
@@ -475,13 +481,8 @@ impl<I: Send + 'static, O: Send + 'static> GraphSpec<I, O> {
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Admission bound: at most this many jobs execute concurrently;
-    /// excess jobs queue FIFO (see [`swan::JobTable`]). Default 4.
+    /// excess requests queue FIFO (see [`swan::JobTable`]). Default 4.
     pub max_in_flight: usize,
-    /// Dispatcher threads driving job scopes. `0` (the default) means
-    /// `max_in_flight` — enough to saturate the admission bound.
-    /// Dispatchers mostly sleep inside their job's scope, so they are
-    /// cheap; the compute always comes from the runtime's workers.
-    pub dispatchers: usize,
     /// Segment capacity of every graph edge. Default
     /// [`DEFAULT_EDGE_CAPACITY`].
     pub segment_capacity: usize,
@@ -490,7 +491,7 @@ pub struct ServiceConfig {
     /// Retry discipline for failed (panicking) jobs. The default,
     /// [`RetryPolicy::none`], keeps the historical fail-fast behaviour; a
     /// non-zero `max_retries` re-admits failed jobs through the normal
-    /// submission channel with exponential backoff, and only a job that
+    /// admission gate after an exponential backoff, and only a job that
     /// exhausts its budget surfaces a [`JobError`] (whose
     /// [`attempts`](JobError::attempts) then counts every execution).
     pub retry: RetryPolicy,
@@ -516,7 +517,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             max_in_flight: 4,
-            dispatchers: 0,
             segment_capacity: DEFAULT_EDGE_CAPACITY,
             io_batch: DEFAULT_IO_BATCH,
             retry: RetryPolicy::none(),
@@ -590,10 +590,15 @@ pub struct ServiceStorageStats {
     pub segments_returned: u64,
 }
 
+/// A job's completion callback (see [`CompiledGraph::submit_with`]).
+type DoneFn<O> = Box<dyn FnOnce(Result<Vec<O>, JobError>) + Send>;
+
+/// Everything needed to start one execution of a job — what the
+/// admission gate parks while every slot is taken, and what the retry
+/// timer holds through a backoff.
 struct JobRequest<I, O> {
-    ticket: JobTicket,
     input: Vec<I>,
-    reply: mpsc::Sender<Result<Vec<O>, JobError>>,
+    on_done: DoneFn<O>,
     /// 0-based execution attempt; > 0 only for retry re-admissions.
     attempt: u32,
     /// When the job was first submitted — retries keep the original, so
@@ -605,12 +610,13 @@ struct ServiceCore<I: Send + 'static, O: Send + 'static> {
     rt: Arc<Runtime>,
     plan: Arc<dyn StagePlan<I, O>>,
     pools: EdgePools,
-    jobs: JobTable,
+    jobs: JobTable<JobRequest<I, O>>,
     seg_cap: usize,
     io_batch: usize,
     retry: RetryPolicy,
-    /// Submit-to-completion latency (µs), recorded by the dispatcher
-    /// after the job's outcome is known — off the fast path, and
+    retry_timer: RetryTimer,
+    /// Submit-to-completion latency (µs), recorded by the finishing
+    /// worker once the job's outcome is known — off the fast path, and
     /// allocation-free (see [`LatencyHistogram::record`]).
     latency: LatencyHistogram,
     /// The job-class label the histogram reports under.
@@ -620,39 +626,21 @@ struct ServiceCore<I: Send + 'static, O: Send + 'static> {
     /// solve; jobs clone the `Arc` once at start, so a rebalance never
     /// tears a running job's placement.
     placement: Mutex<Option<Arc<PlacementPlan>>>,
-    /// `None` only during shutdown (the graph's Drop takes it). Both
-    /// client submission and dispatcher retry re-admission hold this lock
-    /// while registering the ticket *and* sending the request, so the
-    /// admission FIFO matches the channel order.
-    submit: Mutex<Option<mpsc::Sender<JobRequest<I, O>>>>,
 }
 
-impl<I: Send + 'static, O: Send + 'static> ServiceCore<I, O> {
-    /// Re-enqueues a failed job through the normal submission channel
-    /// with a fresh ticket (re-admitting the *old* ticket could deadlock:
-    /// the table admits strictly in seq order and earlier tickets may
-    /// still be waiting in the channel for a free dispatcher). Returns
-    /// `false` when the service is shutting down.
-    fn resubmit(
-        &self,
-        input: Vec<I>,
-        reply: mpsc::Sender<Result<Vec<O>, JobError>>,
-        attempt: u32,
-        submitted: Instant,
-    ) -> bool {
-        let submit = self.submit.lock();
-        let Some(tx) = submit.as_ref() else {
-            return false;
-        };
-        let ticket = self.jobs.register();
-        tx.send(JobRequest {
-            ticket,
-            input,
-            reply,
-            attempt,
-            submitted,
-        })
-        .is_ok()
+impl<I: Clone + Send + 'static, O: Send + 'static> ServiceCore<I, O> {
+    /// Enters `req` at the back of the admission line and starts it if a
+    /// slot is free; `Ok` is its place in the admission order.
+    fn enter(
+        self: &Arc<Self>,
+        req: JobRequest<I, O>,
+        max_queued: usize,
+    ) -> Result<u64, Refused<JobRequest<I, O>>> {
+        let Entered { seq, start } = self.jobs.enter(req, max_queued)?;
+        if let Some(req) = start {
+            self.start(req);
+        }
+        Ok(seq)
     }
 
     /// Folds a finished job into the latency histogram. One relaxed
@@ -662,109 +650,159 @@ impl<I: Send + 'static, O: Send + 'static> ServiceCore<I, O> {
     fn record_latency(&self, submitted: Instant) {
         self.latency.record(submitted.elapsed().as_micros() as u64);
     }
-    /// Runs one job to completion on the calling thread: instantiate the
-    /// plan over pooled edges inside a fresh scope, drain the sink.
-    fn run_one(&self, input: Vec<I>) -> Vec<O> {
+
+    /// Starts one execution of an admitted job (it holds an in-flight
+    /// slot) as a detached root: the root task instantiates the graph,
+    /// and the root's completion hook — on whichever worker finished the
+    /// job — passes the slot on, then settles the outcome.
+    fn start(self: &Arc<Self>, req: JobRequest<I, O>) {
+        let JobRequest {
+            input,
+            on_done,
+            attempt,
+            submitted,
+        } = req;
+        // The input clone is the retry reservation; skipped entirely when
+        // retries are off.
+        let retry_input = (self.retry.max_retries > 0).then(|| input.clone());
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let (build, sink) = (Arc::clone(self), Arc::clone(&out));
+        let core = Arc::clone(self);
+        self.rt.spawn_root(
+            move |s| build.instantiate(s, input, sink),
+            move |panic| {
+                // Slot first: the next job in line starts before this
+                // one's reply is encoded, and a backoff never holds it.
+                if let Some(next) = core.jobs.leave() {
+                    core.start(next);
+                }
+                let Some(payload) = panic else {
+                    core.record_latency(submitted);
+                    return on_done(Ok(std::mem::take(&mut *out.lock())));
+                };
+                match (core.retry.on_failure(attempt), retry_input) {
+                    (RetryDecision::Retry { backoff }, Some(input)) => {
+                        core.jobs.note_retry();
+                        let req = JobRequest {
+                            input,
+                            on_done,
+                            attempt: attempt + 1,
+                            submitted,
+                        };
+                        // A fresh, unbounded entry (never refused): jobs
+                        // that were already waiting keep their turn.
+                        let again = Arc::clone(&core);
+                        let readmit = move || drop(again.enter(req, usize::MAX));
+                        core.retry_timer.schedule(backoff, Box::new(readmit));
+                    }
+                    (..) => {
+                        core.jobs.note_failed();
+                        core.record_latency(submitted);
+                        on_done(Err(JobError::from_panic(payload, attempt + 1)));
+                    }
+                }
+            },
+        );
+    }
+
+    /// The root task's body: instantiate the plan over pooled edges; the
+    /// sink stage leaves the job's output in `out`.
+    fn instantiate(&self, s: &Scope<'static>, input: Vec<I>, out: Arc<Mutex<Vec<O>>>) {
         let cursor = self.pools.cursor();
         let placement = self.placement.lock().clone();
-        let mut out = Vec::new();
-        let out_ref = &mut out;
-        let plan = Arc::clone(&self.plan);
-        self.rt.scope(move |s| {
-            let gb = GraphBuilder::on(s)
-                .segment_capacity(self.seg_cap)
-                .io_batch(self.io_batch)
-                .pooled(&cursor);
-            if let Some(p) = placement.as_ref() {
-                let groups = PlacementCursor::new(&p.assignment);
-                plan.build(gb.placed(&groups).source_iter(input))
-                    .collect_into(out_ref);
-                debug_assert_eq!(
-                    groups.consumed(),
-                    p.assignment.len(),
-                    "stage spawns must consume exactly the topology's stage count"
-                );
-            } else {
-                plan.build(gb.source_iter(input)).collect_into(out_ref);
-            }
-        });
-        out
+        let gb = GraphBuilder::on(s)
+            .segment_capacity(self.seg_cap)
+            .io_batch(self.io_batch)
+            .pooled(&cursor);
+        let sink = move |vals| *out.lock() = vals;
+        if let Some(p) = placement.as_ref() {
+            let groups = PlacementCursor::new(&p.assignment);
+            self.plan
+                .build(gb.placed(&groups).source_iter(input))
+                .collect_with(sink);
+            debug_assert_eq!(
+                groups.consumed(),
+                p.assignment.len(),
+                "stage spawns must consume exactly the topology's stage count"
+            );
+        } else {
+            self.plan.build(gb.source_iter(input)).collect_with(sink);
+        }
     }
 }
 
-fn dispatcher_loop<I: Clone + Send + 'static, O: Send + 'static>(
-    core: Arc<ServiceCore<I, O>>,
-    rx: Arc<Mutex<mpsc::Receiver<JobRequest<I, O>>>>,
-) {
+/// A closure and when to run it.
+type Timed = (Instant, Box<dyn FnOnce() + Send>);
+
+/// Runs closures after a delay: where a failed job waits out its retry
+/// backoff. The job holds no execution slot and no thread meanwhile —
+/// its request sits here until due, then re-enters admission. The one
+/// timer thread starts with the first retry; a service that never
+/// retries never has it.
+struct RetryTimer(Mutex<Option<(mpsc::Sender<Timed>, JoinHandle<()>)>>);
+
+impl RetryTimer {
+    fn schedule(&self, delay: Duration, f: Box<dyn FnOnce() + Send>) {
+        let mut started = self.0.lock();
+        let (tx, _) = started.get_or_insert_with(|| {
+            let (tx, rx) = mpsc::channel();
+            let thread = std::thread::Builder::new()
+                .name("hq-retry".to_string())
+                .spawn(move || timer_loop(rx))
+                .expect("failed to spawn retry timer thread");
+            (tx, thread)
+        });
+        tx.send((Instant::now() + delay, f))
+            .expect("the timer thread runs until its sender is dropped");
+    }
+}
+
+fn timer_loop(rx: mpsc::Receiver<Timed>) {
+    let mut due: Vec<Timed> = Vec::new();
     loop {
-        // Holding the lock across `recv` is deliberate: it hands messages
-        // to dispatchers one at a time in channel (submission) order. The
-        // guard drops before admission, so a dispatcher waiting at the
-        // admission gate never blocks the pickup of earlier tickets.
-        let req = { rx.lock().recv() };
-        let Ok(req) = req else {
-            return; // channel closed: service shutting down
+        let now = Instant::now();
+        if let Some(i) = due.iter().position(|(at, _)| *at <= now) {
+            (due.swap_remove(i).1)();
+            continue;
+        }
+        let next = match due.iter().map(|(at, _)| *at).min() {
+            Some(at) => rx.recv_timeout(at - now),
+            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
         };
-        // The input clone is the retry reservation; skipped entirely when
-        // retries are off, keeping the historical fast path allocation-
-        // identical.
-        let retry_input = (core.retry.max_retries > 0).then(|| req.input.clone());
-        let admitted = core.jobs.admit(&req.ticket);
-        let result = catch_unwind(AssertUnwindSafe(|| core.run_one(req.input)));
-        drop(admitted);
-        match result {
-            // The client may have dropped its handle; that's fine.
-            Ok(out) => {
-                core.record_latency(req.submitted);
-                let _ = req.reply.send(Ok(out));
+        match next {
+            Ok(timed) => due.push(timed),
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            // The service is gone; its pending closures held it alive, so
+            // none are left.
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+        }
+    }
+}
+
+impl Drop for RetryTimer {
+    fn drop(&mut self) {
+        if let Some((tx, thread)) = self.0.get_mut().take() {
+            drop(tx);
+            // The timer's own closure may have released the last handle.
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
             }
-            Err(payload) => match (core.retry.on_failure(req.attempt), retry_input) {
-                (RetryDecision::Retry { backoff }, Some(input)) => {
-                    core.jobs.note_retry();
-                    // The backoff burns this dispatcher, not the gate:
-                    // the admission guard is already released, policies
-                    // cap backoff, and sleeping here is what bounds the
-                    // service's retry pressure.
-                    std::thread::sleep(backoff);
-                    if !core.resubmit(input, req.reply.clone(), req.attempt + 1, req.submitted) {
-                        // Shutdown raced the retry: fail it honestly.
-                        core.jobs.note_failed();
-                        core.record_latency(req.submitted);
-                        let _ = req
-                            .reply
-                            .send(Err(JobError::from_panic(payload, req.attempt + 1)));
-                    }
-                }
-                (..) => {
-                    core.jobs.note_failed();
-                    core.record_latency(req.submitted);
-                    let _ = req
-                        .reply
-                        .send(Err(JobError::from_panic(payload, req.attempt + 1)));
-                }
-            },
         }
     }
 }
 
 /// A persistent pipeline graph serving many independent jobs (see module
 /// docs). Create with [`GraphSpec::compile`]; share across client threads
-/// by reference (`submit` takes `&self`). Dropping the graph drains the
-/// dispatchers and releases all pooled storage.
+/// by reference (`submit` takes `&self`). The graph owns no threads: jobs
+/// are tasks on the runtime's workers. Dropping the handle cancels
+/// nothing — accepted jobs still run and answer their callbacks, and the
+/// pooled storage is released with the last of them.
 pub struct CompiledGraph<I: Send + 'static, O: Send + 'static> {
     core: Arc<ServiceCore<I, O>>,
-    dispatchers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
     fn start(rt: Arc<Runtime>, plan: Arc<dyn StagePlan<I, O>>, cfg: ServiceConfig) -> Self {
-        let max_in_flight = cfg.max_in_flight.max(1);
-        let dispatchers = if cfg.dispatchers == 0 {
-            max_in_flight
-        } else {
-            cfg.dispatchers
-        };
-        let (tx, rx) = mpsc::channel();
         let placement = (cfg.partitions >= 2).then(|| {
             let mut topo = TopologyBuilder::new();
             plan.describe(&mut topo);
@@ -774,75 +812,77 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
             rt,
             plan,
             pools: EdgePools::new(),
-            jobs: JobTable::new(max_in_flight),
+            jobs: JobTable::new(cfg.max_in_flight),
             seg_cap: cfg.segment_capacity.max(2),
             io_batch: cfg.io_batch.max(1),
             retry: cfg.retry,
+            retry_timer: RetryTimer(Mutex::new(None)),
             latency: LatencyHistogram::new(),
             job_class: cfg.job_class,
             placement: Mutex::new(placement),
-            submit: Mutex::new(Some(tx)),
         });
-        let rx = Arc::new(Mutex::new(rx));
-        let threads = (0..dispatchers)
-            .map(|i| {
-                let core = Arc::clone(&core);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("hq-dispatch-{i}"))
-                    .spawn(move || dispatcher_loop(core, rx))
-                    .expect("failed to spawn dispatcher thread")
-            })
-            .collect();
-        CompiledGraph {
-            core,
-            dispatchers: Mutex::new(threads),
-        }
+        CompiledGraph { core }
     }
 
     /// Submits one job — a finite stream of inputs — under `admission`
-    /// and returns immediately with a typed [`Submission`].
+    /// and returns immediately: `Ok` with the job's position in the
+    /// global admission order, or the input handed back in
+    /// [`Refused::request`] with the waiting-line depth observed.
     ///
     /// With [`Admission::Unbounded`] the job is always accepted. With
     /// [`Admission::Bounded`] — the backpressure entry point for network
     /// front-ends — the job is accepted only while fewer than
-    /// `max_queued` accepted jobs are still waiting for admission
-    /// (executing jobs don't count; see [`swan::JobTable::try_register`]),
-    /// and a refusal hands the input back in [`Submission::Rejected`] so
-    /// the caller can tell its client to retry instead of buffering
-    /// without bound.
+    /// `max_queued` accepted jobs are still waiting for an in-flight slot
+    /// (executing jobs don't count; see [`swan::JobTable::enter`]), and a
+    /// refusal lets the caller tell its client to retry instead of
+    /// buffering without bound.
     ///
     /// An accepted job runs when the admission gate (FIFO, bounded
     /// in-flight) lets it through; its output is the serial elision of
     /// the graph applied to `input`, independent of worker count and of
-    /// whatever other jobs are in flight.
-    pub fn submit(&self, input: Vec<I>, admission: Admission) -> Submission<I, O> {
-        let (reply, rx) = mpsc::channel();
-        let submit = self.core.submit.lock();
-        let tx = submit
-            .as_ref()
-            .expect("submit on a CompiledGraph that is shutting down");
-        // Ticket registration and channel send under one lock: the
-        // admission FIFO must match dispatch order, or a lone dispatcher
-        // could pick up a later ticket and deadlock the gate. A refusal
-        // carries the depth observed atomically at refusal time.
-        let ticket = match admission {
-            Admission::Unbounded => self.core.jobs.register(),
-            Admission::Bounded { max_queued } => match self.core.jobs.try_register(max_queued) {
-                Ok(ticket) => ticket,
-                Err(depth) => return Submission::Rejected { depth, input },
-            },
+    /// whatever other jobs are in flight. `on_done` then fires **exactly
+    /// once**, on the worker that finished the job: with the output, or
+    /// with the [`JobError`] of a stage panic once the retry budget is
+    /// spent. It is never invoked for a rejected job. It runs on a
+    /// worker, so it must not block on other jobs.
+    pub fn submit_with(
+        &self,
+        input: Vec<I>,
+        admission: Admission,
+        on_done: impl FnOnce(Result<Vec<O>, JobError>) + Send + 'static,
+    ) -> Result<u64, Refused<Vec<I>>> {
+        let max_queued = match admission {
+            Admission::Unbounded => usize::MAX,
+            Admission::Bounded { max_queued } => max_queued,
         };
-        let id = ticket.seq();
-        tx.send(JobRequest {
-            ticket,
+        let req = JobRequest {
             input,
-            reply,
+            on_done: Box::new(on_done),
             attempt: 0,
             submitted: Instant::now(),
-        })
-        .expect("dispatchers outlive the submit sender");
-        Submission::Accepted(JobHandle { id, rx })
+        };
+        self.core
+            .enter(req, max_queued)
+            .map_err(|Refused { depth, request }| Refused {
+                depth,
+                request: request.input,
+            })
+    }
+
+    /// [`submit_with`](CompiledGraph::submit_with) for callers that want
+    /// to block on the result: the callback fills the one-shot slot
+    /// behind the returned [`JobHandle`] (a channel of one).
+    pub fn submit(&self, input: Vec<I>, admission: Admission) -> Submission<I, O> {
+        let (fill, slot) = mpsc::sync_channel(1);
+        // The handle may be gone by then: nobody wants the result.
+        let on_done = move |result| drop(fill.send(result));
+        match self.submit_with(input, admission, on_done) {
+            Ok(id) => Submission::Accepted(JobHandle { id, slot }),
+            Err(Refused { depth, request }) => Submission::Rejected {
+                depth,
+                input: request,
+            },
+        }
     }
 
     /// The runtime this graph serves jobs on.
@@ -940,18 +980,6 @@ impl<I: Clone + Send + 'static, O: Send + 'static> TelemetrySource for CompiledG
     }
 }
 
-impl<I: Send + 'static, O: Send + 'static> Drop for CompiledGraph<I, O> {
-    fn drop(&mut self) {
-        // Close the channel; dispatchers finish queued jobs, then exit.
-        // (A retry racing this shutdown finds the sender gone and fails
-        // its job terminally instead of re-queueing.)
-        drop(self.core.submit.lock().take());
-        for t in self.dispatchers.get_mut().drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Job handles.
 // ---------------------------------------------------------------------------
@@ -1035,7 +1063,7 @@ impl JobError {
 
     /// Total execution attempts the job consumed before failing
     /// terminally (1 with retries disabled; 0 only for the synthetic
-    /// "service shut down" error, which never ran the job).
+    /// "abandoned" error of a job whose callback was dropped unfired).
     pub fn attempts(&self) -> u32 {
         self.attempts
     }
@@ -1054,7 +1082,8 @@ impl std::error::Error for JobError {}
 /// handle abandons the result but not the job.
 pub struct JobHandle<O> {
     id: u64,
-    rx: mpsc::Receiver<Result<Vec<O>, JobError>>,
+    /// One-shot: filled by the job's completion callback.
+    slot: mpsc::Receiver<Result<Vec<O>, JobError>>,
 }
 
 impl<O> JobHandle<O> {
@@ -1064,12 +1093,13 @@ impl<O> JobHandle<O> {
         self.id
     }
 
-    /// Blocks until the job completes; `Err` if a stage panicked or the
-    /// service shut down first.
+    /// Blocks until the job completes; `Err` if a stage panicked (past
+    /// the retry budget), or if the callback was dropped unfired because
+    /// the runtime was torn down with the job still open.
     pub fn wait(self) -> Result<Vec<O>, JobError> {
-        self.rx.recv().unwrap_or_else(|_| {
+        self.slot.recv().unwrap_or_else(|_| {
             Err(JobError {
-                message: "service shut down before the job completed".to_string(),
+                message: "job abandoned: the runtime shut down before it completed".to_string(),
                 attempts: 0,
             })
         })
@@ -1333,7 +1363,7 @@ mod tests {
         assert_eq!(err.attempts(), 3, "initial run + 2 retries");
         let js = graph.telemetry().admission;
         assert_eq!((js.retries, js.failed), (2, 1));
-        // The dispatcher pool survives: later jobs run normally.
+        // The service survives: later jobs run normally.
         let ok = graph
             .submit(vec![1], Admission::Unbounded)
             .expect_accepted()

@@ -7,41 +7,47 @@
 //! services gate job entry through a [`JobTable`]:
 //!
 //! * **bounded in-flight**: at most `max_in_flight` jobs execute at once;
-//! * **FIFO fairness**: jobs are admitted strictly in the order their
-//!   tickets were registered — no job can overtake an earlier one at the
-//!   admission gate, so tail latency degrades gracefully under load
-//!   instead of starving the unlucky.
+//! * **FIFO fairness**: jobs start strictly in the order they entered —
+//!   no job can overtake an earlier one at the gate, so tail latency
+//!   degrades gracefully under load instead of starving the unlucky;
+//! * **requests queue, threads don't**: the gate never blocks. A job that
+//!   finds every slot taken leaves its *request* (whatever the service
+//!   needs to start it later) in the table, and the job that next
+//!   [`leave`](JobTable::leave)s is handed that request to start.
 //!
 //! The table is deliberately runtime-agnostic: it orders *admissions*,
 //! not tasks. `pipelines::graph::CompiledGraph` drives one per compiled
-//! graph; anything that maps "job" to "scope" can reuse it.
+//! graph, starting each admitted request as a detached root
+//! ([`crate::Runtime::spawn_root`]) whose completion hook calls `leave`.
 //!
 //! ```
 //! use swan::JobTable;
 //!
-//! let table = JobTable::new(2);
-//! let t0 = table.register();
-//! let t1 = table.register();
-//! let g0 = table.admit(&t0); // in order, within the bound
-//! let g1 = table.admit(&t1);
-//! drop((g0, g1));
+//! let table = JobTable::new(1);
+//! let first = table.enter("a", usize::MAX).unwrap();
+//! assert_eq!((first.seq, first.start), (0, Some("a"))); // free slot: start now
+//! let second = table.enter("b", usize::MAX).unwrap();
+//! assert_eq!((second.seq, second.start), (1, None)); // parked behind "a"
+//! assert_eq!(table.leave(), Some("b")); // "a" is done: its slot goes to "b"
+//! assert_eq!(table.leave(), None);
 //! assert_eq!(table.stats().completed, 2);
 //! ```
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Counters reported by [`JobTable::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JobTableStats {
-    /// Tickets handed out so far.
+    /// Jobs entered so far (retry re-admissions enter again).
     pub submitted: u64,
-    /// Jobs whose admission guard has been dropped.
+    /// Executions that have left the table.
     pub completed: u64,
-    /// Jobs currently admitted (executing).
+    /// Jobs currently holding a slot (executing).
     pub in_flight: usize,
-    /// Jobs registered but not yet admitted.
+    /// Requests parked behind the gate.
     pub queued: usize,
     /// Highest concurrent `in_flight` ever observed — always
     /// `<= max_in_flight`, which is the admission-control invariant the
@@ -138,66 +144,60 @@ impl RetryPolicy {
     }
 }
 
-#[derive(Default)]
-struct TableState {
-    next_ticket: u64,
-    next_admit: u64,
+struct TableState<R> {
+    entered: u64,
     in_flight: usize,
     completed: u64,
     high_water: usize,
     retries: u64,
     failed: u64,
+    /// Requests waiting for a slot, oldest first. Non-empty only while
+    /// every slot is taken: `leave` hands a freed slot straight on.
+    waiting: VecDeque<R>,
 }
 
 /// Bounded FIFO admission gate for jobs on a persistent runtime (see
-/// module docs).
-pub struct JobTable {
+/// module docs). `R` is the parked request: whatever the service needs to
+/// start the job once a slot frees.
+pub struct JobTable<R> {
     max_in_flight: usize,
-    state: Mutex<TableState>,
-    cv: Condvar,
+    state: Mutex<TableState<R>>,
 }
 
-/// Order token handed out by [`JobTable::register`]. Tickets must be
-/// admitted in registration order (the table blocks any ticket whose
-/// predecessors have not been admitted yet), so register a ticket only
-/// once the job it stands for is committed to running.
+/// A request the table accepted (see [`JobTable::enter`]).
 #[derive(Debug, PartialEq, Eq)]
-pub struct JobTicket {
-    seq: u64,
-}
-
-impl JobTicket {
+pub struct Entered<R> {
     /// Position of this job in the global admission order (0-based).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
+    pub seq: u64,
+    /// `Some`: a slot was free and is now this job's — start it. `None`:
+    /// the request is parked; a later [`JobTable::leave`] returns it.
+    pub start: Option<R>,
 }
 
-/// RAII in-flight slot: dropping it completes the job and unblocks the
-/// next ticket in line.
-#[must_use = "dropping the guard immediately releases the admission slot"]
-pub struct AdmitGuard<'a> {
-    table: &'a JobTable,
+/// A request the table refused: the waiting line was at its bound.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Refused<R> {
+    /// Waiting-line depth observed under the lock at refusal.
+    pub depth: usize,
+    /// The refused request, handed back.
+    pub request: R,
 }
 
-impl Drop for AdmitGuard<'_> {
-    fn drop(&mut self) {
-        let mut st = self.table.state.lock();
-        st.in_flight -= 1;
-        st.completed += 1;
-        drop(st);
-        self.table.cv.notify_all();
-    }
-}
-
-impl JobTable {
+impl<R> JobTable<R> {
     /// Creates a table admitting at most `max_in_flight` concurrent jobs
     /// (clamped to at least 1).
     pub fn new(max_in_flight: usize) -> Self {
         JobTable {
             max_in_flight: max_in_flight.max(1),
-            state: Mutex::new(TableState::default()),
-            cv: Condvar::new(),
+            state: Mutex::new(TableState {
+                entered: 0,
+                in_flight: 0,
+                completed: 0,
+                high_water: 0,
+                retries: 0,
+                failed: 0,
+                waiting: VecDeque::new(),
+            }),
         }
     }
 
@@ -206,64 +206,47 @@ impl JobTable {
         self.max_in_flight
     }
 
-    /// Registers a job, fixing its position in the admission order.
-    pub fn register(&self) -> JobTicket {
+    /// Enters a job, fixing its position in the admission order, unless
+    /// `max_queued` requests are already waiting for a slot (executing
+    /// jobs do not count). Never blocks: the job either takes a free slot
+    /// — its request comes straight back in [`Entered::start`] — or its
+    /// request is parked until a [`leave`](JobTable::leave) hands it a
+    /// slot. A refusal returns the request with the waiting-line depth —
+    /// the backpressure signal a service front-end turns into an explicit
+    /// retry instead of buffering without bound. Check and entry are one
+    /// atomic step, so concurrent callers cannot overshoot the bound.
+    ///
+    /// `max_queued == usize::MAX` never refuses; `0` always does.
+    pub fn enter(&self, request: R, max_queued: usize) -> Result<Entered<R>, Refused<R>> {
         let mut st = self.state.lock();
-        let seq = st.next_ticket;
-        st.next_ticket += 1;
-        JobTicket { seq }
+        let depth = st.waiting.len();
+        if depth >= max_queued {
+            return Err(Refused { depth, request });
+        }
+        let seq = st.entered;
+        st.entered += 1;
+        let start = if st.in_flight < self.max_in_flight {
+            st.in_flight += 1;
+            st.high_water = st.high_water.max(st.in_flight);
+            Some(request)
+        } else {
+            st.waiting.push_back(request);
+            None
+        };
+        Ok(Entered { seq, start })
     }
 
-    /// Bounded registration: registers a job only while fewer than
-    /// `max_queued` tickets are waiting for admission (registered but not
-    /// yet admitted; executing jobs do not count). Refusal returns the
-    /// waiting-line depth observed under the lock at that instant — the
-    /// backpressure signal a service front-end turns into an explicit
-    /// retry instead of buffering without bound. The check and the
-    /// registration are one atomic step, so concurrent callers cannot
-    /// overshoot the bound.
-    ///
-    /// `max_queued == 0` always refuses.
-    ///
-    /// ```
-    /// use swan::JobTable;
-    ///
-    /// let table = JobTable::new(1);
-    /// let head = table.try_register(1).expect("empty queue accepts");
-    /// // `head` is waiting (not admitted), so the queue is now full.
-    /// assert_eq!(table.try_register(1), Err(1));
-    /// let guard = table.admit(&head);
-    /// // Admission moved `head` out of the waiting line.
-    /// assert!(table.try_register(1).is_ok());
-    /// drop(guard);
-    /// ```
-    pub fn try_register(&self, max_queued: usize) -> Result<JobTicket, usize> {
+    /// Completes one executing job. Its slot goes to the oldest waiting
+    /// request, which is returned for the caller to start; with nobody
+    /// waiting the slot is freed.
+    pub fn leave(&self) -> Option<R> {
         let mut st = self.state.lock();
-        let queued = (st.next_ticket - st.next_admit) as usize;
-        if queued >= max_queued {
-            return Err(queued);
+        st.completed += 1;
+        let next = st.waiting.pop_front();
+        if next.is_none() {
+            st.in_flight -= 1;
         }
-        let seq = st.next_ticket;
-        st.next_ticket += 1;
-        Ok(JobTicket { seq })
-    }
-
-    /// Blocks until `ticket` is at the head of the FIFO **and** an
-    /// in-flight slot is free, then occupies the slot until the returned
-    /// guard drops.
-    pub fn admit(&self, ticket: &JobTicket) -> AdmitGuard<'_> {
-        let mut st = self.state.lock();
-        while ticket.seq != st.next_admit || st.in_flight >= self.max_in_flight {
-            self.cv.wait(&mut st);
-        }
-        st.next_admit += 1;
-        st.in_flight += 1;
-        st.high_water = st.high_water.max(st.in_flight);
-        drop(st);
-        // A successor ticket may already be waiting purely on the FIFO
-        // head moving (its slot check can still pass).
-        self.cv.notify_all();
-        AdmitGuard { table: self }
+        next
     }
 
     /// Records that a failed execution was re-admitted per the service's
@@ -282,10 +265,10 @@ impl JobTable {
     pub fn stats(&self) -> JobTableStats {
         let st = self.state.lock();
         JobTableStats {
-            submitted: st.next_ticket,
+            submitted: st.entered,
             completed: st.completed,
             in_flight: st.in_flight,
-            queued: (st.next_ticket - st.next_admit) as usize,
+            queued: st.waiting.len(),
             high_water_in_flight: st.high_water,
             max_in_flight: self.max_in_flight,
             retries: st.retries,
@@ -297,98 +280,70 @@ impl JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
-    fn admission_is_fifo_and_bounded() {
-        let table = Arc::new(JobTable::new(2));
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        // Register all tickets up front (fixing FIFO order), then admit
-        // them from racing threads.
-        let tickets: Vec<JobTicket> = (0..16).map(|_| table.register()).collect();
-        let handles: Vec<_> = tickets
-            .into_iter()
-            .map(|t| {
-                let (table, running, peak, order) = (
-                    Arc::clone(&table),
-                    Arc::clone(&running),
-                    Arc::clone(&peak),
-                    Arc::clone(&order),
-                );
-                std::thread::spawn(move || {
-                    let _g = table.admit(&t);
-                    order.lock().push(t.seq());
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    running.fetch_sub(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn slots_pass_on_in_fifo_order_within_the_bound() {
+        let table = JobTable::new(2);
+        let mut started = Vec::new();
+        for job in 0..16u64 {
+            let e = table.enter(job, usize::MAX).unwrap();
+            assert_eq!(e.seq, job);
+            started.extend(e.start);
         }
-        assert!(peak.load(Ordering::SeqCst) <= 2, "in-flight bound violated");
-        // The recording happens after `admit` returns, so two tickets
-        // admitted into the same in-flight window may log out of order —
-        // but a ticket can never be overtaken by one outside its window.
-        let admitted = order.lock().clone();
-        for (pos, seq) in admitted.iter().enumerate() {
-            assert!(
-                seq.abs_diff(pos as u64) < 2,
-                "ticket {seq} recorded at position {pos}: overtaken beyond \
-                 the in-flight window, admission is not FIFO"
-            );
+        assert_eq!(started, vec![0, 1], "two slots, fourteen parked");
+        let s = table.stats();
+        assert_eq!((s.in_flight, s.queued), (2, 14));
+        // Every leave hands its slot to the oldest parked request.
+        for _ in 0..16 {
+            started.extend(table.leave());
         }
+        assert_eq!(started, (0..16).collect::<Vec<u64>>());
         let s = table.stats();
         assert_eq!((s.submitted, s.completed), (16, 16));
-        assert_eq!(s.in_flight, 0);
-        assert!(s.high_water_in_flight <= 2);
+        assert_eq!((s.in_flight, s.queued, s.high_water_in_flight), (0, 0, 2));
     }
 
     #[test]
-    fn admission_with_bound_one_is_strictly_serial() {
-        // With max_in_flight = 1, ticket n+1 cannot be admitted until
-        // ticket n's guard drops, so even the post-admit recording is
-        // strictly ordered.
-        let table = Arc::new(JobTable::new(1));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let tickets: Vec<JobTicket> = (0..12).map(|_| table.register()).collect();
-        let handles: Vec<_> = tickets
-            .into_iter()
+    fn racing_entries_never_exceed_the_bound_or_lose_a_request() {
+        let table = Arc::new(JobTable::new(3));
+        let handles: Vec<_> = (0..8u64)
             .map(|t| {
-                let (table, order) = (Arc::clone(&table), Arc::clone(&order));
+                let table = Arc::clone(&table);
                 std::thread::spawn(move || {
-                    let _g = table.admit(&t);
-                    order.lock().push(t.seq());
+                    let mut ran = Vec::new();
+                    for i in 0..200 {
+                        let mut next = table.enter(t * 1000 + i, usize::MAX).unwrap().start;
+                        // Run whatever we are handed until a leave frees
+                        // the slot instead of passing it on.
+                        while let Some(job) = next {
+                            ran.push(job);
+                            next = table.leave();
+                        }
+                    }
+                    ran
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*order.lock(), (0..12).collect::<Vec<u64>>());
-        assert_eq!(table.stats().high_water_in_flight, 1);
-    }
-
-    #[test]
-    fn stats_track_queue_depth() {
-        let table = JobTable::new(1);
-        let t0 = table.register();
-        let _t1 = table.register();
-        let g = table.admit(&t0);
+        let mut ran: Vec<u64> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        ran.sort_unstable();
+        let mut expect: Vec<u64> = (0..8)
+            .flat_map(|t| (0..200).map(move |i| t * 1000 + i))
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(ran, expect, "every entered request ran exactly once");
         let s = table.stats();
-        assert_eq!((s.in_flight, s.queued), (1, 1));
-        drop(g);
-        assert_eq!(table.stats().in_flight, 0);
+        assert_eq!((s.submitted, s.completed), (1600, 1600));
+        assert_eq!((s.in_flight, s.queued), (0, 0));
+        assert!(s.high_water_in_flight <= 3, "in-flight bound violated");
     }
 
     #[test]
     fn bound_is_clamped_to_one() {
-        assert_eq!(JobTable::new(0).max_in_flight(), 1);
+        assert_eq!(JobTable::<()>::new(0).max_in_flight(), 1);
     }
 
     #[test]
@@ -427,7 +382,7 @@ mod tests {
 
     #[test]
     fn retry_counters_surface_in_stats() {
-        let table = JobTable::new(1);
+        let table = JobTable::<()>::new(1);
         table.note_retry();
         table.note_retry();
         table.note_failed();
@@ -436,20 +391,26 @@ mod tests {
     }
 
     #[test]
-    fn try_register_bounds_the_waiting_line() {
-        let table = JobTable::new(2);
-        // Two tickets waiting: the line is at its bound of 2.
-        let t0 = table.try_register(2).unwrap();
-        let _t1 = table.try_register(2).unwrap();
-        assert_eq!(table.try_register(2), Err(2), "waiting line over bound");
-        assert_eq!(table.try_register(0), Err(2), "max_queued == 0 refuses");
-        // Admitting t0 frees one waiting slot (admitted jobs do not count).
-        let g0 = table.admit(&t0);
-        let t2 = table.try_register(2).unwrap();
-        assert_eq!(t2.seq(), 2, "bounded tickets share the global order");
-        assert_eq!(table.try_register(2), Err(2));
-        drop(g0);
+    fn enter_bounds_the_waiting_line() {
+        let table = JobTable::new(1);
+        // "a" takes the slot; executing jobs do not count as waiting.
+        assert_eq!(table.enter("a", 2).unwrap().start, Some("a"));
+        assert_eq!(table.enter("b", 2).unwrap().start, None);
+        assert_eq!(table.enter("c", 2).unwrap().start, None);
+        assert_eq!(
+            table.enter("d", 2),
+            Err(Refused {
+                depth: 2,
+                request: "d"
+            }),
+            "waiting line over bound: the request comes back"
+        );
+        assert_eq!(table.enter("e", 0).unwrap_err().depth, 2, "0 refuses");
+        // A leave moves "b" out of the waiting line: room for one more.
+        assert_eq!(table.leave(), Some("b"));
+        let f = table.enter("f", 2).unwrap();
+        assert_eq!((f.seq, f.start), (3, None), "refusals take no seq");
         let s = table.stats();
-        assert_eq!((s.submitted, s.queued), (3, 2));
+        assert_eq!((s.submitted, s.in_flight, s.queued), (4, 1, 2));
     }
 }

@@ -54,7 +54,7 @@ pub use dataflow::{
     WriteGuard,
 };
 pub use frame::{Frame, FrameId, HelpMode};
-pub use jobs::{AdmitGuard, JobTable, JobTableStats, JobTicket, RetryDecision, RetryPolicy};
+pub use jobs::{Entered, JobTable, JobTableStats, Refused, RetryDecision, RetryPolicy};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use runtime::{Runtime, RuntimeHandle};
 pub use scope::Scope;

@@ -23,6 +23,7 @@
 //! paper's observation that hyperqueue dependences respect the serial
 //! elision's total order, this yields deadlock freedom.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -82,10 +83,24 @@ pub(crate) struct RtInner {
     /// it observes `idx >= target_workers` (see `worker_main`). Always in
     /// `1..=queues.len()`.
     target_workers: AtomicUsize,
-    /// Scopes currently open on this runtime (see [`Runtime::quiesce`]).
+    /// Scopes and detached roots currently open on this runtime (see
+    /// [`Runtime::quiesce`]).
     open_scopes: AtomicUsize,
     next_id: AtomicU64,
     shutdown: AtomicBool,
+}
+
+/// Counts one scope or detached root out of [`RtInner::open_scopes`].
+/// The decrement lives in `Drop` so panicking scopes and hooks are
+/// counted out too, and it notifies the sleeper so a quiescing thread
+/// re-checks promptly.
+struct OpenScope<'rt>(&'rt RtInner);
+
+impl Drop for OpenScope<'_> {
+    fn drop(&mut self) {
+        self.0.open_scopes.fetch_sub(1, Ordering::SeqCst);
+        self.0.sleeper.notify_all();
+    }
 }
 
 impl RtInner {
@@ -184,6 +199,16 @@ impl RtInner {
         }
         Metrics::incr(&self.metrics.tasks_executed);
         self.sleeper.notify_all();
+        if let Some(on_done) = task.on_done {
+            // A detached root: this worker is the thread that would have
+            // slept in `Runtime::scope`. The root stays open until the
+            // hook has returned and its captures are dropped (`_open`
+            // outlives the call); a panicking hook must not take the
+            // worker down with it.
+            let _open = OpenScope(self);
+            let payload = frame.take_panic();
+            let _ = panic::catch_unwind(AssertUnwindSafe(move || on_done(payload)));
+        }
     }
 
     /// Passively waits for `frame`'s children without executing tasks.
@@ -499,9 +524,11 @@ impl Runtime {
     /// A long-lived **service** runtime: one worker per machine core, kept
     /// hot across jobs (idle workers park on the sleeper, costing nothing
     /// between jobs), with elastic headroom to [`Runtime::resize_workers`]
-    /// anywhere in `1..=max(cores, 8)`. Because hyperqueue programs are
-    /// scale-free, resizing never changes observable job output — only
-    /// throughput.
+    /// anywhere in `1..=max(cores, 8)`. Services enter each job as a
+    /// detached root ([`Runtime::spawn_root`]) — a task on these workers
+    /// with a completion hook, no thread of its own — and drain with
+    /// [`Runtime::quiesce`]. Because hyperqueue programs are scale-free,
+    /// resizing never changes observable job output — only throughput.
     pub fn persistent() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -575,16 +602,6 @@ impl Runtime {
     where
         F: FnOnce(&Scope<'env>) -> R,
     {
-        // Open-scope accounting for `quiesce`: the decrement lives in a
-        // drop guard so panicking scopes are counted out too, and it
-        // notifies the sleeper so a quiescing thread re-checks promptly.
-        struct OpenScope<'rt>(&'rt RtInner);
-        impl Drop for OpenScope<'_> {
-            fn drop(&mut self) {
-                self.0.open_scopes.fetch_sub(1, Ordering::SeqCst);
-                self.0.sleeper.notify_all();
-            }
-        }
         self.inner.open_scopes.fetch_add(1, Ordering::SeqCst);
         let _open = OpenScope(&self.inner);
         let root = Frame::new_root(self.inner.alloc_id());
@@ -607,17 +624,68 @@ impl Runtime {
         }
     }
 
-    /// Scopes currently open on this runtime (jobs, in service terms).
+    /// Spawns a **detached root**: `body` runs as an ordinary task on a
+    /// worker, with a [`Scope`] for a fresh spawn tree, and nobody waits
+    /// for it. In place of the thread that sleeps in [`Runtime::scope`],
+    /// `on_done` fires exactly once on the worker that finished the root —
+    /// after the whole subtree has completed and its release callbacks
+    /// have run — with the first panic payload of the subtree, if any.
+    /// Everything is `'static`: there is no caller frame to borrow from.
+    ///
+    /// The root counts as open (see [`Runtime::open_scopes`]) from this
+    /// call until `on_done` has returned and been dropped, so
+    /// [`Runtime::quiesce`] covers the hook and whatever it captured. The
+    /// hook may release the last handle to this runtime (dropping it on a
+    /// worker is safe), but it must not block on other work of the
+    /// runtime — it occupies a worker. Dropping the runtime abandons
+    /// roots that are still open — quiesce first.
+    ///
+    /// ```
+    /// use std::sync::mpsc;
+    ///
+    /// let rt = swan::Runtime::with_workers(2);
+    /// let (tx, rx) = mpsc::channel();
+    /// let tx2 = tx.clone();
+    /// rt.spawn_root(
+    ///     move |s| s.spawn((), move |_, ()| tx2.send(1).unwrap()),
+    ///     move |panic| tx.send(if panic.is_none() { 2 } else { 0 }).unwrap(),
+    /// );
+    /// assert_eq!((rx.recv(), rx.recv()), (Ok(1), Ok(2)));
+    /// rt.quiesce();
+    /// ```
+    pub fn spawn_root<F, H>(&self, body: F, on_done: H)
+    where
+        F: FnOnce(&Scope<'static>) + Send + 'static,
+        H: FnOnce(Option<Box<dyn Any + Send>>) + Send + 'static,
+    {
+        // Counted out by the worker, after the hook.
+        self.inner.open_scopes.fetch_add(1, Ordering::SeqCst);
+        let id = self.inner.alloc_id();
+        let root = Frame::new_root(id);
+        let (rt, frame) = (Arc::clone(&self.inner), Arc::clone(&root));
+        self.inner.registry.insert_root(
+            id,
+            root,
+            Box::new(move || body(&Scope::new(rt, frame))),
+            Box::new(on_done),
+        );
+        self.inner.enqueue(id);
+    }
+
+    /// Scopes and detached roots currently open on this runtime (jobs, in
+    /// service terms).
     pub fn open_scopes(&self) -> usize {
         self.inner.open_scopes.load(Ordering::SeqCst)
     }
 
     /// Drains the runtime: blocks until every currently open
-    /// [`Runtime::scope`] has returned. This is the graceful-shutdown
-    /// primitive for persistent services (see [`Runtime::persistent`]):
-    /// stop submitting new work first (quiescing does not fence new
-    /// scopes), then `quiesce()` guarantees all in-flight jobs have fully
-    /// drained before the process tears the service down.
+    /// [`Runtime::scope`] has returned and every detached root
+    /// ([`Runtime::spawn_root`]) has run its hook to the end. This is the
+    /// graceful-shutdown primitive for persistent services (see
+    /// [`Runtime::persistent`]): stop submitting new work first
+    /// (quiescing does not fence new scopes), then `quiesce()` guarantees
+    /// all in-flight jobs have fully drained before the process tears the
+    /// service down.
     ///
     /// The caller parks on the runtime's sleeper between checks, so
     /// waiting costs nothing while jobs run.
@@ -658,8 +726,15 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.sleeper.notify_all();
+        // A detached root's hook may release the last handle, which lands
+        // this drop on one of our own workers: that thread cannot join
+        // itself. It holds its own `Arc<RtInner>`, sees the flag when the
+        // hook returns, and exits unjoined; all others are reaped here.
+        let me = std::thread::current().id();
         for t in self.threads.get_mut().iter_mut().filter_map(Option::take) {
-            let _ = t.join();
+            if t.thread().id() != me {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -937,6 +1012,105 @@ mod tests {
         assert!(result.is_err());
         assert_eq!(rt.open_scopes(), 0, "panicked scope still counted open");
         assert!(rt.quiesce_timeout(std::time::Duration::from_secs(1)));
+    }
+
+    #[test]
+    fn detached_root_hook_fires_once_after_the_whole_subtree() {
+        use crate::Versioned;
+        for workers in [1usize, 2, 4] {
+            let rt = Runtime::with_workers(workers);
+            let ran = Arc::new(AtomicUsize::new(0));
+            let cell = Arc::new(Versioned::new(0u64));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (ran_body, ran_hook) = (Arc::clone(&ran), Arc::clone(&ran));
+            let (cell_body, cell_hook) = (Arc::clone(&cell), Arc::clone(&cell));
+            rt.spawn_root(
+                move |s| {
+                    // A grandchild tree plus a writer whose release
+                    // callback publishes the cell's new version.
+                    s.spawn((), move |s, ()| {
+                        for _ in 0..16 {
+                            let ran = Arc::clone(&ran_body);
+                            s.spawn((), move |_, ()| {
+                                std::thread::sleep(Duration::from_micros(50));
+                                ran.fetch_add(1, Ordering::SeqCst);
+                            });
+                        }
+                    });
+                    s.spawn((cell_body.write(),), |_, (mut w,)| *w = 7);
+                },
+                move |panic| {
+                    let seen = (ran_hook.load(Ordering::SeqCst), cell_hook.read_latest());
+                    tx.send((panic.is_none(), seen)).unwrap();
+                },
+            );
+            assert_eq!(rx.recv(), Ok((true, (16, 7))), "{workers} workers");
+            rt.quiesce();
+            assert!(rx.try_recv().is_err(), "hook fired twice");
+            assert_eq!(rt.open_scopes(), 0);
+        }
+    }
+
+    #[test]
+    fn detached_root_hook_receives_the_subtree_panic() {
+        let rt = Runtime::with_workers(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        rt.spawn_root(
+            |s| s.spawn((), |s, ()| s.spawn((), |_, ()| panic!("deep in a root"))),
+            move |panic| {
+                let message = panic.and_then(|p| p.downcast_ref::<&str>().map(|m| m.to_string()));
+                tx.send(message).unwrap();
+            },
+        );
+        assert_eq!(rx.recv(), Ok(Some("deep in a root".to_string())));
+        // A panicking *hook* is contained too: the worker survives it.
+        rt.spawn_root(|_| {}, |_| panic!("hook blew up"));
+        rt.quiesce();
+        let ok = AtomicUsize::new(0);
+        rt.scope(|s| {
+            s.spawn((), |_, ()| {
+                ok.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        assert_eq!(ok.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn quiesce_counts_a_detached_root_until_its_hook_is_dropped() {
+        struct SetOnDrop(Arc<AtomicBool>);
+        impl Drop for SetOnDrop {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let rt = Runtime::with_workers(2);
+        let release = Arc::new(AtomicBool::new(false));
+        let dropped = Arc::new(AtomicBool::new(false));
+        let in_hook = Arc::new(AtomicBool::new(false));
+        let (gate, entered) = (Arc::clone(&release), Arc::clone(&in_hook));
+        let capture = SetOnDrop(Arc::clone(&dropped));
+        rt.spawn_root(
+            |_| {},
+            move |_| {
+                let _capture = &capture;
+                entered.store(true, Ordering::SeqCst);
+                while !gate.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            },
+        );
+        while !in_hook.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // The subtree is long done; the hook alone keeps the root open.
+        assert_eq!(rt.open_scopes(), 1);
+        assert!(!rt.quiesce_timeout(Duration::from_millis(30)));
+        release.store(true, Ordering::Release);
+        rt.quiesce();
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "quiesce returned while the hook still owned its captures"
+        );
     }
 
     #[test]

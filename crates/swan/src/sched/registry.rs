@@ -12,6 +12,7 @@
 //! is the "incomplete" predicate — ids are never reused, so a predecessor
 //! missing from the map has already completed and contributes no edge.
 
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -28,10 +29,16 @@ pub type TaskBody = Box<dyn FnOnce() + Send + 'static>;
 /// (e.g. hyperqueue view reduction, producer-section release).
 pub type ReleaseFn = Box<dyn FnOnce() + Send + 'static>;
 
+/// Completion hook of a detached root (`Runtime::spawn_root`): receives
+/// the subtree's panic payload, if any.
+pub type RootHook = Box<dyn FnOnce(Option<Box<dyn Any + Send>>) + Send + 'static>;
+
 struct TaskEntry {
     frame: Arc<Frame>,
     body: Option<TaskBody>,
     releases: Vec<ReleaseFn>,
+    /// `Some` only for a detached root.
+    on_done: Option<RootHook>,
     pending: usize,
     succs: Vec<FrameId>,
 }
@@ -42,6 +49,7 @@ pub struct RunnableTask {
     pub frame: Arc<Frame>,
     pub body: TaskBody,
     pub releases: Vec<ReleaseFn>,
+    pub on_done: Option<RootHook>,
 }
 
 struct Inner {
@@ -84,6 +92,25 @@ impl Registry {
         releases: Vec<ReleaseFn>,
         preds: &[FrameId],
     ) -> bool {
+        self.insert_entry(id, frame, body, releases, preds, None)
+    }
+
+    /// Registers a detached root: a task with no predecessors (always
+    /// ready) whose `on_done` hook travels with it to the worker that
+    /// executes it.
+    pub fn insert_root(&self, id: FrameId, frame: Arc<Frame>, body: TaskBody, on_done: RootHook) {
+        self.insert_entry(id, frame, body, Vec::new(), &[], Some(on_done));
+    }
+
+    fn insert_entry(
+        &self,
+        id: FrameId,
+        frame: Arc<Frame>,
+        body: TaskBody,
+        releases: Vec<ReleaseFn>,
+        preds: &[FrameId],
+        on_done: Option<RootHook>,
+    ) -> bool {
         let mut inner = self.inner.lock();
         let mut pending = 0;
         for p in preds {
@@ -102,6 +129,7 @@ impl Registry {
                 frame,
                 body: Some(body),
                 releases,
+                on_done,
                 pending,
                 succs: Vec::new(),
             },
@@ -120,16 +148,15 @@ impl Registry {
         if entry.pending > 0 || entry.body.is_none() {
             return None;
         }
-        let body = entry.body.take().expect("checked above");
-        let releases = std::mem::take(&mut entry.releases);
-        let frame = Arc::clone(&entry.frame);
-        inner.ready.remove(&id);
-        Some(RunnableTask {
+        let task = RunnableTask {
             id: FrameId(id),
-            frame,
-            body,
-            releases,
-        })
+            frame: Arc::clone(&entry.frame),
+            body: entry.body.take().expect("checked above"),
+            releases: std::mem::take(&mut entry.releases),
+            on_done: entry.on_done.take(),
+        };
+        inner.ready.remove(&id);
+        Some(task)
     }
 
     /// Claims the oldest ready task whose frame is help-eligible for a
@@ -147,16 +174,15 @@ impl Registry {
         }
         let id = chosen?;
         let entry = inner.tasks.get_mut(&id).expect("just found");
-        let body = entry.body.take().expect("ready tasks have bodies");
-        let releases = std::mem::take(&mut entry.releases);
-        let frame = Arc::clone(&entry.frame);
-        inner.ready.remove(&id);
-        Some(RunnableTask {
+        let task = RunnableTask {
             id: FrameId(id),
-            frame,
-            body,
-            releases,
-        })
+            frame: Arc::clone(&entry.frame),
+            body: entry.body.take().expect("ready tasks have bodies"),
+            releases: std::mem::take(&mut entry.releases),
+            on_done: entry.on_done.take(),
+        };
+        inner.ready.remove(&id);
+        Some(task)
     }
 
     /// Removes a completed task and releases its successors. Returns the

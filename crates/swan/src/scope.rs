@@ -1,7 +1,8 @@
 //! Scopes: the spawn/sync surface of the runtime.
 //!
 //! A [`Scope`] corresponds to one procedure instance (frame) in the spawn
-//! tree. `Runtime::scope` opens the root; every spawned task body receives a
+//! tree. `Runtime::scope` opens the root (`Runtime::spawn_root` a detached
+//! one, as a task of its own); every spawned task body receives a
 //! scope for its own frame, through which it can spawn children (with a
 //! subset of its privileges — enforced by the dependency-object types) and
 //! `sync` on them, mirroring the paper's Cilk-style `spawn`/`sync`.
@@ -102,7 +103,9 @@ impl<'scope> Scope<'scope> {
         // transitively spawned task has completed (root `wait_children`
         // plus each task's implicit sync), so all 'scope borrows the
         // closure captures remain live while it can run, and (b) the
-        // closure is never invoked after the registry drops it.
+        // closure is never invoked after the registry drops it. Under a
+        // detached root (`Runtime::spawn_root`) 'scope is already
+        // 'static and nothing is extended.
         let task: TaskBody = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(
                 closure,

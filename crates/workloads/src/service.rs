@@ -94,7 +94,6 @@ impl ServiceWorkloadConfig {
     fn service_config(&self) -> ServiceConfig {
         ServiceConfig {
             max_in_flight: self.max_in_flight,
-            dispatchers: 0,
             segment_capacity: self.segment_capacity,
             io_batch: self.io_batch,
             ..ServiceConfig::default()

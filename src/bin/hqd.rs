@@ -24,8 +24,13 @@
 //!                            fallback; default min(4, cores) on Linux
 //! ```
 //!
-//! Shutdown is always graceful: stop accepting, finish every accepted
-//! job, drain the dispatchers, quiesce the runtime, then exit. Durability
+//! Threads: `--workers` runtime workers, `--event-loops` loops, one
+//! acceptor, plus the journal flusher with `--journal-dir` — jobs are
+//! tasks on the workers, so nothing scales with connections or jobs.
+//!
+//! Shutdown is always graceful: stop accepting, answer every accepted
+//! job, quiesce the runtime (its workers finish the jobs' completion
+//! callbacks), then exit. Durability
 //! (`--journal-dir`) covers the *un*-graceful exits: SIGKILL the daemon
 //! mid-burst, restart it on the same journal dir, and every unacked job
 //! is replayed to a byte-identical result (see DESIGN.md §6.4).

@@ -160,7 +160,7 @@ fn consumer_quitting_early_leaves_consistent_state() {
 // ---------------------------------------------------------------------------
 // Service-level failure injection: a persistent CompiledGraph must treat a
 // panicking stage as one job's problem — retried per policy, never a
-// wedged dispatcher or a leaked admission slot.
+// wedged service or a leaked admission slot.
 // ---------------------------------------------------------------------------
 
 use std::collections::HashMap;
@@ -214,7 +214,7 @@ fn panicking_stage_fails_only_its_own_job() {
         (0, 0),
         "failed job leaked its admission slot: {stats:?}"
     );
-    // The dispatchers are alive and the slot is reusable: a fresh batch
+    // The service is alive and the slot is reusable: a fresh batch
     // (larger than max_in_flight) drains completely.
     let handles: Vec<_> = (100..108u64)
         .map(|j| {
@@ -336,4 +336,63 @@ fn exhausted_retries_fail_terminally_without_wedging_the_service() {
     drop(graph);
     rt.quiesce();
     assert_eq!(rt.open_scopes(), 0);
+}
+
+/// Regression: a retry backoff used to be slept out on the dispatcher
+/// thread that ran the failed attempt, so with `max_in_flight: 1` (one
+/// dispatcher) an unrelated healthy job waited out another job's whole
+/// backoff although the execution slot was free. The backoff now waits
+/// on a timer; nothing that can run a job waits with it.
+#[test]
+fn retry_backoff_does_not_block_healthy_jobs() {
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    const BACKOFF: Duration = Duration::from_millis(200);
+    let failed_once = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&failed_once);
+    let rt = Arc::new(Runtime::with_workers(2));
+    let graph = GraphSpec::<u64, u64>::new()
+        .map(move |x: u64| {
+            if x == 13 && !flag.swap(true, Ordering::SeqCst) {
+                panic!("flaky: first attempt of 13");
+            }
+            x + 1
+        })
+        .compile(
+            Arc::clone(&rt),
+            ServiceConfig {
+                max_in_flight: 1,
+                retry: RetryPolicy {
+                    max_retries: 2,
+                    base_backoff: BACKOFF,
+                    max_backoff: BACKOFF,
+                },
+                ..ServiceConfig::default()
+            },
+        );
+    let flaky = graph
+        .submit(vec![13], Admission::Unbounded)
+        .expect_accepted();
+    // The first attempt has failed and the job is in its backoff.
+    while graph.telemetry().admission.retries == 0 {
+        std::thread::yield_now();
+    }
+    let t0 = Instant::now();
+    let healthy = graph
+        .submit(vec![1], Admission::Unbounded)
+        .expect_accepted()
+        .join();
+    let waited = t0.elapsed();
+    assert_eq!(healthy, vec![2]);
+    assert!(
+        waited < BACKOFF / 2,
+        "a healthy job took {waited:?} behind another job's {BACKOFF:?} retry backoff"
+    );
+    assert_eq!(flaky.join(), vec![14], "the flaky job still succeeds");
+    let stats = graph.telemetry().admission;
+    assert_eq!((stats.retries, stats.failed), (1, 0));
+    assert_eq!((stats.in_flight, stats.queued), (0, 0));
+    drop(graph);
+    rt.quiesce();
 }

@@ -819,18 +819,16 @@ fn fd_exhaustion_helper() {
     rt.quiesce();
 }
 
-/// Satellite check on the accept-error path: fd exhaustion must back off
-/// and count, not spin, and the acceptor must recover once fds return.
-/// Runs in a child process (via the test harness itself) because it
-/// lowers RLIMIT_NOFILE and hoards every file descriptor.
-#[test]
+/// Runs one `#[ignore]`d helper test of this file alone in a child
+/// process (via the test harness itself): for tests that change or read
+/// process-wide state — the fd limit, the set of live threads.
 #[cfg(target_os = "linux")]
-fn fd_exhaustion_backs_off_and_recovers() {
+fn run_helper_in_child(helper: &str) {
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
         .args([
             "--exact",
-            "fd_exhaustion_helper",
+            helper,
             "--ignored",
             "--nocapture",
             "--test-threads",
@@ -844,6 +842,200 @@ fn fd_exhaustion_backs_off_and_recovers() {
         "child failed:\nstdout: {stdout}\nstderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// Satellite check on the accept-error path: fd exhaustion must back off
+/// and count, not spin, and the acceptor must recover once fds return.
+/// Runs in a child process because it lowers RLIMIT_NOFILE and hoards
+/// every file descriptor.
+#[test]
+#[cfg(target_os = "linux")]
+fn fd_exhaustion_backs_off_and_recovers() {
+    run_helper_in_child("fd_exhaustion_helper");
+}
+
+// ---------------------------------------------------------------------------
+// Thread anatomy: jobs are tasks, so the server's thread count is fixed.
+// ---------------------------------------------------------------------------
+
+/// How many threads of this process the service stack owns (every thread
+/// it starts is named `swan-…`, `hqd-…` or `hq-…`), and how many of those
+/// carry `prefix`. `comm` truncates names to 15 bytes; all of ours fit.
+#[cfg(target_os = "linux")]
+fn service_threads(prefix: &str) -> (usize, usize) {
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| ["swan-", "hqd-", "hq-"].iter().any(|p| name.starts_with(p)))
+        .collect();
+    let matching = names.iter().filter(|n| n.starts_with(prefix)).count();
+    (names.len(), matching)
+}
+
+/// Aborts the process if a helper wedges: teardown bugs show up as hangs.
+#[cfg(target_os = "linux")]
+fn arm_watchdog() {
+    std::thread::spawn(|| {
+        std::thread::sleep(Duration::from_secs(60));
+        eprintln!("watchdog: helper still running after 60 s");
+        std::process::abort();
+    });
+}
+
+/// Child-process body for `server_threads_are_workers_loops_and_acceptor`.
+#[test]
+#[ignore = "helper: spawned by server_threads_are_workers_loops_and_acceptor"]
+#[cfg(target_os = "linux")]
+fn thread_census_helper() {
+    const WORKERS: usize = 3;
+    const LOOPS: usize = 2;
+    arm_watchdog();
+    let cfg = IngressConfig {
+        event_loops: LOOPS,
+        ..IngressConfig::default()
+    };
+    let lines = vec!["count these words these words".to_string()];
+    let payload = encode_lines(&lines);
+
+    // A plain server, censused while two clients keep jobs in flight.
+    let (rt, server) = wordcount_server(WORKERS, cfg.clone());
+    let addr = server.local_addr();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for c in 0..2u64 {
+            let (stop, payload) = (&stop, &payload);
+            s.spawn(move || {
+                let mut client = IngressClient::connect(addr).unwrap();
+                let mut req = c << 32;
+                while !stop.load(Ordering::Acquire) {
+                    req += 1;
+                    client.submit_and_wait(req, payload, BACKOFF).unwrap();
+                }
+            });
+        }
+        assert!(poll_until(Duration::from_secs(30), || {
+            server.stats().jobs_completed >= 200
+        }));
+        let (owned, workers) = service_threads("swan-worker");
+        assert_eq!(workers, WORKERS);
+        assert_eq!(service_threads("hqd-loop").1, LOOPS);
+        assert_eq!(service_threads("hqd-accept").1, 1);
+        assert_eq!(
+            owned,
+            WORKERS + LOOPS + 1,
+            "a serving stack is its workers, its loops and the acceptor — \
+             no thread per job, per connection or per hand-off"
+        );
+        stop.store(true, Ordering::Release);
+    });
+    server.shutdown();
+    rt.quiesce();
+    drop(rt);
+    assert!(poll_until(Duration::from_secs(30), || service_threads("")
+        .0
+        == 0));
+
+    // A durable server adds the journal flusher and nothing else; the
+    // retry timer appears with the first retry.
+    let failed_once = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&failed_once);
+    let rt = Arc::new(Runtime::with_workers(WORKERS));
+    let graph = Arc::new(
+        GraphSpec::<String, String>::new()
+            .map(move |line: String| {
+                if line == "flaky" && !flag.swap(true, Ordering::SeqCst) {
+                    panic!("flaky: first attempt");
+                }
+                line
+            })
+            .compile(
+                Arc::clone(&rt),
+                ServiceConfig {
+                    retry: swan::RetryPolicy::retries(1),
+                    ..ServiceConfig::default()
+                },
+            ),
+    );
+    let dir = journal_temp_dir("census");
+    let (journal, replay) = Journal::open(JournalConfig::at(&dir)).expect("open journal");
+    let (server, _) = IngressServer::bind_durable(
+        "127.0.0.1:0",
+        graph,
+        Arc::new(EchoCodec),
+        cfg,
+        journal,
+        &replay,
+    )
+    .expect("bind durable");
+    let mut client = IngressClient::connect(server.local_addr()).unwrap();
+    let echo = |client: &mut IngressClient, id: u64, line: &str| {
+        let payload = encode_lines(&[line.to_string()]);
+        match client
+            .submit_durable_and_wait(id, &payload, BACKOFF)
+            .unwrap()
+        {
+            JobOutcome::Result(bytes) => assert_eq!(bytes, payload),
+            JobOutcome::Failed(m) => panic!("job {id} failed: {m}"),
+        }
+    };
+    for id in 1..=50 {
+        echo(&mut client, id, "steady");
+    }
+    assert_eq!(service_threads("hq-journal"), (WORKERS + LOOPS + 2, 1));
+    echo(&mut client, 51, "flaky");
+    assert_eq!(service_threads("hq-retry"), (WORKERS + LOOPS + 3, 1));
+    server.shutdown();
+    rt.quiesce();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The regression guard for the hop count: a job crosses loop → worker →
+/// loop and no other thread, so none exists. At the parent commit a
+/// default stack also ran `hq-dispatch-*` and `hqd-pump-*` pools.
+#[test]
+#[cfg(target_os = "linux")]
+fn server_threads_are_workers_loops_and_acceptor() {
+    run_helper_in_child("thread_census_helper");
+}
+
+/// Child-process body for `teardown_right_after_the_first_reply_is_clean`.
+#[test]
+#[ignore = "helper: spawned by teardown_right_after_the_first_reply_is_clean"]
+#[cfg(target_os = "linux")]
+fn teardown_cycles_helper() {
+    arm_watchdog();
+    let lines = vec!["one job then gone".to_string()];
+    let payload = encode_lines(&lines);
+    for cycle in 0..200u64 {
+        let (rt, server) = wordcount_server(2, IngressConfig::default());
+        let mut client = IngressClient::connect(server.local_addr()).unwrap();
+        match client.submit_and_wait(cycle, &payload, BACKOFF).unwrap() {
+            JobOutcome::Result(bytes) => assert_eq!(bytes, expected_wordcount_bytes(&lines)),
+            JobOutcome::Failed(m) => panic!("cycle {cycle}: {m}"),
+        }
+        // The reply is out, but the job's completion callback may still
+        // be returning on its worker — holding the last handles to the
+        // server's state, the graph and, once `rt` below is gone, the
+        // runtime. No quiesce on purpose: whichever thread drops last
+        // must tear down cleanly, a worker included.
+        let stats = server.shutdown();
+        assert_eq!((stats.jobs_accepted, stats.jobs_completed), (1, 1));
+        drop(rt);
+    }
+    assert!(
+        poll_until(Duration::from_secs(30), || service_threads("").0 == 0),
+        "{} service threads leaked over 200 bind/shutdown/drop cycles",
+        service_threads("").0
+    );
+}
+
+/// A client that tears the stack down right after its first reply races
+/// the job's completion callback for the last handle to the runtime; the
+/// loser may be a worker. Every cycle must reap every thread.
+#[test]
+#[cfg(target_os = "linux")]
+fn teardown_right_after_the_first_reply_is_clean() {
+    run_helper_in_child("teardown_cycles_helper");
 }
 
 /// The portable fallback (`event_loops: 0`) must speak the identical

@@ -191,6 +191,263 @@ fn admission_is_fifo_and_bounded_under_burst() {
     assert!(stats.high_water_in_flight <= cfg.max_in_flight);
 }
 
+// ---------------------------------------------------------------------------
+// The completion-callback contract of `submit_with`: exactly once per
+// accepted job, never for a rejected one, whatever the job's fate.
+// ---------------------------------------------------------------------------
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use hyperqueues::pipelines::graph::{CompiledGraph, JobError};
+use hyperqueues::swan::{Refused, RetryPolicy};
+
+const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// `x + 1` per value, except: 13 always panics, and 0 spins until `gate`
+/// opens.
+fn contract_graph(
+    rt: &Arc<Runtime>,
+    gate: &Arc<AtomicBool>,
+    max_in_flight: usize,
+    retry: RetryPolicy,
+) -> CompiledGraph<u64, u64> {
+    let gate = Arc::clone(gate);
+    GraphSpec::<u64, u64>::new()
+        .map(move |x: u64| {
+            assert!(x != 13, "unlucky 13");
+            while x == 0 && !gate.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            x + 1
+        })
+        .compile(
+            Arc::clone(rt),
+            ServiceConfig {
+                max_in_flight,
+                retry,
+                ..ServiceConfig::default()
+            },
+        )
+}
+
+/// A callback for job `j` that counts its own invocations in `fired[j]`
+/// and reports the outcome on `tx`.
+fn counting_callback(
+    j: usize,
+    fired: &Arc<Vec<AtomicUsize>>,
+    tx: &mpsc::Sender<(usize, Result<Vec<u64>, JobError>)>,
+) -> impl FnOnce(Result<Vec<u64>, JobError>) + Send + 'static {
+    let (fired, tx) = (Arc::clone(fired), tx.clone());
+    move |result| {
+        fired[j].fetch_add(1, Ordering::SeqCst);
+        tx.send((j, result)).expect("test is listening");
+    }
+}
+
+#[test]
+fn callback_fires_exactly_once_per_accepted_job() {
+    let open = Arc::new(AtomicBool::new(true));
+    for workers in [1usize, 2, 8] {
+        // Fail-fast, then with a retry budget the poisoned job exhausts.
+        for (retry, attempts) in [(RetryPolicy::none(), 1), (RetryPolicy::retries(2), 3)] {
+            let rt = Arc::new(Runtime::with_workers(workers));
+            let graph = contract_graph(&rt, &open, 2, retry);
+            let fired: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..20).map(|_| AtomicUsize::new(0)).collect());
+            let (tx, rx) = mpsc::channel();
+            for j in 0..20usize {
+                let id = graph
+                    .submit_with(
+                        vec![j as u64, 100],
+                        Admission::Unbounded,
+                        counting_callback(j, &fired, &tx),
+                    )
+                    .expect("unbounded submissions are never rejected");
+                assert_eq!(id, j as u64, "ids follow submission order");
+            }
+            for _ in 0..20 {
+                let (j, result) = rx.recv_timeout(TIMEOUT).expect("a callback never fired");
+                match result {
+                    Ok(out) => {
+                        assert_ne!(j, 13);
+                        assert_eq!(out, vec![j as u64 + 1, 101]);
+                    }
+                    Err(e) => {
+                        assert_eq!(j, 13, "only the poisoned job may fail: {e}");
+                        assert_eq!(e.attempts(), attempts, "{workers} workers");
+                        assert!(e.to_string().contains("unlucky 13"), "{e}");
+                    }
+                }
+            }
+            // Once the runtime is quiet no late second firing can follow.
+            rt.quiesce();
+            assert!(rx.try_recv().is_err());
+            assert!(fired.iter().all(|f| f.load(Ordering::SeqCst) == 1));
+            let stats = graph.telemetry().admission;
+            assert_eq!((stats.failed, stats.retries), (1, u64::from(attempts) - 1));
+            assert_eq!((stats.in_flight, stats.queued), (0, 0));
+        }
+    }
+}
+
+#[test]
+fn jobs_queued_behind_the_gate_outlive_the_graph_handle() {
+    for workers in [1usize, 2, 8] {
+        let gate = Arc::new(AtomicBool::new(false));
+        let rt = Arc::new(Runtime::with_workers(workers));
+        let graph = contract_graph(&rt, &gate, 1, RetryPolicy::none());
+        let fired: Arc<Vec<AtomicUsize>> = Arc::new((0..6).map(|_| AtomicUsize::new(0)).collect());
+        let (tx, rx) = mpsc::channel();
+        // Job 0 holds the only slot until the gate opens; 1..=5 park.
+        for j in 0..6usize {
+            graph
+                .submit_with(
+                    vec![j as u64],
+                    Admission::Unbounded,
+                    counting_callback(j, &fired, &tx),
+                )
+                .expect("accepted");
+        }
+        assert_eq!(graph.telemetry().admission.queued, 5);
+        drop(graph);
+        gate.store(true, Ordering::Release);
+        for _ in 0..6 {
+            let (j, result) = rx.recv_timeout(TIMEOUT).expect("a parked job was lost");
+            assert_eq!(result.expect("no job fails here"), vec![j as u64 + 1]);
+        }
+        rt.quiesce();
+        assert!(fired.iter().all(|f| f.load(Ordering::SeqCst) == 1));
+    }
+}
+
+#[test]
+fn rejected_submission_returns_the_input_and_never_calls_back() {
+    let gate = Arc::new(AtomicBool::new(false));
+    let rt = Arc::new(Runtime::with_workers(2));
+    let graph = contract_graph(&rt, &gate, 1, RetryPolicy::none());
+    let bounded = Admission::Bounded { max_queued: 1 };
+    let called = Arc::new(AtomicUsize::new(0));
+    let count = |called: &Arc<AtomicUsize>| {
+        let called = Arc::clone(called);
+        move |_| {
+            called.fetch_add(1, Ordering::SeqCst);
+        }
+    };
+    let accepted = Arc::new(AtomicUsize::new(0));
+    // One running (gated), one waiting: the line is at its bound of 1.
+    graph
+        .submit_with(vec![0], bounded, count(&accepted))
+        .expect("runs");
+    graph
+        .submit_with(vec![1], bounded, count(&accepted))
+        .expect("waits");
+    let Refused { depth, request } = graph
+        .submit_with(vec![7, 8, 9], bounded, count(&called))
+        .expect_err("the waiting line is full");
+    assert_eq!((depth, request), (1, vec![7, 8, 9]));
+    gate.store(true, Ordering::Release);
+    while accepted.load(Ordering::SeqCst) < 2 {
+        std::thread::yield_now();
+    }
+    rt.quiesce();
+    assert_eq!(
+        called.load(Ordering::SeqCst),
+        0,
+        "a rejected job's callback ran"
+    );
+    let stats = graph.telemetry().admission;
+    assert_eq!(
+        (stats.submitted, stats.completed),
+        (2, 2),
+        "refusals take no ticket"
+    );
+}
+
+#[test]
+fn admission_stays_fifo_and_bounded_under_64_submitters() {
+    const SUBMITTERS: u64 = 64;
+    const JOBS_EACH: u64 = 8;
+    for max_in_flight in [1usize, 3] {
+        let rt = Arc::new(Runtime::with_workers(2));
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let started: Arc<std::sync::Mutex<Vec<u64>>> = Arc::default();
+        let (run, top, log) = (
+            Arc::clone(&running),
+            Arc::clone(&peak),
+            Arc::clone(&started),
+        );
+        let graph = GraphSpec::<u64, u64>::new()
+            .map(move |marker: u64| {
+                let now = run.fetch_add(1, Ordering::SeqCst) + 1;
+                top.fetch_max(now, Ordering::SeqCst);
+                log.lock().unwrap().push(marker);
+                run.fetch_sub(1, Ordering::SeqCst);
+                marker
+            })
+            .compile(
+                Arc::clone(&rt),
+                ServiceConfig {
+                    max_in_flight,
+                    ..ServiceConfig::default()
+                },
+            );
+        let (tx, rx) = mpsc::channel();
+        // marker -> admission id, as each submitter learns it.
+        let ids: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let (graph, tx) = (&graph, tx.clone());
+                    s.spawn(move || {
+                        (0..JOBS_EACH)
+                            .map(|i| {
+                                let (marker, tx) = (t * JOBS_EACH + i, tx.clone());
+                                let id = graph
+                                    .submit_with(vec![marker], Admission::Unbounded, move |r| {
+                                        tx.send(r.expect("no job fails here")).unwrap();
+                                    })
+                                    .expect("accepted");
+                                (marker, id)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let total = (SUBMITTERS * JOBS_EACH) as usize;
+        for _ in 0..total {
+            rx.recv_timeout(TIMEOUT).expect("a job never completed");
+        }
+        rt.quiesce();
+        let stats = graph.telemetry().admission;
+        assert_eq!(stats.completed, total as u64);
+        assert!(stats.high_water_in_flight <= max_in_flight, "{stats:?}");
+        assert!(peak.load(Ordering::SeqCst) <= max_in_flight);
+        // Ids are a permutation of 0..total. A job starts late only while
+        // it already holds a slot (its submitter is slow to launch it), so
+        // at most `max_in_flight - 1` earlier jobs can still be unstarted
+        // when a job starts — with one slot, starts are strictly in order.
+        let id_of: std::collections::HashMap<u64, u64> = ids.into_iter().collect();
+        let order: Vec<u64> = started.lock().unwrap().iter().map(|m| id_of[m]).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..total as u64).collect::<Vec<_>>());
+        for (pos, id) in order.iter().enumerate() {
+            let overtaken = order[pos + 1..].iter().filter(|later| *later < id).count();
+            assert!(
+                overtaken < max_in_flight,
+                "job {id} started ahead of {overtaken} earlier jobs: not FIFO at the gate"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8, ..ProptestConfig::default()
