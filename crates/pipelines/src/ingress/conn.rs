@@ -1,36 +1,25 @@
-//! Per-connection machinery shared by the two server modes.
+//! Per-connection machinery of the event loops.
 //!
-//! * The **event-loop mode** types: [`LoopCore`] (one per loop thread —
-//!   epoll instance, eventfd wakeup, and the completion/new-connection
-//!   inbox other threads post into) and [`Conn`] (one per connection —
-//!   the decode → pending-reply-FIFO → bounded-write-buffer state machine
-//!   that replaces the fallback's two dedicated threads).
-//! * The **thread-pair fallback**: `connection_loop` and its
-//!   reader/writer halves, byte-for-byte the pre-epoll behavior, used on
-//!   non-Linux builds and when [`super::IngressConfig::event_loops`] is 0.
+//! * [`LoopCore`], one per loop thread: the readiness set it blocks on,
+//!   its wakeup handle, and the completion/new-connection inbox other
+//!   threads post into.
+//! * [`Conn`], one per connection: the decode → pending-reply-FIFO →
+//!   bounded-write-buffer state machine.
 //!
-//! Both modes speak through the same decision helpers in `super`
-//! (`admit_submit`, `admit_durable`, `handle_ack`, `handle_query`), so
-//! admission, dedupe, and journaling behave identically; only the thread
-//! structure differs.
+//! Frame decisions live in `super` (`admit_submit`, `admit_durable`,
+//! `handle_ack`, `handle_query`); `loop.rs` drives both.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use epoll::{Epoll, EventFd};
 use parking_lot::Mutex;
-use swan::Refused;
 
-use super::wire::{encode_frame, Frame, FrameDecoder, FrameKind, JobCodec};
-use super::{
-    admit_durable, admit_submit, complete_durable, encode_job_result, encode_result_frame,
-    Counters, DurableAction, DurableOutcome, Shared, SubmitAction, Waiter,
-};
-use crate::service::{Admission, JobHandle, Submission};
+use super::wire::{FrameDecoder, JobCodec};
+use super::{encode_result_frame, Counters, DurableOutcome, Shared};
 
 /// Replies a connection may queue ahead of reading more requests. Past
 /// this the loop drops read interest on the socket: a client that
@@ -134,7 +123,7 @@ impl ReplyAddr {
 }
 
 // ---------------------------------------------------------------------------
-// The per-connection state machine (event-loop mode).
+// The per-connection state machine.
 // ---------------------------------------------------------------------------
 
 /// One reserved position in a connection's reply FIFO.
@@ -342,260 +331,6 @@ impl Conn {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Thread-pair fallback (portable; also selected by `event_loops: 0`).
-// ---------------------------------------------------------------------------
-
-/// What the fallback reader hands its writer. One FIFO channel per
-/// connection: whatever order requests arrived in is the order replies
-/// go out.
-enum Reply<O> {
-    Job {
-        req_id: u64,
-        handle: JobHandle<O>,
-    },
-    Retry {
-        req_id: u64,
-        queued: u32,
-    },
-    Error {
-        req_id: u64,
-        message: String,
-    },
-    /// A freshly accepted durable job: the writer joins the handle, makes
-    /// the outcome journal-durable via `complete_durable`, *then* writes
-    /// the Result/Error frame.
-    DurableJob {
-        req_id: u64,
-        handle: JobHandle<O>,
-    },
-    /// A duplicate submit of an in-flight id: the writer blocks on the
-    /// channel until the original submission resolves the job.
-    DurableWait {
-        req_id: u64,
-        rx: mpsc::Receiver<DurableOutcome>,
-    },
-    /// A duplicate submit answered instantly from the table (the result
-    /// is already journal-durable).
-    DurableDone {
-        req_id: u64,
-        outcome: DurableOutcome,
-    },
-    /// A Query answer: one QueryStatus byte plus status-specific bytes.
-    Query {
-        req_id: u64,
-        body: Vec<u8>,
-    },
-    /// A Subscribe frame: the writer owns the tick clock (it is the only
-    /// thread allowed to touch the socket), so the reader forwards the
-    /// parsed interval through the ordered channel.
-    Subscribe {
-        req_id: u64,
-        interval_ms: u32,
-    },
-}
-
-pub(crate) fn connection_loop<C: JobCodec>(shared: Arc<Shared<C>>, stream: TcpStream) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // The reader is the side that *observes* a vanished client (EOF or a
-    // hard read error); the first write after a FIN still succeeds into
-    // the send buffer, so the writer cannot detect it alone. This flag is
-    // how undeliverable results get counted instead of silently buffered.
-    let peer_gone = Arc::new(AtomicBool::new(false));
-    let (reply_tx, reply_rx) = mpsc::channel::<Reply<C::Out>>();
-    let writer_shared = Arc::clone(&shared);
-    let writer_peer_gone = Arc::clone(&peer_gone);
-    let writer = std::thread::Builder::new()
-        .name("hqd-write".to_string())
-        .spawn(move || writer_loop(writer_shared, write_half, reply_rx, writer_peer_gone))
-        .expect("failed to spawn connection writer thread");
-    reader_loop(&shared, stream, &reply_tx, &peer_gone);
-    drop(reply_tx); // closes the channel: writer drains and exits
-    let _ = writer.join();
-}
-
-fn reader_loop<C: JobCodec>(
-    shared: &Shared<C>,
-    mut stream: TcpStream,
-    reply_tx: &mpsc::Sender<Reply<C::Out>>,
-    peer_gone: &AtomicBool,
-) {
-    // A finite read timeout turns blocked reads into shutdown-flag polls.
-    let _ = stream.set_read_timeout(Some(shared.cfg.poll_interval));
-    let mut dec = FrameDecoder::new(shared.cfg.max_frame_len);
-    let mut chunk = vec![0u8; 16 * 1024];
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return; // graceful: stop at a frame boundary, writer drains
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Client closed: pending results are undeliverable. Not
-                // set on the graceful-shutdown path above, where the
-                // client is still reading its drained responses.
-                peer_gone.store(true, Ordering::Release);
-                return;
-            }
-            Ok(n) => {
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                dec.extend(&chunk[..n]);
-                loop {
-                    match dec.next_frame() {
-                        Ok(Some(frame)) => {
-                            shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                            if !handle_frame(shared, frame, reply_tx) {
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            shared
-                                .counters
-                                .protocol_errors
-                                .fetch_add(1, Ordering::Relaxed);
-                            let _ = reply_tx.send(Reply::Error {
-                                req_id: 0,
-                                message: format!("protocol error: {e}"),
-                            });
-                            return; // stream offset untrustworthy: close
-                        }
-                    }
-                }
-            }
-            // Timeouts are the shutdown-poll mechanism; EINTR loses no
-            // bytes and leaves the stream offset intact — retry both.
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => {
-                // Hard read error (reset, aborted): same as a close.
-                peer_gone.store(true, Ordering::Release);
-                return;
-            }
-        }
-    }
-}
-
-/// The fallback's way into the graph: the blocking [`JobHandle`] its
-/// writer thread will wait on.
-fn submit_handle<C: JobCodec>(
-    shared: &Shared<C>,
-) -> impl FnOnce(Vec<C::In>, Admission) -> Result<JobHandle<C::Out>, Refused<Vec<C::In>>> + '_ {
-    |input, admission| match shared.graph.submit(input, admission) {
-        Submission::Accepted(handle) => Ok(handle),
-        Submission::Rejected { depth, input } => Err(Refused {
-            depth,
-            request: input,
-        }),
-    }
-}
-
-/// Dispatches one parsed frame; `false` closes the connection.
-fn handle_frame<C: JobCodec>(
-    shared: &Shared<C>,
-    frame: Frame,
-    reply_tx: &mpsc::Sender<Reply<C::Out>>,
-) -> bool {
-    let reply = match frame.kind {
-        FrameKind::Submit => match admit_submit(shared, &frame.body, submit_handle(shared)) {
-            SubmitAction::Accepted(handle) => Reply::Job {
-                req_id: frame.req_id,
-                handle,
-            },
-            SubmitAction::Rejected { queued } => Reply::Retry {
-                req_id: frame.req_id,
-                queued,
-            },
-            SubmitAction::Bad(message) => Reply::Error {
-                req_id: frame.req_id,
-                message,
-            },
-        },
-        FrameKind::SubmitDurable => {
-            let (tx, rx) = mpsc::channel();
-            match admit_durable(shared, &frame, Waiter::Channel(tx), submit_handle(shared)) {
-                DurableAction::Fresh(handle) => Reply::DurableJob {
-                    req_id: frame.req_id,
-                    handle,
-                },
-                DurableAction::Wait => Reply::DurableWait {
-                    req_id: frame.req_id,
-                    rx,
-                },
-                DurableAction::Done(outcome) => Reply::DurableDone {
-                    req_id: frame.req_id,
-                    outcome,
-                },
-                DurableAction::Rejected { queued } => Reply::Retry {
-                    req_id: frame.req_id,
-                    queued,
-                },
-                DurableAction::Refuse { req_id, message } => Reply::Error { req_id, message },
-            }
-        }
-        FrameKind::Ack => {
-            match super::handle_ack(shared, frame.req_id, &frame.body) {
-                // Ack is fire-and-forget: success sends nothing.
-                None => return true,
-                Some(message) => Reply::Error {
-                    req_id: frame.req_id,
-                    message,
-                },
-            }
-        }
-        FrameKind::Subscribe => match parse_subscribe_body(&frame.body) {
-            Ok(interval_ms) => Reply::Subscribe {
-                req_id: frame.req_id,
-                interval_ms,
-            },
-            Err(message) => Reply::Error {
-                req_id: frame.req_id,
-                message,
-            },
-        },
-        FrameKind::Query => match super::handle_query(shared, frame.req_id, &frame.body) {
-            Ok(body) => Reply::Query {
-                req_id: frame.req_id,
-                body,
-            },
-            Err(message) => Reply::Error {
-                req_id: frame.req_id,
-                message,
-            },
-        },
-        // Server-to-client kinds arriving at the server are protocol
-        // errors: close after reporting. Connection-fatal errors use
-        // req_id 0 (the documented connection-level id) so clients never
-        // mistake them for a per-request failure.
-        FrameKind::Result
-        | FrameKind::Retry
-        | FrameKind::Error
-        | FrameKind::QueryOk
-        | FrameKind::StatsEvent => {
-            shared
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = reply_tx.send(Reply::Error {
-                req_id: 0,
-                message: format!("protocol error: client sent a {:?} frame", frame.kind),
-            });
-            return false;
-        }
-    };
-    // Send failure means the writer died (socket gone); stop reading.
-    reply_tx.send(reply).is_ok()
-}
-
 /// Validates a Subscribe frame body: exactly 4 bytes, u32 LE interval.
 pub(crate) fn parse_subscribe_body(body: &[u8]) -> Result<u32, String> {
     match <[u8; 4]>::try_from(body) {
@@ -604,208 +339,6 @@ pub(crate) fn parse_subscribe_body(body: &[u8]) -> Result<u32, String> {
             "Subscribe body must be 4 bytes (u32 LE interval_ms), got {}",
             body.len()
         )),
-    }
-}
-
-fn writer_loop<C: JobCodec>(
-    shared: Arc<Shared<C>>,
-    mut stream: TcpStream,
-    replies: mpsc::Receiver<Reply<C::Out>>,
-    peer_gone: Arc<AtomicBool>,
-) {
-    let mut out = Vec::new();
-    // Once the socket dies we keep draining replies — accepted jobs must
-    // still be joined so they complete through the graph (and durable
-    // ones must still be journaled) — but stop encoding/writing. Every
-    // job result that can't reach the client counts as dropped.
-    let mut socket_alive = true;
-    // Re-checked after every blocking join: the client can vanish while
-    // the writer waits on a job, and that moment is exactly when an
-    // undeliverable result must be counted rather than buffered at a
-    // socket the kernel will happily accept one last write into.
-    let sock_ok = |alive: &mut bool| {
-        if *alive && peer_gone.load(Ordering::Acquire) {
-            *alive = false;
-        }
-        *alive
-    };
-    // Active telemetry subscription: (req_id, interval, next tick due).
-    // Ticks interleave with replies at frame granularity only — a tick
-    // is written whole between two channel replies, never inside one —
-    // so the reply substream stays byte-identical. Blocking writes are
-    // this mode's backpressure: a slow consumer delays ticks instead of
-    // accumulating them (at most one fires per wakeup, and the next is
-    // scheduled from *now*, not from the missed deadline).
-    let mut sub: Option<(u64, Duration, Instant)> = None;
-    loop {
-        let reply = if let Some((sub_req_id, interval, next_due)) = sub {
-            let now = Instant::now();
-            if now >= next_due {
-                if sock_ok(&mut socket_alive) {
-                    out.clear();
-                    encode_frame(
-                        FrameKind::StatsEvent,
-                        sub_req_id,
-                        super::stats_text(&shared).as_bytes(),
-                        &mut out,
-                    );
-                    if stream.write_all(&out).is_err() {
-                        socket_alive = false;
-                    } else {
-                        shared
-                            .counters
-                            .bytes_out
-                            .fetch_add(out.len() as u64, Ordering::Relaxed);
-                        shared.counters.stats_events.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                sub = Some((sub_req_id, interval, Instant::now() + interval));
-                continue;
-            }
-            match replies.recv_timeout(next_due - now) {
-                Ok(reply) => reply,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue, // tick on re-entry
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        } else {
-            match replies.recv() {
-                Ok(reply) => reply,
-                Err(_) => break,
-            }
-        };
-        out.clear();
-        // True for replies carrying a job's outcome: their loss is a
-        // result drop, not just a connection hiccup.
-        let mut is_job_result = false;
-        match reply {
-            Reply::Job { req_id, handle } => {
-                is_job_result = true;
-                let result = handle.wait();
-                shared
-                    .counters
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if !sock_ok(&mut socket_alive) {
-                    shared
-                        .counters
-                        .results_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                encode_job_result(&shared, req_id, result, &mut out);
-            }
-            Reply::DurableJob { req_id, handle } => {
-                is_job_result = true;
-                let result = handle.wait();
-                shared
-                    .counters
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                // Journal + publish even for a dead socket: the client
-                // will reconnect and resume exactly because this ran.
-                let durable = shared
-                    .durable
-                    .as_ref()
-                    .expect("DurableJob replies only exist on durable servers");
-                let outcome = complete_durable(&shared, durable, req_id, result);
-                if !sock_ok(&mut socket_alive) {
-                    shared
-                        .counters
-                        .results_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                encode_outcome(&shared, req_id, &outcome, &mut out);
-            }
-            Reply::DurableWait { req_id, rx } => {
-                is_job_result = true;
-                let outcome = rx.recv().unwrap_or_else(|_| {
-                    Err("service shut down before the job completed".to_string())
-                });
-                if !sock_ok(&mut socket_alive) {
-                    shared
-                        .counters
-                        .results_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                encode_outcome(&shared, req_id, &outcome, &mut out);
-            }
-            Reply::DurableDone { req_id, outcome } => {
-                is_job_result = true;
-                if !sock_ok(&mut socket_alive) {
-                    shared
-                        .counters
-                        .results_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                encode_outcome(&shared, req_id, &outcome, &mut out);
-            }
-            Reply::Retry { req_id, queued } => {
-                if !sock_ok(&mut socket_alive) {
-                    continue;
-                }
-                encode_frame(FrameKind::Retry, req_id, &queued.to_le_bytes(), &mut out);
-            }
-            Reply::Error { req_id, message } => {
-                shared.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
-                if !sock_ok(&mut socket_alive) {
-                    continue;
-                }
-                encode_frame(FrameKind::Error, req_id, message.as_bytes(), &mut out);
-            }
-            Reply::Query { req_id, body } => {
-                if !sock_ok(&mut socket_alive) {
-                    continue;
-                }
-                encode_frame(FrameKind::QueryOk, req_id, &body, &mut out);
-            }
-            Reply::Subscribe {
-                req_id,
-                interval_ms,
-            } => {
-                if interval_ms == 0 {
-                    // One-shot: cancel any subscription and answer in
-                    // FIFO position like any other reply.
-                    sub = None;
-                    if !sock_ok(&mut socket_alive) {
-                        continue;
-                    }
-                    encode_frame(
-                        FrameKind::StatsEvent,
-                        req_id,
-                        super::stats_text(&shared).as_bytes(),
-                        &mut out,
-                    );
-                    shared.counters.stats_events.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    // First tick due immediately; emitted at the loop head.
-                    sub = Some((
-                        req_id,
-                        Duration::from_millis(interval_ms as u64),
-                        Instant::now(),
-                    ));
-                    continue;
-                }
-            }
-        }
-        if sock_ok(&mut socket_alive) {
-            if stream.write_all(&out).is_err() {
-                socket_alive = false;
-                if is_job_result {
-                    shared
-                        .counters
-                        .results_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            } else {
-                shared
-                    .counters
-                    .bytes_out
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
-            }
-        }
     }
 }
 

@@ -1,24 +1,25 @@
-//! The event-driven server mode (Linux): N loop threads multiplex every
-//! connection over epoll, and nothing else — no thread ever waits on a
+//! The event-driven server: N loop threads multiplex every connection
+//! over a readiness set (the vendored `epoll` shim: epoll on Linux,
+//! `poll(2)` on other unix), and nothing else — no thread ever waits on a
 //! job or on an fsync on a job's behalf.
 //!
-//! Thread anatomy, replacing the fallback's two threads per connection:
+//! Thread anatomy:
 //!
-//! * `hqd-accept` blocks on epoll over the listener plus a shutdown
-//!   eventfd, accepting until `WouldBlock` and dealing connections to
-//!   loops round-robin.
-//! * `hqd-loop-N` owns a slab of [`Conn`] state machines. Each epoll wait
+//! * `hqd-accept` blocks on a readiness set over the listener plus a
+//!   shutdown wakeup handle, accepting until `WouldBlock` and dealing
+//!   connections to loops round-robin.
+//! * `hqd-loop-N` owns a slab of [`Conn`] state machines. Each wait
 //!   returns readable sockets (parse frames, dispatch), writable sockets
-//!   (resume partial writes), or the loop's own eventfd (drain the inbox:
-//!   new connections from the acceptor, completions from wherever jobs
-//!   finished).
+//!   (resume partial writes), or the loop's own wakeup handle (drain the
+//!   inbox: new connections from the acceptor, completions from wherever
+//!   jobs finished).
 //!
 //! A submit hands the graph a completion callback
 //! ([`crate::service::CompiledGraph::submit_with`]). The runtime worker
 //! that finishes the job runs it: encode the Result/Error frame, post it
-//! to the owning loop's inbox, ring its eventfd. Per job that is two
+//! to the owning loop's inbox, wake the loop. Per job that is two
 //! hand-offs — loop → worker through the injector, worker → loop through
-//! the eventfd. A durable job's callback stages the terminal record
+//! the wakeup handle. A durable job's callback stages the terminal record
 //! instead ([`super::complete_durable_then`]), and the encode-and-post
 //! tail continues from the journal's group-commit flusher once the record
 //! is on disk.
@@ -26,11 +27,10 @@
 //! Connection slots carry a generation counter; completions are
 //! addressed by `(conn, gen, slot)` so a slot reused after a disconnect
 //! can never receive a predecessor's reply. A connection that dies with
-//! jobs in flight keeps its slab entry (deregistered from epoll) until
-//! every completion has been accounted as `results_dropped`.
+//! jobs in flight keeps its slab entry (deregistered from the readiness
+//! set) until every completion has been accounted as `results_dropped`.
 
 use std::net::TcpListener;
-use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -42,79 +42,95 @@ use super::conn::{encode_outcome, parse_subscribe_body, Conn, LoopCore, ReplyAdd
 use super::wire::{encode_frame, Frame, FrameKind, JobCodec};
 use super::{
     admit_durable, admit_submit, complete_durable_then, encode_job_result, sleep_with_shutdown,
-    stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction, Waiter,
+    stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction, ACCEPT_BACKOFF_BASE,
 };
 
-/// Token of each loop's own eventfd (connection tokens are slab indices,
-/// which can never reach this).
+/// Token of each loop's own wakeup handle (connection tokens are slab
+/// indices, which can never reach this).
 const WAKE_TOKEN: u64 = u64::MAX;
 
-/// The event-mode thread ensemble, joined at shutdown in dependency
-/// order: acceptor first (no new connections), then loops (each exits
-/// once every pending reply of its connections has been posted back and
+/// The server's threads, joined at shutdown in dependency order:
+/// acceptor first (no new connections), then loops (each exits once
+/// every pending reply of its connections has been posted back and
 /// flushed).
-pub(crate) struct EventMode {
-    pub cores: Vec<Arc<LoopCore>>,
-    pub accept_wake: Arc<EventFd>,
-    pub loops: Vec<JoinHandle<()>>,
+pub(crate) struct Engine {
+    cores: Vec<Arc<LoopCore>>,
+    accept_wake: Arc<EventFd>,
+    acceptor: Option<JoinHandle<()>>,
+    loops: Vec<JoinHandle<()>>,
 }
 
-/// Spawns the loop threads and the epoll acceptor. Returns the ensemble
-/// plus the acceptor handle (stored where the fallback acceptor would
-/// be).
-pub(crate) fn spawn_event_mode<C: JobCodec>(
-    listener: TcpListener,
-    shared: &Arc<Shared<C>>,
-    n_loops: usize,
-) -> std::io::Result<(EventMode, JoinHandle<()>)> {
-    let mut cores = Vec::with_capacity(n_loops);
-    for _ in 0..n_loops {
-        let core = LoopCore::new()?;
-        core.epoll
-            .add(core.wake.raw_fd(), WAKE_TOKEN, epoll::interest::READ)?;
-        cores.push(core);
-    }
-    let accept_wake = Arc::new(EventFd::new()?);
-    let accept_epoll = Epoll::new()?;
-    accept_epoll.add(listener.as_raw_fd(), 0, epoll::interest::READ)?;
-    accept_epoll.add(accept_wake.raw_fd(), 1, epoll::interest::READ)?;
+impl Engine {
+    /// Spawns [`super::IngressConfig::event_loops`] loop threads and the
+    /// acceptor.
+    pub fn spawn<C: JobCodec>(
+        listener: TcpListener,
+        shared: &Arc<Shared<C>>,
+    ) -> std::io::Result<Engine> {
+        let n_loops = shared.cfg.event_loops.max(1);
+        let mut cores = Vec::with_capacity(n_loops);
+        for _ in 0..n_loops {
+            let core = LoopCore::new()?;
+            core.epoll
+                .add(core.wake.raw_fd(), WAKE_TOKEN, epoll::interest::READ)?;
+            cores.push(core);
+        }
+        let accept_wake = Arc::new(EventFd::new()?);
+        let accept_epoll = Epoll::new()?;
+        accept_epoll.add(epoll::raw_fd(&listener), 0, epoll::interest::READ)?;
+        accept_epoll.add(accept_wake.raw_fd(), 1, epoll::interest::READ)?;
 
-    let mut loops = Vec::with_capacity(n_loops);
-    for (i, core) in cores.iter().enumerate() {
-        let shared = Arc::clone(shared);
-        let core = Arc::clone(core);
-        loops.push(
+        let mut loops = Vec::with_capacity(n_loops);
+        for (i, core) in cores.iter().enumerate() {
+            let shared = Arc::clone(shared);
+            let core = Arc::clone(core);
+            loops.push(
+                std::thread::Builder::new()
+                    .name(format!("hqd-loop-{i}"))
+                    .spawn(move || event_loop(shared, core))
+                    .expect("failed to spawn event-loop thread"),
+            );
+        }
+        let acceptor = {
+            let shared = Arc::clone(shared);
+            let cores = cores.clone();
+            let wake = Arc::clone(&accept_wake);
             std::thread::Builder::new()
-                .name(format!("hqd-loop-{i}"))
-                .spawn(move || event_loop(shared, core))
-                .expect("failed to spawn event-loop thread"),
-        );
-    }
-    let acceptor = {
-        let shared = Arc::clone(shared);
-        let cores = cores.clone();
-        let wake = Arc::clone(&accept_wake);
-        std::thread::Builder::new()
-            .name("hqd-accept".to_string())
-            .spawn(move || accept_loop_event(listener, shared, cores, accept_epoll, wake))
-            .expect("failed to spawn acceptor thread")
-    };
-    Ok((
-        EventMode {
+                .name("hqd-accept".to_string())
+                .spawn(move || accept_loop(listener, shared, cores, accept_epoll, wake))
+                .expect("failed to spawn acceptor thread")
+        };
+        Ok(Engine {
             cores,
             accept_wake,
+            acceptor: Some(acceptor),
             loops,
-        },
-        acceptor,
-    ))
+        })
+    }
+
+    /// Wakes and joins every thread (the caller has set the shutdown
+    /// flag). They block in the kernel, not on a poll interval: ring
+    /// every wakeup handle so the flag is observed immediately.
+    pub fn stop_and_join(&mut self) {
+        self.accept_wake.notify();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
+        }
+        for core in &self.cores {
+            core.wake.notify();
+        }
+        for h in self.loops.drain(..) {
+            let _ = h.join();
+        }
+    }
 }
 
-/// The epoll acceptor: accepts until `WouldBlock`, then sleeps in the
-/// kernel until the listener or the shutdown eventfd fires — no polling.
-/// Accept errors go through the shared [`AcceptBackoff`] classifier; a
-/// resource error (EMFILE/ENFILE) backs off exponentially instead of
-/// spinning on the forever-readable listener.
-fn accept_loop_event<C: JobCodec>(
+/// The acceptor: accepts until `WouldBlock`, then sleeps in the kernel
+/// until the listener or the shutdown wakeup fires — no polling. Accept
+/// errors go through the [`AcceptBackoff`] classifier; a resource error
+/// (EMFILE/ENFILE) backs off exponentially instead of spinning on the
+/// forever-readable listener.
+fn accept_loop<C: JobCodec>(
     listener: TcpListener,
     shared: Arc<Shared<C>>,
     cores: Vec<Arc<LoopCore>>,
@@ -122,7 +138,7 @@ fn accept_loop_event<C: JobCodec>(
     wake: Arc<EventFd>,
 ) {
     let mut rr = 0usize;
-    let mut backoff = AcceptBackoff::new(shared.cfg.poll_interval);
+    let mut backoff = AcceptBackoff::new(ACCEPT_BACKOFF_BASE);
     let mut events = Vec::new();
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
@@ -138,14 +154,18 @@ fn accept_loop_event<C: JobCodec>(
                 wake.drain();
             }
             Err(e) => {
-                let delay = backoff.on_error(&e, &shared.counters);
-                sleep_with_shutdown(delay, &shared.shutdown);
+                shared
+                    .counters
+                    .accept_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                sleep_with_shutdown(backoff.on_error(&e), &shared.shutdown);
             }
         }
     }
 }
 
-/// One event loop: epoll over its slab of connections plus its eventfd.
+/// One event loop: a readiness wait over its slab of connections plus its
+/// wakeup handle.
 fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
     let mut slab: Vec<(u32, Option<Conn>)> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
@@ -160,7 +180,7 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
         // traded away on connections that asked for a periodic stream.
         let timeout_ms = subscription_timeout(&slab);
         if core.epoll.wait(&mut events, timeout_ms).is_err() {
-            return; // unrecoverable (the epoll fd itself is broken)
+            return; // unrecoverable (the readiness set itself is broken)
         }
         core.wakeups.fetch_add(1, Ordering::Relaxed);
         shared.counters.loop_wakeups.fetch_add(1, Ordering::Relaxed);
@@ -181,7 +201,7 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
             touched.push(idx);
         }
         if woken {
-            // Drain the eventfd *before* taking the inbox: a post that
+            // Drain the wakeup *before* taking the inbox: a post that
             // races in after the take re-rings and is seen next wait.
             core.wake.drain();
             let inbox = core.take_inbox();
@@ -203,7 +223,7 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
                 conn.interest = epoll::interest::READ;
                 if core
                     .epoll
-                    .add(conn.stream.as_raw_fd(), idx as u64, conn.interest)
+                    .add(epoll::raw_fd(&conn.stream), idx as u64, conn.interest)
                     .is_err()
                 {
                     free.push(idx);
@@ -240,8 +260,11 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
             let Some(conn) = slot else { continue };
             conn.pump_out(&shared.counters, shared.cfg.write_buf_limit);
             if (conn.dead || conn.closing) && conn.drained() {
-                // Dropping the stream closes the fd, which the kernel
-                // auto-removes from the epoll set.
+                // Deregister before the drop closes the fd: only epoll
+                // forgets a closed fd by itself.
+                if conn.registered {
+                    let _ = core.epoll.delete(epoll::raw_fd(&conn.stream));
+                }
                 *slot = None;
                 *gen = gen.wrapping_add(1);
                 free.push(idx);
@@ -250,22 +273,24 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
             let want = conn.desired_interest(shared.cfg.write_buf_limit);
             if want == 0 {
                 // Deregister entirely: with zero interest a closed peer
-                // would still storm EPOLLHUP at a level-triggered epoll.
+                // would still storm hangups at a level-triggered wait.
                 if conn.registered {
-                    let _ = core.epoll.delete(conn.stream.as_raw_fd());
+                    let _ = core.epoll.delete(epoll::raw_fd(&conn.stream));
                     conn.registered = false;
                 }
             } else if !conn.registered {
                 if core
                     .epoll
-                    .add(conn.stream.as_raw_fd(), idx as u64, want)
+                    .add(epoll::raw_fd(&conn.stream), idx as u64, want)
                     .is_ok()
                 {
                     conn.registered = true;
                     conn.interest = want;
                 }
             } else if want != conn.interest {
-                let _ = core.epoll.modify(conn.stream.as_raw_fd(), idx as u64, want);
+                let _ = core
+                    .epoll
+                    .modify(epoll::raw_fd(&conn.stream), idx as u64, want);
                 conn.interest = want;
             }
         }
@@ -275,7 +300,7 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
     }
 }
 
-/// The `epoll_wait` timeout this loop's subscriptions call for: -1
+/// The wait timeout this loop's subscriptions call for: -1
 /// (block forever) when no live connection is subscribed, otherwise the
 /// milliseconds until the earliest due tick (0 if overdue — an immediate
 /// pass). Rounds *up* so a tick is never scheduled a fraction of a
@@ -344,7 +369,7 @@ fn emit_due_ticks<C: JobCodec>(
     }
 }
 
-/// Reads until `WouldBlock` (or a fairness cap — level-triggered epoll
+/// Reads until `WouldBlock` (or a fairness cap — a level-triggered wait
 /// re-reports leftovers), parsing and dispatching every completed frame.
 fn on_readable<C: JobCodec>(
     shared: &Arc<Shared<C>>,
@@ -407,8 +432,7 @@ fn on_readable<C: JobCodec>(
     }
 }
 
-/// Queues an Error reply in FIFO position (counted like the fallback
-/// writer's Error path).
+/// Queues an Error reply in FIFO position.
 fn push_error<C: JobCodec>(shared: &Shared<C>, conn: &mut Conn, req_id: u64, message: String) {
     shared.counters.errors_sent.fetch_add(1, Ordering::Relaxed);
     let mut out = Vec::new();
@@ -416,9 +440,9 @@ fn push_error<C: JobCodec>(shared: &Shared<C>, conn: &mut Conn, req_id: u64, mes
     conn.push_ready(out, false);
 }
 
-/// Loop-mode frame dispatch: the same decisions as the fallback's
-/// `handle_frame`, but replies land in the connection's slot FIFO and a
-/// job's reply is posted to its slot by the job's completion callback.
+/// Dispatches one parsed frame: immediate replies land in the
+/// connection's slot FIFO, a job's reply is posted to its reserved slot
+/// by the job's completion callback.
 fn dispatch_frame<C: JobCodec>(
     shared: &Arc<Shared<C>>,
     core: &Arc<LoopCore>,
@@ -438,16 +462,14 @@ fn dispatch_frame<C: JobCodec>(
     match frame.kind {
         FrameKind::Submit => {
             let (sh, req_id, addr) = (Arc::clone(shared), frame.req_id, next_slot(conn));
-            let submit = |input, admission| {
-                shared.graph.submit_with(input, admission, move |result| {
-                    sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                    let mut out = Vec::new();
-                    encode_job_result(&sh, req_id, result, &mut out);
-                    addr.post(out, true);
-                })
+            let on_done = move |result| {
+                sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                let mut out = Vec::new();
+                encode_job_result(&sh, req_id, result, &mut out);
+                addr.post(out, true);
             };
-            match admit_submit(shared, &frame.body, submit) {
-                SubmitAction::Accepted(_) => {
+            match admit_submit(shared, &frame.body, on_done) {
+                SubmitAction::Accepted => {
                     conn.alloc_waiting_slot();
                 }
                 SubmitAction::Rejected { queued } => push_retry(conn, frame.req_id, queued),
@@ -457,23 +479,21 @@ fn dispatch_frame<C: JobCodec>(
         FrameKind::SubmitDurable => {
             let (sh, job_id, addr) = (Arc::clone(shared), frame.req_id, next_slot(conn));
             let reply = addr.clone();
-            let submit = |input, admission| {
-                shared.graph.submit_with(input, admission, move |result| {
-                    sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                    // Journal + publish even for a dead socket: the client
-                    // will reconnect and resume exactly because this ran.
-                    complete_durable_then(sh, job_id, result, move |sh, outcome| {
-                        let mut out = Vec::new();
-                        encode_outcome(sh, job_id, &outcome, &mut out);
-                        reply.post(out, true);
-                    });
-                })
+            let on_done = move |result| {
+                sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                // Journal + publish even for a dead socket: the client
+                // will reconnect and resume exactly because this ran.
+                complete_durable_then(sh, job_id, result, move |sh, outcome| {
+                    let mut out = Vec::new();
+                    encode_outcome(sh, job_id, &outcome, &mut out);
+                    reply.post(out, true);
+                });
             };
-            match admit_durable(shared, &frame, Waiter::Loop(addr), submit) {
+            match admit_durable(shared, &frame, addr, on_done) {
                 // Fresh: the callback above answers. Wait: registered as
                 // a table waiter; the original's completion posts
                 // straight to this slot.
-                DurableAction::Fresh(_) | DurableAction::Wait => {
+                DurableAction::Fresh | DurableAction::Wait => {
                     conn.alloc_waiting_slot();
                 }
                 DurableAction::Done(outcome) => {

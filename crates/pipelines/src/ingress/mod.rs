@@ -12,25 +12,23 @@
 //!
 //! # Server architecture
 //!
-//! On Linux the server runs **event-driven** by default
-//! ([`IngressConfig::event_loops`] > 0): a nonblocking epoll acceptor
-//! deals connections round-robin to N event-loop threads, each
-//! multiplexing its share of connections as nonblocking state machines —
-//! parse with [`FrameDecoder`], reserve a reply slot per request, write
-//! through a bounded per-connection buffer with partial-write
-//! resumption. Nothing joins a job: a submit carries a completion
-//! callback ([`CompiledGraph::submit_with`]), the runtime worker that
-//! finishes the job encodes the reply and posts it to the owning loop's
-//! eventfd-woken inbox, and a durable job's journal tail continues from
-//! the group-commit flusher ([`Journal::append_then`]). So an *idle*
-//! connection costs zero wakeups, and the server's thread count is the
-//! acceptor plus the loops — independent of connections and of jobs in
-//! flight (C10K and beyond).
-//! Everywhere else — and with `event_loops: 0` — the portable fallback
-//! serves each connection with a reader/writer thread pair.
-//! Module layout mirrors the split: `wire` (frames/codec), `conn`
-//! (per-connection state machine + fallback), `loop` (event loops,
-//! epoll acceptor).
+//! The server is **event-driven**: a nonblocking acceptor deals
+//! connections round-robin to [`IngressConfig::event_loops`] loop
+//! threads, each multiplexing its share of connections as nonblocking
+//! state machines — parse with [`FrameDecoder`], reserve a reply slot per
+//! request, write through a bounded per-connection buffer with
+//! partial-write resumption. Nothing joins a job: a submit carries a
+//! completion callback ([`CompiledGraph::submit_with`]), the runtime
+//! worker that finishes the job encodes the reply and posts it to the
+//! owning loop's inbox and wakes it, and a durable job's journal tail
+//! continues from the group-commit flusher ([`Journal::append_then`]).
+//! So an *idle* connection costs zero wakeups, and the server's thread
+//! count is the acceptor plus the loops — independent of connections and
+//! of jobs in flight (C10K and beyond). The loops block in the vendored
+//! `epoll` shim: epoll on Linux, `poll(2)` on other unix platforms, and
+//! [`IngressServer::bind`] fails with `ErrorKind::Unsupported` anywhere
+//! else. Module layout: `wire` (frames/codec), `conn` (per-connection
+//! state machine), `loop` (event loops, acceptor).
 //!
 //! # Wire format
 //!
@@ -96,12 +94,11 @@
 //! Every reply — Result, Retry, Error, QueryOk — flows through
 //! one per-connection FIFO: a slot is reserved the moment its request is
 //! parsed, and only a contiguous run of completed slots at the front may
-//! reach the socket (in the fallback, the same invariant is carried by
-//! the reader→writer channel). So **responses arrive in exactly the
-//! order the requests were sent**, and each job's result bytes are the
-//! encoding of its deterministic serial-elision output: the whole
-//! response stream of a connection is byte-identical at any worker
-//! count, any loop count, and either server mode.
+//! reach the socket. So **responses arrive in exactly the order the
+//! requests were sent**, and each job's result bytes are the encoding of
+//! its deterministic serial-elision output: the whole response stream of
+//! a connection is byte-identical at any worker count and any loop
+//! count.
 //!
 //! # Failure containment
 //!
@@ -125,7 +122,6 @@
 //!   jobs, and joins every thread — the graceful path.
 
 mod conn;
-#[cfg(target_os = "linux")]
 #[path = "loop.rs"]
 mod evloop;
 pub mod router;
@@ -145,32 +141,26 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use swan::Refused;
 
 use crate::journal::{encode_failed_body, JobReplayStatus, Journal, RecordKind, Replay};
-use crate::service::{Admission, CompiledGraph, JobError, JobHandle};
+use crate::service::{Admission, CompiledGraph, JobError};
 use crate::telemetry::JournalTelemetry;
 
 // ---------------------------------------------------------------------------
 // Server configuration and counters.
 // ---------------------------------------------------------------------------
 
-/// The default [`IngressConfig::event_loops`]: `min(4, cores)` where the
-/// epoll shim is available, 0 (thread-pair fallback) elsewhere.
+/// The default [`IngressConfig::event_loops`]: `min(4, cores)`.
 pub fn default_event_loops() -> usize {
-    if epoll::supported() {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4)
-    } else {
-        0
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(4)
 }
 
 /// Knobs of an [`IngressServer`].
@@ -183,9 +173,6 @@ pub struct IngressConfig {
     /// admitted); beyond it submits get [`FrameKind::Retry`]. Clamped to
     /// at least 1. Default 64.
     pub max_queued: usize,
-    /// How often blocked fallback reads re-check the shutdown flag, and
-    /// the base unit of the acceptor's error backoff. Default 25 ms.
-    pub poll_interval: Duration,
     /// How many acknowledged durable ids the table remembers (for
     /// idempotent re-acks and `Acked` query answers) before evicting the
     /// oldest. Eviction is what bounds a long-running daemon's durable
@@ -194,13 +181,11 @@ pub struct IngressConfig {
     /// consuming the result, and a re-run is byte-identical anyway.
     /// Clamped to at least 1. Default 4096.
     pub max_retired_ids: usize,
-    /// Event-loop threads multiplexing all connections. 0 selects the
-    /// portable thread-pair-per-connection fallback (always the case
-    /// where the epoll shim is unsupported). Default
-    /// [`default_event_loops`].
+    /// Event-loop threads multiplexing all connections. Clamped to at
+    /// least 1. Default [`default_event_loops`].
     pub event_loops: usize,
-    /// Per-connection cap on reply bytes buffered for a slow reader
-    /// (event mode). Past it the loop stops reading from that connection
+    /// Per-connection cap on reply bytes buffered for a slow reader.
+    /// Past it the loop stops reading from that connection
     /// until the buffer drains — flow control per connection, not per
     /// server. A single reply larger than the cap still goes out (the
     /// true bound is `write_buf_limit` + one frame). Default 256 KiB,
@@ -213,7 +198,6 @@ impl Default for IngressConfig {
         IngressConfig {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_queued: 64,
-            poll_interval: Duration::from_millis(25),
             max_retired_ids: 4096,
             event_loops: default_event_loops(),
             write_buf_limit: 256 * 1024,
@@ -283,7 +267,7 @@ pub struct IngressStats {
     /// would-block poll). Resource exhaustion — EMFILE/ENFILE — lands
     /// here while the acceptor backs off exponentially.
     pub accept_errors: u64,
-    /// Times an event loop woke from `epoll_wait` (0 in fallback mode).
+    /// Times an event loop woke from its readiness wait.
     /// The scale-free claim in numbers: idle connections do not advance
     /// this, no matter how many are connected.
     pub loop_wakeups: u64,
@@ -330,21 +314,12 @@ impl Counters {
 /// the job resolves: the journaled result bytes or the failure message.
 pub(crate) type DurableOutcome = Result<Arc<Vec<u8>>, String>;
 
-/// A duplicate submitter waiting on an in-flight durable id. The
-/// fallback's writer thread blocks on a channel; an event loop must
-/// never block, so its waiter is the reply-slot address that the
-/// original's completion posts the encoded frame to directly.
-pub(crate) enum Waiter {
-    Channel(mpsc::Sender<DurableOutcome>),
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    Loop(conn::ReplyAddr),
-}
-
 /// One durable job id's server-side state.
 enum DurableEntry {
-    /// Accepted and executing; the waiters are duplicate submitters
-    /// waiting for the same result.
-    InFlight(Vec<Waiter>),
+    /// Accepted and executing; the waiters are the reply slots of
+    /// duplicate submitters, which the original's completion posts the
+    /// encoded frame to directly (an event loop must never block).
+    InFlight(Vec<conn::ReplyAddr>),
     /// Completed; result bytes are journaled and retained until ack.
     Done(Arc<Vec<u8>>),
     /// Failed terminally (retry budget exhausted); message retained.
@@ -364,6 +339,9 @@ struct DurableTable {
     /// [`IngressConfig::max_retired_ids`] the oldest are evicted from
     /// `entries`.
     retired: VecDeque<u64>,
+    /// Jobs re-run from the replay whose terminal record is not yet
+    /// durable and published; [`IngressServer::shutdown`] waits for 0.
+    recovering: usize,
 }
 
 impl DurableTable {
@@ -389,6 +367,8 @@ impl DurableTable {
 pub(crate) struct DurableState {
     journal: Arc<Journal>,
     table: Mutex<DurableTable>,
+    /// Signalled when `table.recovering` reaches 0.
+    recovered: Condvar,
 }
 
 /// What [`IngressServer::bind_durable`] found in the journal and did
@@ -441,10 +421,9 @@ fn terminal_record<C: JobCodec>(
     }
 }
 
-/// Publishes a journaled outcome in the table and wakes every duplicate
-/// submitter waiting on the id — channel waiters get the outcome, loop
-/// waiters get the fully encoded frame posted straight to their reply
-/// slot.
+/// Publishes a journaled outcome in the table and answers every duplicate
+/// submitter waiting on the id: the fully encoded frame is posted straight
+/// to its reply slot.
 fn publish_durable<C: JobCodec>(
     shared: &Shared<C>,
     durable: &DurableState,
@@ -473,44 +452,20 @@ fn publish_durable<C: JobCodec>(
             _ => Vec::new(),
         }
     };
-    for w in waiters {
-        match w {
-            Waiter::Channel(tx) => {
-                let _ = tx.send(outcome.clone());
-            }
-            Waiter::Loop(addr) => {
-                let mut frame = Vec::new();
-                conn::encode_outcome(shared, job_id, outcome, &mut frame);
-                addr.post(frame, true);
-            }
-        }
+    for addr in waiters {
+        let mut frame = Vec::new();
+        conn::encode_outcome(shared, job_id, outcome, &mut frame);
+        addr.post(frame, true);
     }
 }
 
-/// Journals a durable job's terminal state (Result/Failed record,
-/// fsync-durable before returning), then publishes it
-/// ([`publish_durable`]). The returned outcome is what the caller should
-/// encode into its own reply frame — the Result frame therefore never
-/// precedes the record that makes it replayable. Blocks on the fsync:
-/// for the fallback's writer threads and the recovery thread.
-pub(crate) fn complete_durable<C: JobCodec>(
-    shared: &Shared<C>,
-    durable: &DurableState,
-    job_id: u64,
-    result: Result<Vec<C::Out>, JobError>,
-) -> DurableOutcome {
-    let (kind, body, outcome) = terminal_record(&*shared.codec, result);
-    durable.journal.append_sync(kind, job_id, &body);
-    publish_durable(shared, durable, job_id, &outcome);
-    outcome
-}
-
-/// [`complete_durable`] without a thread that waits: stages the terminal
-/// record and returns; once the record is durable the journal's flusher
-/// publishes the outcome and hands it to `then` (which encodes and posts
-/// the submitter's own reply). Called by the worker that finished the
-/// job.
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+/// Journals a durable job's terminal state (Result/Failed record) and,
+/// once the record is durable, publishes it ([`publish_durable`]) and
+/// hands the outcome to `then`, which encodes and posts the submitter's
+/// own reply — the Result frame therefore never precedes the record that
+/// makes it replayable. Nothing waits: the worker that finished the job
+/// stages the record and returns, and the tail runs on the journal's
+/// flusher.
 pub(crate) fn complete_durable_then<C: JobCodec>(
     shared: Arc<Shared<C>>,
     job_id: u64,
@@ -541,40 +496,36 @@ pub(crate) fn complete_durable_then<C: JobCodec>(
 }
 
 // ---------------------------------------------------------------------------
-// Frame decisions shared by both server modes.
+// Frame decisions.
 // ---------------------------------------------------------------------------
 
-/// Outcome of one Submit frame's admission decision. `H` is what the
-/// server mode's `submit` closure got back for an accepted job: the
-/// fallback's blocking [`JobHandle`], or `()` from an event loop, which
-/// submitted with a completion callback instead.
-pub(crate) enum SubmitAction<H> {
-    Accepted(H),
+/// Outcome of one Submit frame's admission decision.
+pub(crate) enum SubmitAction {
+    Accepted,
     Rejected { queued: u32 },
     Bad(String),
 }
 
-/// Decodes and admits one Submit body (counters included): the single
-/// admission path both server modes go through, each with its own way of
-/// handing the decoded job to the graph under the [`Admission`] it is
-/// given.
-pub(crate) fn admit_submit<C: JobCodec, H>(
+/// Decodes and admits one Submit body (counters included); `on_done` is
+/// the accepted job's completion callback
+/// ([`CompiledGraph::submit_with`]).
+pub(crate) fn admit_submit<C: JobCodec>(
     shared: &Shared<C>,
     body: &[u8],
-    submit: impl FnOnce(Vec<C::In>, Admission) -> Result<H, Refused<Vec<C::In>>>,
-) -> SubmitAction<H> {
+    on_done: impl FnOnce(Result<Vec<C::Out>, JobError>) + Send + 'static,
+) -> SubmitAction {
     match shared.codec.decode_job(body) {
         Ok(input) => {
             let admission = Admission::Bounded {
                 max_queued: shared.cfg.max_queued.max(1),
             };
-            match submit(input, admission) {
-                Ok(accepted) => {
+            match shared.graph.submit_with(input, admission, on_done) {
+                Ok(_) => {
                     shared
                         .counters
                         .jobs_accepted
                         .fetch_add(1, Ordering::Relaxed);
-                    SubmitAction::Accepted(accepted)
+                    SubmitAction::Accepted
                 }
                 Err(Refused { depth, .. }) => {
                     shared.counters.retries_sent.fetch_add(1, Ordering::Relaxed);
@@ -588,15 +539,13 @@ pub(crate) fn admit_submit<C: JobCodec, H>(
     }
 }
 
-/// Outcome of one SubmitDurable frame's decision (`H` as in
-/// [`SubmitAction`]).
-pub(crate) enum DurableAction<H> {
+/// Outcome of one SubmitDurable frame's decision.
+pub(crate) enum DurableAction {
     /// Fresh id: journaled and admitted; its completion goes through
-    /// [`complete_durable`] (or [`complete_durable_then`]), then the
-    /// reply.
-    Fresh(H),
-    /// Duplicate of an in-flight id: the passed-in [`Waiter`] was
-    /// registered and will be resolved by the original's completion.
+    /// [`complete_durable_then`], then the reply.
+    Fresh,
+    /// Duplicate of an in-flight id: the passed-in reply slot was
+    /// registered and will be answered by the original's completion.
     Wait,
     /// Duplicate of a resolved id: reply straight from the table.
     Done(DurableOutcome),
@@ -610,12 +559,12 @@ pub(crate) enum DurableAction<H> {
 /// One SubmitDurable frame. The whole decision — duplicate detection,
 /// admission, journaling, table insertion — happens under the table lock,
 /// so two connections racing the same id cannot both run the job.
-pub(crate) fn admit_durable<C: JobCodec, H>(
+pub(crate) fn admit_durable<C: JobCodec>(
     shared: &Shared<C>,
     frame: &Frame,
-    waiter: Waiter,
-    submit: impl FnOnce(Vec<C::In>, Admission) -> Result<H, Refused<Vec<C::In>>>,
-) -> DurableAction<H> {
+    waiter: conn::ReplyAddr,
+    on_done: impl FnOnce(Result<Vec<C::Out>, JobError>) + Send + 'static,
+) -> DurableAction {
     let Some(durable) = &shared.durable else {
         return DurableAction::Refuse {
             req_id: frame.req_id,
@@ -657,8 +606,8 @@ pub(crate) fn admit_durable<C: JobCodec, H>(
                 let admission = Admission::Bounded {
                     max_queued: shared.cfg.max_queued.max(1),
                 };
-                match submit(input, admission) {
-                    Ok(accepted) => {
+                match shared.graph.submit_with(input, admission, on_done) {
+                    Ok(_) => {
                         // Journal before the client can observe the
                         // acceptance. No explicit sync here: the WAL is
                         // sequential, so the Result record's sync (which
@@ -672,7 +621,7 @@ pub(crate) fn admit_durable<C: JobCodec, H>(
                             .counters
                             .jobs_accepted
                             .fetch_add(1, Ordering::Relaxed);
-                        DurableAction::Fresh(accepted)
+                        DurableAction::Fresh
                     }
                     Err(Refused { depth, .. }) => {
                         shared.counters.retries_sent.fetch_add(1, Ordering::Relaxed);
@@ -848,6 +797,9 @@ pub(crate) fn encode_result_frame(
 /// Longest delay between accept retries under persistent errors.
 const MAX_ACCEPT_BACKOFF: Duration = Duration::from_secs(1);
 
+/// First delay of the server acceptor's error backoff.
+const ACCEPT_BACKOFF_BASE: Duration = Duration::from_millis(25);
+
 /// True for errors that mean the *process* is out of a resource —
 /// EMFILE, ENFILE, ENOMEM — rather than one doomed connection
 /// (ECONNABORTED and friends). A resource error will hit every
@@ -857,11 +809,11 @@ fn is_resource_error(e: &std::io::Error) -> bool {
     matches!(e.raw_os_error(), Some(12 | 23 | 24)) // ENOMEM, ENFILE, EMFILE
 }
 
-/// Accept-error state machine shared by both acceptor flavors:
-/// classifies each failure, doubles the retry delay up to
-/// [`MAX_ACCEPT_BACKOFF`] while the same class persists, logs once per
-/// state change (enter / class change / recover), and counts every
-/// failure in `accept_errors`.
+/// Accept-error state machine shared by the server's and the router's
+/// acceptors: classifies each failure, doubles the retry delay up to
+/// [`MAX_ACCEPT_BACKOFF`] while the same class persists, and logs once
+/// per state change (enter / class change / recover). Callers count the
+/// failure in their own `accept_errors`.
 pub(crate) struct AcceptBackoff {
     base: Duration,
     /// `(is_resource_class, current_delay)` while failing, `None` while
@@ -878,8 +830,7 @@ impl AcceptBackoff {
     }
 
     /// Records a failed accept; returns how long to back off.
-    pub fn on_error(&mut self, e: &std::io::Error, counters: &Counters) -> Duration {
-        counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+    pub fn on_error(&mut self, e: &std::io::Error) -> Duration {
         let resource = is_resource_error(e);
         match &mut self.state {
             Some((class, delay)) if *class == resource => {
@@ -932,13 +883,11 @@ pub struct IngressServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    #[cfg(target_os = "linux")]
-    event: Option<evloop::EventMode>,
-    /// The journal of a [`bind_durable`](IngressServer::bind_durable)
-    /// server, whose flusher runs the durable jobs' reply continuations.
-    journal: Option<Arc<Journal>>,
+    engine: evloop::Engine,
+    /// The durable half of a [`bind_durable`](IngressServer::bind_durable)
+    /// server: its journal's flusher runs the durable jobs' reply
+    /// continuations, its table counts the recovered jobs still running.
+    durable: Option<Arc<DurableState>>,
 }
 
 impl IngressServer {
@@ -961,7 +910,8 @@ impl IngressServer {
     /// submitted but never completed are re-run through the graph (their
     /// deterministic output is byte-identical to the run the crash ate).
     /// The returned [`RecoveryReport`] says what was restored; recovered
-    /// jobs complete on a background thread that is joined at shutdown.
+    /// jobs complete in the background like any other durable job, and
+    /// [`shutdown`](IngressServer::shutdown) waits for them.
     pub fn bind_durable<C: JobCodec>(
         addr: impl ToSocketAddrs,
         graph: Arc<CompiledGraph<C::In, C::Out>>,
@@ -985,19 +935,13 @@ impl IngressServer {
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let durable_state = durable.as_ref().map(|(journal, _)| {
             Arc::new(DurableState {
                 journal: Arc::clone(journal),
                 table: Mutex::new(DurableTable::default()),
+                recovered: Condvar::new(),
             })
         });
-        // Event mode exists only where the epoll shim does.
-        let event_loops = if epoll::supported() {
-            cfg.event_loops
-        } else {
-            0
-        };
         let shared = Arc::new(Shared {
             graph,
             codec,
@@ -1007,52 +951,20 @@ impl IngressServer {
             durable: durable_state.clone(),
         });
         let mut report = RecoveryReport::default();
-        if let (Some(state), Some((_, replay))) = (&durable_state, &durable) {
-            let recovery = recover_from_replay(&shared, state, replay, &mut report);
-            if !recovery.is_empty() {
-                let shared = Arc::clone(&shared);
-                let state = Arc::clone(state);
-                let handle = std::thread::Builder::new()
-                    .name("hqd-recover".to_string())
-                    .spawn(move || {
-                        for (job_id, handle) in recovery {
-                            let result = handle.wait();
-                            shared
-                                .counters
-                                .jobs_completed
-                                .fetch_add(1, Ordering::Relaxed);
-                            let _ = complete_durable(&shared, &state, job_id, result);
-                        }
-                    })
-                    .expect("failed to spawn recovery thread");
-                conns.lock().push(handle);
-            }
+        if let Some((_, replay)) = durable {
+            recover_from_replay(&shared, replay, &mut report);
         }
-        let mut server = IngressServer {
-            addr,
-            shutdown: Arc::clone(&shutdown),
-            counters,
-            acceptor: None,
-            conns: Arc::clone(&conns),
-            #[cfg(target_os = "linux")]
-            event: None,
-            journal: durable.map(|(journal, _)| journal),
-        };
-        #[cfg(target_os = "linux")]
-        if event_loops > 0 {
-            let (event, acceptor) = evloop::spawn_event_mode(listener, &shared, event_loops)?;
-            server.event = Some(event);
-            server.acceptor = Some(acceptor);
-            return Ok((server, report));
-        }
-        let _ = event_loops; // read on linux only
-        let accept_shutdown = Arc::clone(&shutdown);
-        let acceptor = std::thread::Builder::new()
-            .name("hqd-accept".to_string())
-            .spawn(move || accept_loop(listener, shared, conns, accept_shutdown))
-            .expect("failed to spawn acceptor thread");
-        server.acceptor = Some(acceptor);
-        Ok((server, report))
+        let engine = evloop::Engine::spawn(listener, &shared)?;
+        Ok((
+            IngressServer {
+                addr,
+                shutdown,
+                counters,
+                engine,
+                durable: durable_state,
+            },
+            report,
+        ))
     }
 
     /// The bound address (useful with port 0).
@@ -1067,10 +979,11 @@ impl IngressServer {
 
     /// Graceful shutdown: stops accepting, lets every connection finish
     /// the frames it already read, drains every accepted job — each is
-    /// answered before this returns — and joins all threads. Jobs the
-    /// graph admitted are never abandoned. A job's completion callback
-    /// may still be returning on its worker afterwards:
-    /// [`swan::Runtime::quiesce`] waits that out.
+    /// answered before this returns — waits until every job recovered
+    /// from the journal has its terminal record durable and published,
+    /// and joins all threads. Jobs the graph admitted are never
+    /// abandoned. A job's completion callback may still be returning on
+    /// its worker afterwards: [`swan::Runtime::quiesce`] waits that out.
     pub fn shutdown(mut self) -> IngressStats {
         self.stop_and_join();
         self.counters.snapshot()
@@ -1078,32 +991,18 @@ impl IngressServer {
 
     fn stop_and_join(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        // Event mode blocks in the kernel, not on a poll interval: ring
-        // every eventfd so the flag is observed immediately.
-        #[cfg(target_os = "linux")]
-        if let Some(event) = &self.event {
-            event.accept_wake.notify();
-        }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        #[cfg(target_os = "linux")]
-        if let Some(mut event) = self.event.take() {
-            for core in &event.cores {
-                core.wake.notify();
+        self.engine.stop_and_join();
+        if let Some(durable) = &self.durable {
+            let mut table = durable.table.lock();
+            while table.recovering > 0 {
+                durable.recovered.wait(&mut table);
             }
-            for h in event.loops.drain(..) {
-                let _ = h.join();
-            }
-        }
-        for c in self.conns.lock().drain(..) {
-            let _ = c.join();
-        }
-        // Every reply has been posted by now, but a durable job's
-        // continuation may still be unwinding on the flusher: a flush
-        // returns only after the continuations before it have finished.
-        if let Some(journal) = &self.journal {
-            journal.flush();
+            drop(table);
+            // Every reply has been posted by now, but a durable job's
+            // continuation may still be unwinding on the flusher: a flush
+            // returns only after the continuations before it have
+            // finished.
+            durable.journal.flush();
         }
     }
 }
@@ -1114,42 +1013,21 @@ impl Drop for IngressServer {
     }
 }
 
-/// Joins the connection threads that have already finished, keeping the
-/// live ones registered. A long-lived daemon churns through many
-/// short-lived connections; without this the handle list (and each dead
-/// thread's retained exit state) would grow without bound.
-pub(crate) fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
-    let finished: Vec<JoinHandle<()>> = {
-        let mut live = conns.lock();
-        let mut done = Vec::new();
-        let mut keep = Vec::with_capacity(live.len());
-        for h in live.drain(..) {
-            if h.is_finished() {
-                done.push(h);
-            } else {
-                keep.push(h);
-            }
-        }
-        *live = keep;
-        done
-    };
-    for h in finished {
-        let _ = h.join(); // immediate: the thread already exited
-    }
-}
-
 /// Rebuilds the durable table from a journal replay. Terminal states are
 /// restored verbatim; pending jobs are resubmitted (Unbounded — they
-/// already passed admission in their previous life) and returned for the
-/// recovery thread to complete. Called before the acceptor starts, so no
-/// client can race the rebuild.
+/// already passed admission in their previous life) and complete like any
+/// other durable job, counted in `recovering` until their terminal record
+/// is published. Called before the acceptor starts, so no client can race
+/// the rebuild.
 fn recover_from_replay<C: JobCodec>(
-    shared: &Shared<C>,
-    state: &DurableState,
+    shared: &Arc<Shared<C>>,
     replay: &Replay,
     report: &mut RecoveryReport,
-) -> Vec<(u64, JobHandle<C::Out>)> {
-    let mut pending = Vec::new();
+) {
+    let state = shared
+        .durable
+        .as_ref()
+        .expect("a replay is only recovered on a durable server");
     let mut table = state.table.lock();
     for (&id, job) in &replay.jobs {
         report.journaled_jobs += 1;
@@ -1173,13 +1051,27 @@ fn recover_from_replay<C: JobCodec>(
             }
             JobReplayStatus::Pending => match shared.codec.decode_job(&job.payload) {
                 Ok(input) => {
-                    let handle = shared
-                        .graph
-                        .submit(input, Admission::Unbounded)
-                        .expect_accepted();
+                    let sh = Arc::clone(shared);
+                    // The callback cannot get past `complete_durable_then`'s
+                    // pass through the table lock before this loop is done.
+                    let accepted =
+                        shared
+                            .graph
+                            .submit_with(input, Admission::Unbounded, move |result| {
+                                sh.counters.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                                complete_durable_then(sh, id, result, |sh, _outcome| {
+                                    let state = sh.durable.as_ref().expect("checked at recovery");
+                                    let mut table = state.table.lock();
+                                    table.recovering -= 1;
+                                    if table.recovering == 0 {
+                                        state.recovered.notify_all();
+                                    }
+                                });
+                            });
+                    assert!(accepted.is_ok(), "unbounded admission never refuses");
                     table.entries.insert(id, DurableEntry::InFlight(Vec::new()));
+                    table.recovering += 1;
                     report.resubmitted += 1;
-                    pending.push((id, handle));
                 }
                 Err(msg) => {
                     report.restored_failures += 1;
@@ -1194,46 +1086,6 @@ fn recover_from_replay<C: JobCodec>(
         }
     }
     report.corrupt_records = replay.corrupt_records;
-    pending
-}
-
-/// The fallback acceptor: a nonblocking accept poll at `poll_interval`,
-/// one reader/writer thread pair per connection. Accept errors go
-/// through the same [`AcceptBackoff`] classification as the epoll
-/// acceptor — fd exhaustion must back off, not spin at the poll rate.
-fn accept_loop<C: JobCodec>(
-    listener: TcpListener,
-    shared: Arc<Shared<C>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    shutdown: Arc<AtomicBool>,
-) {
-    let mut next_conn = 0u64;
-    let mut backoff = AcceptBackoff::new(shared.cfg.poll_interval);
-    while !shutdown.load(Ordering::Acquire) {
-        reap_finished(&conns);
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                backoff.on_success();
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(&shared);
-                let id = next_conn;
-                next_conn += 1;
-                let handle = std::thread::Builder::new()
-                    .name(format!("hqd-conn-{id}"))
-                    .spawn(move || conn::connection_loop(shared, stream))
-                    .expect("failed to spawn connection thread");
-                conns.lock().push(handle);
-            }
-            // The nonblocking idle poll: not an error, just no client.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval);
-            }
-            Err(e) => {
-                let delay = backoff.on_error(&e, &shared.counters);
-                sleep_with_shutdown(delay, &shutdown);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use super::{
-    encode_frame, reap_finished, sleep_with_shutdown, AcceptBackoff, Frame, FrameDecoder,
-    FrameKind, DEFAULT_MAX_FRAME_LEN,
+    encode_frame, sleep_with_shutdown, AcceptBackoff, Frame, FrameDecoder, FrameKind,
+    DEFAULT_MAX_FRAME_LEN,
 };
 use crate::partition::rendezvous_route;
 use crate::telemetry::read_counter;
@@ -702,6 +702,30 @@ impl Drop for Router {
     }
 }
 
+/// Joins the connection threads that have already finished, keeping the
+/// live ones registered. A long-lived router churns through many
+/// short-lived connections; without this the handle list (and each dead
+/// thread's retained exit state) would grow without bound.
+fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
+    let finished: Vec<JoinHandle<()>> = {
+        let mut live = conns.lock();
+        let mut done = Vec::new();
+        let mut keep = Vec::with_capacity(live.len());
+        for h in live.drain(..) {
+            if h.is_finished() {
+                done.push(h);
+            } else {
+                keep.push(h);
+            }
+        }
+        *live = keep;
+        done
+    };
+    for h in finished {
+        let _ = h.join(); // immediate: the thread already exited
+    }
+}
+
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<RouterShared>,
@@ -732,8 +756,7 @@ fn accept_loop(
                     .counters
                     .accept_errors
                     .fetch_add(1, Ordering::Relaxed);
-                let delay = backoff.on_error(&e, &super::Counters::default());
-                sleep_with_shutdown(delay, &shared.shutdown);
+                sleep_with_shutdown(backoff.on_error(&e), &shared.shutdown);
             }
         }
     }

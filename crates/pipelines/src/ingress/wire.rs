@@ -1,8 +1,9 @@
 //! Wire layer of the ingress protocol: frame types, the incremental
 //! [`FrameDecoder`], the [`JobCodec`] trait, and the client's
 //! deterministic retry-jitter schedule. Everything here is pure
-//! byte-shuffling — no sockets, no threads — which is what lets both the
-//! event-loop server and the thread-pair fallback share it unchanged.
+//! byte-shuffling — no sockets, no threads — which is what lets the
+//! event-loop server, the router and the blocking client share it
+//! unchanged.
 
 use std::time::Duration;
 

@@ -503,6 +503,14 @@ struct Counters {
 /// [`Journal::open`]; append with [`Journal::append`] /
 /// [`Journal::append_sync`]; dropping flushes and joins the flusher.
 pub struct Journal {
+    shared: Arc<Shared>,
+    flusher: Option<JoinHandle<()>>,
+}
+
+/// What the flusher thread shares with the [`Journal`] handle. The
+/// flusher holds this, never the handle: the handle's `Drop` is what
+/// stops it.
+struct Shared {
     cfg: JournalConfig,
     staged: Mutex<Staged>,
     staged_cv: Condvar,
@@ -514,7 +522,6 @@ pub struct Journal {
     /// below is sealed and eligible for compaction.
     active_index: AtomicU64,
     stop: AtomicBool,
-    flusher: Mutex<Option<JoinHandle<()>>>,
     compact_lock: Mutex<()>,
     counters: Counters,
 }
@@ -522,7 +529,7 @@ pub struct Journal {
 impl std::fmt::Debug for Journal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Journal")
-            .field("dir", &self.cfg.dir)
+            .field("dir", &self.shared.cfg.dir)
             .field("stats", &self.stats())
             .finish()
     }
@@ -547,7 +554,7 @@ impl Journal {
             .filter(|(_, j)| j.status == JobReplayStatus::Acked)
             .map(|(id, _)| *id)
             .collect();
-        let journal = Arc::new(Journal {
+        let shared = Arc::new(Shared {
             cfg,
             staged: Mutex::new(Staged::default()),
             staged_cv: Condvar::new(),
@@ -557,7 +564,6 @@ impl Journal {
             acked: Mutex::new(acked),
             active_index: AtomicU64::new(next_index),
             stop: AtomicBool::new(false),
-            flusher: Mutex::new(None),
             compact_lock: Mutex::new(()),
             counters: Counters {
                 appends: AtomicU64::new(0),
@@ -568,12 +574,15 @@ impl Journal {
                 dir_syncs: AtomicU64::new(1),
             },
         });
-        let j = Arc::clone(&journal);
-        let handle = std::thread::Builder::new()
+        let for_flusher = Arc::clone(&shared);
+        let flusher = std::thread::Builder::new()
             .name("hq-journal".to_string())
-            .spawn(move || flusher_loop(j, file, next_index))
+            .spawn(move || flusher_loop(for_flusher, file, next_index))
             .expect("failed to spawn journal flusher thread");
-        *journal.flusher.lock() = Some(handle);
+        let journal = Arc::new(Journal {
+            shared,
+            flusher: Some(flusher),
+        });
         Ok((journal, replay))
     }
 
@@ -605,7 +614,7 @@ impl Journal {
     }
 
     fn stage(&self, kind: RecordKind, job_id: u64, body: &[u8], then: Option<Continuation>) -> u64 {
-        let mut staged = self.staged.lock();
+        let mut staged = self.shared.staged.lock();
         // Seq assignment happens under the staged lock so staging order
         // equals seq order: take_batch publishes the *last* staged
         // entry's seq as the durable watermark, which only covers every
@@ -613,22 +622,22 @@ impl Journal {
         // before taking the lock would let a concurrent appender stage a
         // higher seq first, and a sync() on it could then wait past the
         // fsync that actually made it durable.
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
         encode_record(kind, job_id, body, &mut staged.buf);
         let end = staged.buf.len();
         staged.entries.push((seq, end));
         staged.then.extend(then.map(|f| (seq, f)));
         drop(staged);
-        self.counters.appends.fetch_add(1, Ordering::Relaxed);
-        self.staged_cv.notify_one();
+        self.shared.counters.appends.fetch_add(1, Ordering::Relaxed);
+        self.shared.staged_cv.notify_one();
         seq
     }
 
     /// Blocks until the fsync covering sequence number `seq` completed.
     pub fn sync(&self, seq: u64) {
-        let mut durable = self.durable.lock();
-        while *durable < seq && !self.stop.load(Ordering::Acquire) {
-            self.durable_cv.wait(&mut durable);
+        let mut durable = self.shared.durable.lock();
+        while *durable < seq && !self.shared.stop.load(Ordering::Acquire) {
+            self.shared.durable_cv.wait(&mut durable);
         }
     }
 
@@ -642,15 +651,59 @@ impl Journal {
     /// Marks `job_id` acknowledged for compaction purposes (callers also
     /// append the [`RecordKind::Ack`] record so replay agrees).
     pub fn note_acked(&self, job_id: u64) {
-        self.acked.lock().insert(job_id);
+        self.shared.acked.lock().insert(job_id);
     }
 
     /// Deletes the longest prefix of *sealed* segments in which every
     /// mentioned job id is acknowledged (see module docs for why only a
     /// prefix is sound). Returns how many segments were deleted. The
-    /// flusher calls this after each rotation; tests and operators may
+    /// flusher does this after each rotation; tests and operators may
     /// call it directly.
     pub fn compact(&self) -> std::io::Result<usize> {
+        self.shared.compact()
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> JournalStats {
+        use crate::telemetry::read_counter;
+        JournalStats {
+            appends: read_counter(&self.shared.counters.appends),
+            fsyncs: read_counter(&self.shared.counters.fsyncs),
+            bytes_written: read_counter(&self.shared.counters.bytes_written),
+            segments_created: read_counter(&self.shared.counters.segments_created),
+            segments_deleted: read_counter(&self.shared.counters.segments_deleted),
+            dir_syncs: read_counter(&self.shared.counters.dir_syncs),
+        }
+    }
+
+    /// Records staged but not yet fsync-durable — the write-ahead lag a
+    /// crash right now would lose (and replay would re-run). 0 whenever
+    /// the flusher has caught up. Approximate under concurrency: the two
+    /// watermarks are read without a common lock.
+    pub fn lag(&self) -> u64 {
+        let durable = *self.shared.durable.lock();
+        self.last_staged().saturating_sub(durable)
+    }
+
+    /// Sequence number of the newest staged record (0 before the first).
+    fn last_staged(&self) -> u64 {
+        let next = self.shared.next_seq.load(Ordering::Relaxed);
+        next.saturating_sub(1)
+    }
+
+    /// The journal directory.
+    pub fn dir(&self) -> &Path {
+        &self.shared.cfg.dir
+    }
+
+    /// Blocks until everything staged so far is durable.
+    pub fn flush(&self) {
+        self.sync(self.last_staged());
+    }
+}
+
+impl Shared {
+    fn compact(&self) -> std::io::Result<usize> {
         let _guard = self.compact_lock.lock();
         let active = self.active_index.load(Ordering::Acquire);
         let mut deleted = 0;
@@ -683,51 +736,22 @@ impl Journal {
         }
         Ok(deleted)
     }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> JournalStats {
-        use crate::telemetry::read_counter;
-        JournalStats {
-            appends: read_counter(&self.counters.appends),
-            fsyncs: read_counter(&self.counters.fsyncs),
-            bytes_written: read_counter(&self.counters.bytes_written),
-            segments_created: read_counter(&self.counters.segments_created),
-            segments_deleted: read_counter(&self.counters.segments_deleted),
-            dir_syncs: read_counter(&self.counters.dir_syncs),
-        }
-    }
-
-    /// Records staged but not yet fsync-durable — the write-ahead lag a
-    /// crash right now would lose (and replay would re-run). 0 whenever
-    /// the flusher has caught up. Approximate under concurrency: the two
-    /// watermarks are read without a common lock.
-    pub fn lag(&self) -> u64 {
-        let staged = self.next_seq.load(Ordering::Relaxed).saturating_sub(1);
-        let durable = *self.durable.lock();
-        staged.saturating_sub(durable)
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
-    }
-
-    /// Blocks until everything staged so far is durable.
-    pub fn flush(&self) {
-        let last = self.next_seq.load(Ordering::Relaxed).saturating_sub(1);
-        self.sync(last);
-    }
 }
 
 impl Drop for Journal {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.staged_cv.notify_all();
-        if let Some(h) = self.flusher.get_mut().take() {
-            let _ = h.join();
+        self.shared.stop.store(true, Ordering::Release);
+        self.shared.staged_cv.notify_all();
+        if let Some(h) = self.flusher.take() {
+            // The last handle can die inside a continuation, i.e. on the
+            // flusher itself: it then drains what is staged and exits on
+            // its own, and joining it here would never return.
+            if h.thread().id() != std::thread::current().id() {
+                let _ = h.join();
+            }
         }
         // Unblock any sync() stragglers (stop flag makes them return).
-        self.durable_cv.notify_all();
+        self.shared.durable_cv.notify_all();
     }
 }
 
@@ -754,7 +778,7 @@ fn take_batch(
     Some((batch, last_seq, then))
 }
 
-fn flusher_loop(journal: Arc<Journal>, mut file: File, mut index: u64) {
+fn flusher_loop(journal: Arc<Shared>, mut file: File, mut index: u64) {
     let mut active_len = 0u64;
     loop {
         let batch = {
@@ -941,7 +965,7 @@ mod tests {
         assert_eq!(journal.stats().appends, total);
         // Every waiter returned, and the published watermark covers the
         // highest assigned seq — no stranded durability.
-        assert_eq!(*journal.durable.lock(), total);
+        assert_eq!(*journal.shared.durable.lock(), total);
         drop(journal);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1105,6 +1129,48 @@ mod tests {
         drop(journal);
         let replay = replay_dir(&dir).unwrap();
         assert_eq!(replay.records, 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The flusher used to hold an `Arc<Journal>`, so no journal was ever
+    /// dropped and every `open` leaked its thread and segment file. Here
+    /// the last handle dies inside a continuation — on the flusher
+    /// itself, as a durable job's reply continuation can make happen.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn flusher_exits_when_a_continuation_drops_the_last_handle() {
+        use std::sync::mpsc;
+        let dir = temp_dir("lastdrop");
+        let (journal, _) = Journal::open(JournalConfig::at(&dir)).unwrap();
+        let last = Arc::clone(&journal);
+        let (task_tx, task_rx) = mpsc::channel();
+        let (dropped_tx, dropped_rx) = mpsc::channel::<()>();
+        journal.append_then(
+            RecordKind::Submit,
+            1,
+            b"alpha",
+            Box::new(move || {
+                // "<pid>/task/<tid>" of the thread running this.
+                let task = std::fs::read_link("/proc/thread-self").unwrap();
+                task_tx.send(task).unwrap();
+                dropped_rx.recv().unwrap();
+                drop(last); // Journal::drop runs here
+            }),
+        );
+        let flusher_task = Path::new("/proc").join(task_rx.recv().unwrap());
+        assert!(flusher_task.exists());
+        drop(journal);
+        dropped_tx.send(()).unwrap();
+        let t0 = std::time::Instant::now();
+        while flusher_task.exists() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "the flusher outlived its journal"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (_journal, replay) = Journal::open(JournalConfig::at(&dir)).unwrap();
+        assert_eq!(replay.jobs[&1].payload, b"alpha");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

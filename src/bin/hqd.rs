@@ -19,9 +19,8 @@
 //!     [--max-retries N]      re-admit failed jobs up to N times with
 //!                            exponential backoff, default 0 (fail fast)
 //!     [--fsync-batch N]      records per group-commit fsync, default 64
-//!     [--event-loops N]      epoll event-loop threads multiplexing all
-//!                            connections; 0 = thread-pair-per-connection
-//!                            fallback; default min(4, cores) on Linux
+//!     [--event-loops N]      event-loop threads multiplexing all
+//!                            connections, at least 1; default min(4, cores)
 //! ```
 //!
 //! Threads: `--workers` runtime workers, `--event-loops` loops, one
@@ -111,6 +110,10 @@ fn main() {
         "--event-loops",
         pipelines::ingress::default_event_loops(),
     );
+    if event_loops == 0 {
+        eprintln!("hqd: --event-loops expects at least 1");
+        std::process::exit(2);
+    }
     let journal_dir = flag(&args, "--journal-dir");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

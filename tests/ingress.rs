@@ -695,8 +695,72 @@ fn acked_ids_beyond_the_retention_cap_are_evicted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Recovery has no thread of its own: jobs a previous life left pending
+/// are resubmitted with completion callbacks, and `shutdown` is what waits
+/// for them — it must not return before each has its terminal record
+/// durable and published.
+#[test]
+fn shutdown_waits_for_jobs_recovered_from_the_journal() {
+    const JOBS: u64 = 8;
+    let line = |id: u64| format!("left pending by a previous life {id}");
+    let dir = journal_temp_dir("recover");
+    let (journal, _) = Journal::open(JournalConfig::at(&dir)).expect("open journal");
+    for id in 1..=JOBS {
+        journal.append(RecordKind::Submit, id, &encode_lines(&[line(id)]));
+    }
+    journal.flush();
+    drop(journal);
+
+    let gate = Arc::new(AtomicBool::new(false));
+    let gate2 = Arc::clone(&gate);
+    let rt = Arc::new(Runtime::with_workers(2));
+    let graph = Arc::new(
+        GraphSpec::<String, String>::new()
+            .map(move |line: String| {
+                while !gate2.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                line.to_uppercase()
+            })
+            .compile(Arc::clone(&rt), ServiceConfig::default()),
+    );
+    let (journal, replay) = Journal::open(JournalConfig::at(&dir)).expect("reopen journal");
+    assert_eq!(replay.pending_ids().len() as u64, JOBS);
+    let (server, report) = IngressServer::bind_durable(
+        "127.0.0.1:0",
+        graph,
+        Arc::new(EchoCodec),
+        IngressConfig::default(),
+        journal,
+        &replay,
+    )
+    .expect("bind durable");
+    assert_eq!(report.resubmitted, JOBS);
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || done_tx.send(server.shutdown()).unwrap());
+    assert!(
+        done_rx.recv_timeout(Duration::from_millis(300)).is_err(),
+        "shutdown returned while the recovered jobs were still gated"
+    );
+    gate.store(true, Ordering::Release);
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown returns once the recovered jobs finish");
+    stopper.join().unwrap();
+    assert_eq!(stats.jobs_completed, JOBS);
+    rt.quiesce();
+
+    let replay = replay_dir(&dir).expect("replay after recovery");
+    for id in 1..=JOBS {
+        let want = encode_lines(&[line(id).to_uppercase()]).to_vec();
+        assert_eq!(replay.jobs[&id].status, JobReplayStatus::Done(want));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
-// Event-driven ingress: slowloris, idle cost, fd exhaustion, fallback mode.
+// Event-driven ingress: slowloris, idle cost, fd exhaustion.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -956,9 +1020,17 @@ fn thread_census_helper() {
                 },
             ),
     );
+    // A previous life left four jobs pending: recovering them is the
+    // workers' business too, not a thread's.
     let dir = journal_temp_dir("census");
-    let (journal, replay) = Journal::open(JournalConfig::at(&dir)).expect("open journal");
-    let (server, _) = IngressServer::bind_durable(
+    let (journal, _) = Journal::open(JournalConfig::at(&dir)).expect("open journal");
+    for id in 1001..=1004 {
+        let payload = encode_lines(&["steady".to_string()]);
+        journal.append_sync(RecordKind::Submit, id, &payload);
+    }
+    drop(journal);
+    let (journal, replay) = Journal::open(JournalConfig::at(&dir)).expect("reopen journal");
+    let (server, report) = IngressServer::bind_durable(
         "127.0.0.1:0",
         graph,
         Arc::new(EchoCodec),
@@ -967,6 +1039,18 @@ fn thread_census_helper() {
         &replay,
     )
     .expect("bind durable");
+    assert_eq!(report.resubmitted, 4);
+    // (A thread names itself once it runs: give the fresh ones a moment.)
+    assert!(
+        poll_until(Duration::from_secs(10), || {
+            service_threads("hq-journal") == (WORKERS + LOOPS + 2, 1)
+        }),
+        "census after recovery: {:?}",
+        service_threads("hq-journal")
+    );
+    for gone in ["hqd-recover", "hqd-conn", "hqd-write"] {
+        assert_eq!(service_threads(gone).1, 0, "a {gone} thread exists");
+    }
     let mut client = IngressClient::connect(server.local_addr()).unwrap();
     let echo = |client: &mut IngressClient, id: u64, line: &str| {
         let payload = encode_lines(&[line.to_string()]);
@@ -984,8 +1068,16 @@ fn thread_census_helper() {
     assert_eq!(service_threads("hq-journal"), (WORKERS + LOOPS + 2, 1));
     echo(&mut client, 51, "flaky");
     assert_eq!(service_threads("hq-retry"), (WORKERS + LOOPS + 3, 1));
-    server.shutdown();
+    let stats = server.shutdown();
+    assert_eq!(stats.jobs_completed, 51 + 4, "clients' jobs plus recovered");
     rt.quiesce();
+    drop(rt);
+    // The server held the last journal handle: its flusher is gone too.
+    assert!(
+        poll_until(Duration::from_secs(30), || service_threads("").0 == 0),
+        "{} service threads outlived the durable stack",
+        service_threads("").0
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1036,66 +1128,6 @@ fn teardown_cycles_helper() {
 #[cfg(target_os = "linux")]
 fn teardown_right_after_the_first_reply_is_clean() {
     run_helper_in_child("teardown_cycles_helper");
-}
-
-/// The portable fallback (`event_loops: 0`) must speak the identical
-/// protocol: byte-identical results and a graceful drain, same as the
-/// epoll path the other tests exercise.
-#[test]
-fn fallback_mode_serves_byte_identically_and_drains() {
-    let cfg = ServiceWorkloadConfig::small();
-    let (rt, server) = wordcount_server(
-        2,
-        IngressConfig {
-            event_loops: 0,
-            ..IngressConfig::default()
-        },
-    );
-    let mut client = IngressClient::connect(server.local_addr()).unwrap();
-    for j in 0..8usize {
-        let payload = encode_lines(&job_lines(&cfg, j));
-        match client.submit_and_wait(j as u64, &payload, BACKOFF).unwrap() {
-            JobOutcome::Result(bytes) => {
-                assert_eq!(bytes, expected_wordcount_bytes(&job_lines(&cfg, j)))
-            }
-            JobOutcome::Failed(m) => panic!("job {j}: {m}"),
-        }
-    }
-    let stats = server.shutdown();
-    assert_eq!((stats.jobs_accepted, stats.jobs_completed), (8, 8));
-    rt.quiesce();
-}
-
-/// Durable lifecycle over the fallback mode — the journal path must be
-/// mode-independent.
-#[test]
-fn fallback_mode_durable_roundtrip() {
-    let cfg = ServiceWorkloadConfig::small();
-    let dir = journal_temp_dir("fallback");
-    let (rt, server, _) = durable_wordcount_server_with(
-        2,
-        &dir,
-        IngressConfig {
-            event_loops: 0,
-            ..IngressConfig::default()
-        },
-    );
-    let mut client = IngressClient::connect(server.local_addr()).unwrap();
-    let payload = encode_lines(&job_lines(&cfg, 0));
-    let want = expected_wordcount_bytes(&job_lines(&cfg, 0));
-    let got = client
-        .submit_durable_and_wait(5, &payload, BACKOFF)
-        .unwrap();
-    assert_eq!(got, JobOutcome::Result(want.clone()));
-    let dup = client
-        .submit_durable_and_wait(5, &payload, BACKOFF)
-        .unwrap();
-    assert_eq!(dup, JobOutcome::Result(want));
-    client.ack(5).unwrap();
-    assert_eq!(client.query(5).unwrap(), (QueryStatus::Acked, Vec::new()));
-    server.shutdown();
-    rt.quiesce();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -1198,11 +1230,11 @@ use pipelines::telemetry::TelemetrySnapshot;
 
 /// Subscribes, consumes `want` StatsEvent frames, and checks each parses
 /// and that monotone counters never regress between consecutive frames.
-fn drive_subscription(event_loops: usize, want: usize) {
+fn drive_subscription(want: usize) {
     let (rt, server) = wordcount_server(
         2,
         IngressConfig {
-            event_loops,
+            event_loops: 2,
             ..IngressConfig::default()
         },
     );
@@ -1248,23 +1280,18 @@ fn drive_subscription(event_loops: usize, want: usize) {
 
 #[test]
 fn subscription_streams_stats_events_in_event_mode() {
-    drive_subscription(2, 3);
-}
-
-#[test]
-fn subscription_streams_stats_events_in_fallback_mode() {
-    drive_subscription(0, 3);
+    drive_subscription(3);
 }
 
 /// The FIFO reply contract with a live subscription: on a subscribed
 /// connection running real jobs, the reply substream (everything that is
 /// not a StatsEvent) must be identical to the reply stream of an
 /// unsubscribed control connection submitting the same jobs.
-fn replies_unperturbed_by_ticks(event_loops: usize) {
+fn replies_unperturbed_by_ticks() {
     let (rt, server) = wordcount_server(
         2,
         IngressConfig {
-            event_loops,
+            event_loops: 2,
             ..IngressConfig::default()
         },
     );
@@ -1327,12 +1354,7 @@ fn replies_unperturbed_by_ticks(event_loops: usize) {
 
 #[test]
 fn subscription_ticks_never_corrupt_replies_in_event_mode() {
-    replies_unperturbed_by_ticks(2);
-}
-
-#[test]
-fn subscription_ticks_never_corrupt_replies_in_fallback_mode() {
-    replies_unperturbed_by_ticks(0);
+    replies_unperturbed_by_ticks();
 }
 
 /// Backpressure in event mode: a subscriber that stops reading while big
