@@ -32,8 +32,8 @@ fn bench_models(c: &mut Criterion) {
 /// pass-through stage is what separates per-item from batched here.
 fn micro_3stage(rt: &Runtime, items: u64, batched: bool) {
     rt.scope(|s| {
-        let q1 = Hyperqueue::<u64>::with_segment_capacity(s, 256);
-        let q2 = Hyperqueue::<u64>::with_segment_capacity(s, 256);
+        let q1 = Hyperqueue::<u64>::new(s);
+        let q2 = Hyperqueue::<u64>::new(s);
         if batched {
             s.spawn((q1.pushdep(),), move |_, (mut p,)| {
                 p.push_iter(0..items);

@@ -9,7 +9,7 @@
 //! traffic) so CI can archive a machine-readable perf trajectory.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
-use hyperqueue::Hyperqueue;
+use hyperqueue::{Hyperqueue, DEFAULT_SEGMENT_CAPACITY};
 use swan::Runtime;
 
 const ITEMS: u64 = 1_000_000;
@@ -230,7 +230,7 @@ fn median_ns_per_op(reps: usize, ops: u64, mut f: impl FnMut()) -> f64 {
 }
 
 fn emit_json() {
-    const SEG_CAP: usize = 256;
+    const SEG_CAP: usize = DEFAULT_SEGMENT_CAPACITY;
     let smoke = std::env::var("BENCH_SMOKE")
         .map(|v| v == "1")
         .unwrap_or(false);

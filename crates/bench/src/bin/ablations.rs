@@ -1,7 +1,9 @@
 //! Ablation studies for the design choices DESIGN.md calls out (beyond the
 //! paper's own figures):
 //!
-//! 1. queue segment capacity sweep (§5.1 says programmers should tune it);
+//! 1. queue segment capacity sweep, per item and in 256-value slices
+//!    (§5.1 says programmers should tune it; DESIGN.md §2.1 quotes this
+//!    table);
 //! 2. drained-segment recycling on/off (§3.2's zero-allocation claim);
 //! 3. slice API vs per-element push/pop (§5.2);
 //! 4. pthreads thread-count tuning sensitivity (the scale-free argument:
@@ -29,7 +31,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use hyperqueue::{Hyperqueue, QueueStats};
+use hyperqueue::{Hyperqueue, QueueStats, DEFAULT_SEGMENT_CAPACITY};
 use pipelines::graph::{Admission, ServiceConfig};
 use pipelines::ingress::{
     IngressClient, IngressConfig, IngressServer, JobOutcome, Router, RouterConfig,
@@ -276,20 +278,35 @@ fn main() {
     let rt = Runtime::with_workers(2);
 
     println!("Ablation 1: segment capacity sweep ({items} u64 items, 1 producer + 1 consumer)");
-    println!("{:<10} {:>12} {:>14}", "capacity", "time (ms)", "Melems/s");
+    println!(
+        "{:<10} {:>14} {:>16} {:>18} {:>12}",
+        "capacity", "bytes/segment", "push/pop (ms)", "256-slices (ms)", "locks/kitem"
+    );
+    // Whether the consumer catches up with the producer (and blocks) or
+    // trails it differs from run to run; each cell is the median of five.
+    let median_of_5 = |cap: usize, io: Io| {
+        let mut runs: Vec<_> = (0..5)
+            .map(|_| pipe_elems(&rt, cap, true, items, io))
+            .collect();
+        runs.sort_by_key(|(d, _)| *d);
+        runs.swap_remove(2)
+    };
     for cap in [16usize, 64, 256, 1024, 4096, 16384] {
-        let (d, _) = pipe_elems(&rt, cap, true, items, Io::PerItem);
+        let (per_item, _) = median_of_5(cap, Io::PerItem);
+        let (slices, st) = median_of_5(cap, Io::Slices);
         println!(
-            "{:<10} {:>12.1} {:>14.1}",
+            "{:<10} {:>14} {:>16.1} {:>18.1} {:>12.2}",
             cap,
-            d.as_secs_f64() * 1e3,
-            items as f64 / d.as_secs_f64() / 1e6
+            cap * std::mem::size_of::<u64>(),
+            per_item.as_secs_f64() * 1e3,
+            slices.as_secs_f64() * 1e3,
+            st.lock_acquisitions as f64 / (items as f64 / 1e3)
         );
     }
 
-    println!("\nAblation 2: drained-segment recycling (capacity 256)");
+    println!("\nAblation 2: drained-segment recycling (capacity {DEFAULT_SEGMENT_CAPACITY})");
     for (label, recycle) in [("recycle on", true), ("recycle off", false)] {
-        let (d, _) = pipe_elems(&rt, 256, recycle, items, Io::PerItem);
+        let (d, _) = pipe_elems(&rt, DEFAULT_SEGMENT_CAPACITY, recycle, items, Io::PerItem);
         println!(
             "{:<12} {:>10.1} ms {:>10.1} Melems/s",
             label,

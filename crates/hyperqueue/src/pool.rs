@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::segment::Segment;
+use crate::segment::{segment_capacity_for, Segment};
 use crate::state::QueueStats;
 
 /// Counters reported by [`SegmentPool::stats`]. `hits`/`misses`/`returned`
@@ -70,12 +70,12 @@ unsafe impl<T: Send> Send for SegmentPool<T> {}
 unsafe impl<T: Send> Sync for SegmentPool<T> {}
 
 impl<T> SegmentPool<T> {
-    /// Creates an empty pool of segments holding `segment_capacity` values
-    /// each (min 2, like
+    /// Creates an empty pool of segments holding
+    /// [`segment_capacity_for`]`(segment_capacity)` values each (like
     /// [`Hyperqueue::with_segment_capacity`](crate::Hyperqueue::with_segment_capacity)).
     pub fn new(segment_capacity: usize) -> Self {
         SegmentPool {
-            seg_cap: segment_capacity.max(2),
+            seg_cap: segment_capacity_for(segment_capacity),
             free: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -98,7 +98,8 @@ impl<T> SegmentPool<T> {
         *self.retired.lock()
     }
 
-    /// Capacity (values per segment) of every segment in this pool.
+    /// Capacity (values per segment) of every segment in this pool — the
+    /// rounded value, as [`PoolStats::segment_capacity`] reports it.
     pub fn segment_capacity(&self) -> usize {
         self.seg_cap
     }
@@ -194,7 +195,17 @@ mod tests {
     }
 
     #[test]
-    fn capacity_is_clamped_to_two() {
-        assert_eq!(SegmentPool::<u8>::new(0).segment_capacity(), 2);
+    fn capacity_is_rounded_once_and_reported_consistently() {
+        for (requested, real) in [(0, 2), (3, 4), (100, 128)] {
+            let pool = SegmentPool::<u8>::new(requested);
+            assert_eq!(pool.segment_capacity(), real);
+            assert_eq!(pool.stats().segment_capacity, real);
+            pool.preallocate(1);
+            let seg = pool.take().expect("preallocated");
+            // SAFETY: the pool handed the segment to us alone.
+            assert_eq!(unsafe { seg.as_ref() }.capacity(), real);
+            // SAFETY: fresh segment, unreachable elsewhere.
+            unsafe { pool.put_all([seg]) };
+        }
     }
 }

@@ -47,6 +47,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use swan::util::CachePadded;
 use swan::{AcquireCtx, DepArg, Frame, HelpMode, RuntimeHandle, Scope};
 
 use crate::pool::SegmentPool;
@@ -54,9 +55,33 @@ use crate::segment::Segment;
 use crate::slice::{ReadSlice, WriteSlice};
 use crate::state::{EmptyProbe, Mode, Probe, QueueState, QueueStats, POP_LABEL, PUSH_LABEL};
 
-/// Default number of values per queue segment. §5.1 discusses tuning this;
-/// [`Hyperqueue::with_segment_capacity`] sets it per queue.
-pub const DEFAULT_SEGMENT_CAPACITY: usize = 256;
+/// Bytes of value storage in a default segment. The segment is the unit
+/// of structural cost — a queue lock, a link, a wake check and a cold
+/// header per segment filled — so it must hold many batches for that cost
+/// to vanish per item, yet stay small enough that the drained segments a
+/// queue has not recycled yet (up to [`MAX_LOCKFREE_ADVANCES`] of them)
+/// fit in cache. DESIGN.md §2.1 has the sweep.
+const DEFAULT_SEGMENT_BYTES: usize = 32 * 1024;
+
+/// Default number of word-sized values per queue segment (32 KiB of
+/// `u64`). §5.1 discusses tuning this;
+/// [`Hyperqueue::with_segment_capacity`] sets it per queue, and
+/// [`Hyperqueue::new`] scales it down for wider payloads.
+pub const DEFAULT_SEGMENT_CAPACITY: usize = DEFAULT_SEGMENT_BYTES / std::mem::size_of::<u64>();
+
+/// Fewest values a default segment holds, however wide the payload.
+const MIN_DEFAULT_CAPACITY: usize = 16;
+
+/// The capacity [`Hyperqueue::new`] picks for payload type `T`: the
+/// largest power of two whose buffer fits [`DEFAULT_SEGMENT_BYTES`], but
+/// at least [`MIN_DEFAULT_CAPACITY`] values, so a queue of wide values
+/// does not allocate megabytes for its first segment. Zero-sized values
+/// occupy no storage; they count as one byte.
+fn default_capacity<T>() -> usize {
+    let fit = DEFAULT_SEGMENT_BYTES / std::mem::size_of::<T>().max(1);
+    // Round *down*: rounding up could double the byte budget.
+    1 << fit.max(MIN_DEFAULT_CAPACITY).ilog2()
+}
 
 /// Upper bound on consecutive lock-free consumer chain advances before the
 /// slow path is forced once. Advancing lock-free leaves drained segments
@@ -67,34 +92,62 @@ pub const DEFAULT_SEGMENT_CAPACITY: usize = 256;
 /// per `MAX_LOCKFREE_ADVANCES` segment transitions.
 const MAX_LOCKFREE_ADVANCES: u32 = 32;
 
-/// Lock-free observability counters (see [`QueueStats`]). These live
-/// outside the mutex precisely because the events they count must not
-/// take it.
+/// Lock-free observability counters (see [`QueueStats`]) and the blocked-
+/// consumer count. These live outside the mutex precisely because the
+/// events they count must not take it — and they are grouped by the role
+/// that writes them, one cache line per role, apart from each other and
+/// from the mutex word: the producer counts a suppressed notify per
+/// published slice and the consumer a chain advance per segment, and on one
+/// shared line each of those read-modify-writes would pull the line away
+/// from the other core.
 ///
 /// # Memory-ordering contract
 ///
-/// Every increment and every read uses `Ordering::Relaxed` — deliberately
-/// and uniformly. The counters are *statistics*, not synchronization: no
-/// control flow depends on them, so they need no happens-before edges, and
-/// anything stronger would put fence traffic on the paths whose
-/// lock-freedom they exist to demonstrate. The consequence, documented on
-/// [`QueueStats`]: each counter is individually monotonic and exact over
-/// its own event stream, but a snapshot taken while producers/consumers
-/// are running may lag concurrent fast-path events and may be mutually
-/// inconsistent across counters. Quiesce first (`sync` on the
-/// producing/consuming tasks) for exact totals.
+/// Every counter increment and every counter read uses
+/// `Ordering::Relaxed` — deliberately and uniformly. The counters are
+/// *statistics*, not synchronization: no control flow depends on them, so
+/// they need no happens-before edges, and anything stronger would put
+/// fence traffic on the paths whose lock-freedom they exist to
+/// demonstrate. The consequence, documented on [`QueueStats`]: each
+/// counter is individually monotonic and exact over its own event stream,
+/// but a snapshot taken while producers/consumers are running may lag
+/// concurrent fast-path events and may be mutually inconsistent across
+/// counters. Quiesce first (`sync` on the producing/consuming tasks) for
+/// exact totals. (`waiters` is not a statistic: see its field docs.)
 #[derive(Default)]
 pub(crate) struct FastStats {
-    pub(crate) lock_acquisitions: AtomicU64,
-    pub(crate) chain_advances: AtomicU64,
-    pub(crate) notifies_suppressed: AtomicU64,
+    producer: CachePadded<ProducerStats>,
+    consumer: CachePadded<ConsumerStats>,
+}
+
+/// Written on the publishing side. (Consumer slow paths also count their
+/// lock acquisitions here; a slow path is about to contend for the mutex
+/// anyway.)
+#[derive(Default)]
+struct ProducerStats {
+    lock_acquisitions: AtomicU64,
+    notifies_suppressed: AtomicU64,
+}
+
+/// Written on the consuming side.
+#[derive(Default)]
+struct ConsumerStats {
+    chain_advances: AtomicU64,
+    /// Number of tasks currently blocked in this queue's `pop`/`empty`
+    /// slow paths. Data publications skip the runtime wakeup entirely
+    /// while this is zero: a publication can only unblock a waiter of
+    /// *this* queue, and a waiter that races past the check re-polls
+    /// within one bounded park interval anyway (see `swan::sched::Sleeper`).
+    /// Producers only read it, so the line stays shared until a consumer
+    /// actually blocks.
+    waiters: AtomicUsize,
 }
 
 impl FastStats {
     /// One increment path for all three counters, so the ordering contract
     /// above is enforced in exactly one place.
     #[inline]
-    pub(crate) fn incr(counter: &AtomicU64) {
+    fn incr(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -102,9 +155,9 @@ impl FastStats {
     /// the increments use; see the struct docs for what that means.
     pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
         (
-            self.lock_acquisitions.load(Ordering::Relaxed),
-            self.chain_advances.load(Ordering::Relaxed),
-            self.notifies_suppressed.load(Ordering::Relaxed),
+            self.producer.lock_acquisitions.load(Ordering::Relaxed),
+            self.consumer.chain_advances.load(Ordering::Relaxed),
+            self.producer.notifies_suppressed.load(Ordering::Relaxed),
         )
     }
 }
@@ -114,19 +167,13 @@ pub(crate) struct QueueInner<T: Send + 'static> {
     pub(crate) rt: RuntimeHandle,
     pub(crate) state: Mutex<QueueState<T>>,
     pub(crate) fast: FastStats,
-    /// Number of tasks currently blocked in this queue's `pop`/`empty`
-    /// slow paths. Data publications skip the runtime wakeup entirely
-    /// while this is zero: a publication can only unblock a waiter of
-    /// *this* queue, and a waiter that races past the check re-polls
-    /// within one bounded park interval anyway (see `swan::sched::Sleeper`).
-    pub(crate) waiters: AtomicUsize,
 }
 
 impl<T: Send + 'static> QueueInner<T> {
     /// Locks the queue state on behalf of a data-path operation,
     /// incrementing the observability counter.
     fn lock_counted(&self) -> parking_lot::MutexGuard<'_, QueueState<T>> {
-        FastStats::incr(&self.fast.lock_acquisitions);
+        FastStats::incr(&self.fast.producer.lock_acquisitions);
         self.state.lock()
     }
 }
@@ -146,8 +193,8 @@ impl<T: Send + 'static> Drop for QueueInner<T> {
 /// are counted.
 #[inline]
 pub(crate) fn notify_counted<T: Send + 'static>(inner: &QueueInner<T>) {
-    if inner.waiters.load(Ordering::SeqCst) == 0 || !inner.rt.notify() {
-        FastStats::incr(&inner.fast.notifies_suppressed);
+    if inner.fast.consumer.waiters.load(Ordering::SeqCst) == 0 || !inner.rt.notify() {
+        FastStats::incr(&inner.fast.producer.notifies_suppressed);
     }
 }
 
@@ -262,7 +309,7 @@ fn chain_advance<T: Send + 'static>(
     }
     cache.seg = Some(next);
     cache.advances += 1;
-    FastStats::incr(&inner.fast.chain_advances);
+    FastStats::incr(&inner.fast.consumer.chain_advances);
     Some(next)
 }
 
@@ -306,7 +353,7 @@ fn pop_slow<T: Send + 'static>(
 ) -> T {
     let mut result: Option<T> = None;
     let fid = frame.id.0;
-    let _waiting = WaiterGuard::register(&inner.waiters);
+    let _waiting = WaiterGuard::register(&inner.fast.consumer.waiters);
     inner.rt.block_until(frame, HelpMode::Preceding, || {
         let mut st = inner.lock_counted();
         match st.pop_probe(fid) {
@@ -363,7 +410,7 @@ fn empty_slow<T: Send + 'static>(
 ) -> bool {
     let mut result: Option<bool> = None;
     let fid = frame.id.0;
-    let _waiting = WaiterGuard::register(&inner.waiters);
+    let _waiting = WaiterGuard::register(&inner.fast.consumer.waiters);
     inner.rt.block_until(frame, HelpMode::Preceding, || {
         let mut st = inner.lock_counted();
         match st.empty_probe(fid) {
@@ -407,11 +454,11 @@ fn write_slice_impl<'t, T: Send + 'static>(
     // per-value index arithmetic.
     if let Some(seg) = cache {
         // SAFETY: unique producer of the cached segment.
-        let avail = unsafe { seg.as_ref().contiguous_writable() };
+        let avail = unsafe { seg.as_ref().contiguous_writable(len) };
         if avail >= 1 {
-            // SAFETY: unique producer; `len.min(avail)` contiguous slots
-            // are free.
-            return unsafe { WriteSlice::new(inner, *seg, len.min(avail)) };
+            // SAFETY: unique producer; `avail` (at most `len`) contiguous
+            // slots are free.
+            return unsafe { WriteSlice::new(inner, *seg, avail) };
         }
     }
     write_slice_slow(inner, frame, cache, len)
@@ -434,7 +481,7 @@ fn write_slice_slow<'t, T: Send + 'static>(
     // segment's tail may sit mid-ring: clamp to the contiguous span
     // (never zero when free ≥ 1).
     // SAFETY: unique producer of `seg`.
-    let len = len.min(unsafe { seg.as_ref().contiguous_writable() });
+    let len = unsafe { seg.as_ref().contiguous_writable(len) };
     unsafe { WriteSlice::new(inner, seg, len) }
 }
 
@@ -670,13 +717,16 @@ pub struct Hyperqueue<T: Send + 'static> {
 
 impl<T: Send + 'static> Hyperqueue<T> {
     /// Creates a hyperqueue owned by the current scope's task, with the
-    /// default segment capacity.
+    /// default segment size: 32 KiB of values —
+    /// [`DEFAULT_SEGMENT_CAPACITY`] word-sized ones, proportionally fewer
+    /// wide ones (never fewer than 16).
     pub fn new(scope: &Scope<'_>) -> Self {
-        Self::with_config(scope, DEFAULT_SEGMENT_CAPACITY, true)
+        Self::with_config(scope, default_capacity::<T>(), true)
     }
 
     /// Creates a hyperqueue with an explicit segment capacity (§5.1:
-    /// programmers often know the right granularity).
+    /// programmers often know the right granularity), rounded up to a
+    /// power of two (see [`segment_capacity_for`](crate::segment_capacity_for)).
     pub fn with_segment_capacity(scope: &Scope<'_>, capacity: usize) -> Self {
         Self::with_config(scope, capacity, true)
     }
@@ -705,13 +755,12 @@ impl<T: Send + 'static> Hyperqueue<T> {
     ) -> Self {
         let owner = Arc::clone(scope.frame());
         let rt = scope.runtime();
-        let state = QueueState::new(&owner, capacity.max(2), recycle, pool);
+        let state = QueueState::new(&owner, capacity, recycle, pool);
         let inner = Arc::new(QueueInner {
             id: swan::next_object_id(),
             rt,
             state: Mutex::new(state),
             fast: FastStats::default(),
-            waiters: AtomicUsize::new(0),
         });
         let push_cache = initial_push_cache(&inner, owner.id.0);
         Hyperqueue {
@@ -1252,5 +1301,52 @@ impl<T: Send + 'static> PushPopToken<T> {
 impl<T: Send + 'static> Extend<T> for PushPopToken<T> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         self.push_iter(iter);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swan::Runtime;
+
+    fn default_capacity_of<T: Send + 'static>(s: &Scope<'_>) -> usize {
+        let q = Hyperqueue::<T>::new(s);
+        let st = q.inner.state.lock();
+        let cap = st.segment_capacity();
+        let first = st.user_tail_segment(q.owner.id.0).expect("owner's segment");
+        // SAFETY: the queue keeps its first segment alive.
+        assert_eq!(unsafe { first.as_ref() }.capacity(), cap);
+        cap
+    }
+
+    /// `new` sizes segments by bytes: word-sized payloads get the
+    /// documented default, wide ones proportionally fewer slots (the
+    /// eager first segment must not cost megabytes), never fewer than 16.
+    #[test]
+    fn default_capacity_stays_inside_the_byte_budget() {
+        let rt = Runtime::with_workers(1);
+        rt.scope(|s| {
+            assert_eq!(default_capacity_of::<u64>(s), DEFAULT_SEGMENT_CAPACITY);
+            // 24-byte values: 1365 fit, rounded *down* to stay in budget.
+            assert_eq!(default_capacity_of::<[u64; 3]>(s), 1024);
+            assert_eq!(default_capacity_of::<[u8; 512]>(s), 64);
+            // Past the floor the budget gives way, at 16 values.
+            assert_eq!(default_capacity_of::<[u8; 4096]>(s), MIN_DEFAULT_CAPACITY);
+            // Zero-sized values: any capacity is inside the budget; the
+            // division must not trap.
+            assert_eq!(default_capacity_of::<()>(s), DEFAULT_SEGMENT_BYTES);
+            // ...and such a queue works across segment boundaries.
+            let q = Hyperqueue::<()>::new(s);
+            let pushed = 3 * DEFAULT_SEGMENT_BYTES;
+            for _ in 0..pushed {
+                q.push(());
+            }
+            let mut popped = 0;
+            while !q.empty() {
+                q.pop();
+                popped += 1;
+            }
+            assert_eq!(popped, pushed);
+        });
     }
 }

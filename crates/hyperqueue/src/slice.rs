@@ -141,7 +141,7 @@ impl<'a, T: Send + 'static> ReadSlice<'a, T> {
         // SAFETY: unique consumer per caller contract.
         let (start, len) = unsafe {
             let s = seg.as_ref();
-            (s.raw_head(), s.contiguous_readable().min(max_len.max(1)))
+            (s.raw_head(), s.contiguous_readable(max_len))
         };
         debug_assert!(len >= 1, "ReadSlice on a segment without data");
         ReadSlice {

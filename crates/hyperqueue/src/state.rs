@@ -21,7 +21,7 @@ use std::sync::Arc;
 use swan::frame::{program_order, Frame, FrameId, ProgramOrder};
 
 use crate::pool::SegmentPool;
-use crate::segment::Segment;
+use crate::segment::{segment_capacity_for, Segment};
 use crate::view::{Ptr, View};
 
 /// Access mode of a grant (the paper's `pushdep` / `popdep` /
@@ -201,7 +201,7 @@ impl<T> QueueState<T> {
             queue_view: View::EMPTY,
             owner: owner.id.0,
             next_nonlocal: 0,
-            seg_cap,
+            seg_cap: segment_capacity_for(seg_cap),
             recycle_enabled: recycle,
             pool,
             arena: Vec::new(),
@@ -260,7 +260,8 @@ impl<T> QueueState<T> {
         self.frames.len()
     }
 
-    /// Configured segment capacity.
+    /// Capacity of every segment this queue allocates (the requested
+    /// capacity after [`segment_capacity_for`]).
     pub(crate) fn segment_capacity(&self) -> usize {
         self.seg_cap
     }

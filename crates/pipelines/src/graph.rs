@@ -146,9 +146,11 @@ impl<'g, 'scope> GraphBuilder<'g, 'scope> {
         }
     }
 
-    /// Sets the segment capacity of every edge created from this builder.
+    /// Sets the segment capacity of every edge created from this builder
+    /// (the queues and pools round it, see
+    /// [`hyperqueue::segment_capacity_for`]).
     pub fn segment_capacity(mut self, cap: usize) -> Self {
-        self.seg_cap = cap.max(2);
+        self.seg_cap = cap;
         self
     }
 

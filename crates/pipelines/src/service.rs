@@ -483,7 +483,8 @@ pub struct ServiceConfig {
     /// Admission bound: at most this many jobs execute concurrently;
     /// excess requests queue FIFO (see [`swan::JobTable`]). Default 4.
     pub max_in_flight: usize,
-    /// Segment capacity of every graph edge. Default
+    /// Segment capacity of every graph edge, rounded up to a power of two
+    /// ([`hyperqueue::segment_capacity_for`]). Default
     /// [`DEFAULT_EDGE_CAPACITY`].
     pub segment_capacity: usize,
     /// Per-round stage batch size. Default [`DEFAULT_IO_BATCH`].
@@ -813,7 +814,7 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
             plan,
             pools: EdgePools::new(),
             jobs: JobTable::new(cfg.max_in_flight),
-            seg_cap: cfg.segment_capacity.max(2),
+            seg_cap: cfg.segment_capacity,
             io_batch: cfg.io_batch.max(1),
             retry: cfg.retry,
             retry_timer: RetryTimer(Mutex::new(None)),
@@ -967,7 +968,9 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
     /// job's item count allows), so the *deterministic* zero-allocation
     /// recipe is: run one job to instantiate the edges, then prewarm with
     /// `ceil(job_items / segment_capacity) + 2` — the worst case any
-    /// schedule can reach. Call while idle: segments checked out by
+    /// schedule can reach, with `segment_capacity` the value segments
+    /// really have ([`hyperqueue::segment_capacity_for`] of the configured
+    /// one, which telemetry reports per edge). Call while idle: segments checked out by
     /// running jobs are not counted as parked.
     pub fn prewarm(&self, segments_per_edge: usize) {
         self.core.pools.prewarm(segments_per_edge);
@@ -1168,6 +1171,42 @@ mod tests {
         let js = graph.telemetry().admission;
         assert_eq!(js.completed, 20);
         assert!(js.high_water_in_flight <= 3, "admission bound violated");
+    }
+
+    #[test]
+    fn telemetry_reports_the_rounded_segment_capacity() {
+        for (requested, real) in [(3, 4), (100, 128)] {
+            let rt = Arc::new(Runtime::with_workers(2));
+            let graph = GraphSpec::<u64, u64>::new()
+                .fanout_map(2, 16, |x| x + 1)
+                .compile(
+                    rt,
+                    ServiceConfig {
+                        segment_capacity: requested,
+                        ..ServiceConfig::default()
+                    },
+                );
+            graph
+                .submit((0..300).collect(), Admission::Unbounded)
+                .expect_accepted()
+                .join();
+            let snap = graph.telemetry();
+            assert!(!snap.edges.is_empty());
+            for e in &snap.edges {
+                assert_eq!(e.pool.segment_capacity, real, "requested {requested}");
+            }
+            // The depth recipe with the real capacity is enough: no
+            // allocation after prewarming to it.
+            graph.prewarm(300usize.div_ceil(real) + 2);
+            let warm = graph.telemetry().storage.segments_allocated;
+            for _ in 0..5 {
+                graph
+                    .submit((0..300).collect(), Admission::Unbounded)
+                    .expect_accepted()
+                    .join();
+            }
+            assert_eq!(graph.telemetry().storage.segments_allocated, warm);
+        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl ServiceWorkloadConfig {
     /// by tokens, not lines.
     pub fn prewarm_depth(&self) -> usize {
         let max_items = self.job_lines * (WORDS_PER_LINE_MAX + 1);
-        let per_job = max_items / self.segment_capacity.max(2) + 3;
+        let per_job = max_items / hyperqueue::segment_capacity_for(self.segment_capacity) + 3;
         per_job * self.max_in_flight.max(1) + 4
     }
 }
