@@ -259,8 +259,7 @@ fn emit_json() {
     let spsc_item = median_ns_per_op(reps, ITEMS, || hyperqueue_pair(&rt, SEG_CAP));
     let spsc_batch = median_ns_per_op(reps, ITEMS, || hyperqueue_pair_batched(&rt, SEG_CAP));
 
-    // machine_cores lets the bench-check gate refuse to compare this
-    // record against a baseline from a different runner class.
+    // machine_cores names the runner class the record was taken on.
     let json = format!(
         "{{\n  \"bench\": \"queue_ops\",\n  \"segment_capacity\": {SEG_CAP},\n  \
          \"items\": {ITEMS},\n  \"reps\": {reps},\n  \

@@ -12,8 +12,8 @@
 //!   connections (the C10K shape the epoll ingress exists for) — at the
 //!   top count the phases span {1,2,8} workers, all byte-identical.
 //!   Emits `BENCH_ingress.json`
-//!   (throughput + p50/p95/p99, plus throughput/p99 vs connections) for
-//!   CI's `bench_check` gate.
+//!   (throughput + p50/p95/p99, plus throughput/p99 vs connections),
+//!   which CI archives.
 //! * **Live-daemon mode** (`--addr host:port`): the same closed loop
 //!   against an already-running `hqd` (started with matching defaults:
 //!   wordcount or logstream, parse-work 40). Verifies responses, prints
@@ -452,7 +452,7 @@ fn main() {
         return;
     }
 
-    // In-process sweep: both workloads, 1/2/8 workers, JSON for bench_check.
+    // In-process sweep: both workloads, 1/2/8 workers, JSON record.
     let wc = sweep_workload(Workload::Wordcount, &cfg, connections, jobs);
     let ls = sweep_workload(Workload::Logstream, &cfg, connections, jobs);
     // Connection sweep: throughput and p99 vs concurrent connections.

@@ -15,8 +15,8 @@
 //!   a results pass — the crash-recovery startup cost per record.
 //!
 //! Emits `BENCH_journal.json` (append throughput, p50/p95/p99
-//! group-commit latency per depth, replay ms) for CI's `bench_check`
-//! gate; medians live under `median_us` / `median_ms`.
+//! group-commit latency per depth, replay ms), which CI archives;
+//! medians live under `median_us` / `median_ms`.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};

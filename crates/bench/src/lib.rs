@@ -7,8 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-pub mod tinyjson;
-
 /// Measures one closure.
 pub fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
     let t0 = Instant::now();

@@ -70,7 +70,7 @@ use hyperqueue::{AutoTag, Hyperqueue, PopDep, PushToken, Tagged};
 use swan::{DepList, Scope};
 
 use crate::reorder::ReorderBuffer;
-use crate::service::{PlacementCursor, PoolCursor};
+use crate::service::PoolCursor;
 
 pub use crate::service::{
     Admission, CompiledGraph, GraphSpec, JobError, JobHandle, ServiceConfig, Submission,
@@ -128,10 +128,6 @@ pub struct GraphBuilder<'g, 'scope> {
     /// per-edge [`hyperqueue::SegmentPool`]s of a persistent
     /// [`CompiledGraph`] instead of allocating (see [`GraphBuilder::pooled`]).
     pools: Option<&'g PoolCursor<'g>>,
-    /// Service-layer hook: when set, every stage task spawned from this
-    /// builder is pinned to the worker group the cursor assigns it, in
-    /// stage-spawn order (see [`GraphBuilder::placed`]; DESIGN.md §7.1).
-    placement: Option<&'g PlacementCursor<'g>>,
 }
 
 impl<'g, 'scope> GraphBuilder<'g, 'scope> {
@@ -142,7 +138,6 @@ impl<'g, 'scope> GraphBuilder<'g, 'scope> {
             seg_cap: DEFAULT_EDGE_CAPACITY,
             io_batch: DEFAULT_IO_BATCH,
             pools: None,
-            placement: None,
         }
     }
 
@@ -170,38 +165,20 @@ impl<'g, 'scope> GraphBuilder<'g, 'scope> {
         self
     }
 
-    /// Pins every stage task spawned from this builder to the worker
-    /// group `cursor` assigns it, consuming one assignment per stage in
-    /// spawn order (via [`swan::Scope::spawn_pinned`]; DESIGN.md §7.1).
-    /// Pinning is advisory placement only — the stage graph, queue
-    /// contents and output are untouched, so the determinism contract is
-    /// unaffected. The service layer drives this from a deterministic
-    /// partition of the stage topology; hand-built graphs may pass their
-    /// own cursor.
-    pub fn placed(mut self, cursor: &'g PlacementCursor<'g>) -> Self {
-        self.placement = Some(cursor);
-        self
-    }
-
-    /// Spawns one stage task, pinned to its assigned worker group when a
-    /// placement cursor is installed. Every combinator below routes its
-    /// spawns through here (or [`Self::spawn_stage_replicas`]), keeping
-    /// spawn order — and therefore placement-cursor consumption — equal
-    /// to the stage order of the topology the partitioner saw.
+    /// Spawns one stage task. Every combinator below routes its spawns
+    /// through here (or [`Self::spawn_stage_replicas`]): the one place a
+    /// stage is lowered to a swan task.
     fn spawn_stage<D, F>(&self, deps: D, body: F)
     where
         D: DepList,
         D::Guards: 'scope,
         F: FnOnce(&Scope<'scope>, D::Guards) + Send + 'scope,
     {
-        match self.placement.and_then(|p| p.next_group()) {
-            Some(g) => self.scope.spawn_pinned(g, deps, body),
-            None => self.scope.spawn(deps, body),
-        }
+        self.scope.spawn(deps, body)
     }
 
     /// [`swan::Scope::spawn_replicas`] routed through
-    /// [`Self::spawn_stage`]: one placed stage per dependency bundle,
+    /// [`Self::spawn_stage`]: one stage per dependency bundle,
     /// sharing a single body closure, spawned in `deps` order.
     fn spawn_stage_replicas<D, F>(&self, deps: impl IntoIterator<Item = D>, body: F)
     where

@@ -52,8 +52,7 @@ pub use journal::{
     JobReplayStatus, Journal, JournalConfig, JournalStats, RecordKind, Replay, ReplayedJob,
 };
 pub use partition::{
-    partition, rendezvous_route, GraphTopology, Hyperedge, Hypergraph, PartitionConfig,
-    PartitionResult,
+    partition, rendezvous_route, Hyperedge, Hypergraph, PartitionConfig, PartitionResult,
 };
 pub use reorder::{ReorderBuffer, ReorderQueue};
 pub use service::{

@@ -3,8 +3,10 @@
 //! Placement must obey the same contract as scheduling: it may change
 //! throughput, never observable output — and it must be *reproducible*, so
 //! that two daemons (or two runs) derive the identical placement from the
-//! identical graph. This module provides the two deterministic primitives
-//! the sharding layer builds on:
+//! identical graph. This module holds two deterministic primitives; the
+//! sharding layer routes with the second, and the first has no caller in
+//! the workspace since stage placement was removed (DESIGN.md §7 says why
+//! it stays):
 //!
 //! * [`Hypergraph`] + [`partition`]: a greedy placement pass followed by
 //!   synchronous-round FM refinement, in the style of the deterministic
@@ -16,12 +18,6 @@
 //! * [`rendezvous_route`]: highest-random-weight hashing of durable job
 //!   ids onto backend shards — deterministic, and minimally disruptive
 //!   when the backend set changes.
-//!
-//! [`GraphTopology`] bridges from the service layer: it models a compiled
-//! pipeline graph as a hypergraph (stages are vertices weighted by
-//! measured per-stage cost, queue edges are hyperedges weighted by
-//! observed traffic) so the partition can pin each part to a swan worker
-//! group (DESIGN.md §7.1).
 
 /// One hyperedge: the set of vertices (pins) a queue connects, weighted
 /// by (measured or assumed) traffic. Pipeline queues have one producer
@@ -124,7 +120,7 @@ impl Hypergraph {
 /// only changes how the refinement rounds chunk their gain computation.
 #[derive(Clone, Copy, Debug)]
 pub struct PartitionConfig {
-    /// Number of parts (worker groups / shards). Clamped to ≥ 1.
+    /// Number of parts. Clamped to ≥ 1.
     pub parts: usize,
     /// Imbalance allowance in permille (100 = parts may exceed the
     /// average load by 10%); see [`Hypergraph::balance_bound`].
@@ -451,160 +447,6 @@ pub fn rendezvous_route(job_id: u64, backends: usize) -> usize {
     best
 }
 
-// ---------------------------------------------------------------------------
-// Graph topology: the bridge from compiled pipeline graphs.
-// ---------------------------------------------------------------------------
-
-/// One pipeline stage (one spawned task) in a [`GraphTopology`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StageInfo {
-    /// Combinator name ("source", "map", "split", "merge", …).
-    pub name: &'static str,
-    /// Cost weight; 1 until telemetry reweights it.
-    pub weight: u64,
-}
-
-/// A compiled pipeline graph abstracted to stages and queue edges — the
-/// hypergraph model the placement partition runs on. Stages appear in
-/// **spawn order** (the order `CompiledGraph` instantiates tasks per
-/// job), so `assignment[s]` pins stage `s`'s task; edges appear in
-/// **creation order**, matching `telemetry().edges` index for index.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GraphTopology {
-    /// Stages in spawn order.
-    pub stages: Vec<StageInfo>,
-    /// Queue edges in creation order; pins are stage indices.
-    pub edges: Vec<Hyperedge>,
-}
-
-impl GraphTopology {
-    /// Lowers the topology to the partitioner's input. Stage weights are
-    /// taken as-is; edge weights as-is.
-    pub fn to_hypergraph(&self) -> Hypergraph {
-        Hypergraph {
-            vertex_weights: self.stages.iter().map(|s| s.weight).collect(),
-            edges: self.edges.clone(),
-        }
-    }
-
-    /// Reweights the topology from a telemetry snapshot: edge `i` takes
-    /// `1 + items pushed` through the matching pool edge (creation order
-    /// aligns the two), and each stage takes `1 +` the traffic of its
-    /// incident edges — the measured proxy for per-stage cost (items a
-    /// stage touched). Missing telemetry leaves weights at their priors.
-    pub fn reweight(&mut self, edge_traffic: &[u64]) {
-        for (i, e) in self.edges.iter_mut().enumerate() {
-            if let Some(&t) = edge_traffic.get(i) {
-                e.weight = 1 + t;
-            }
-        }
-        for s in self.stages.iter_mut() {
-            s.weight = 1;
-        }
-        for e in &self.edges {
-            for &pin in &e.pins {
-                if let Some(s) = self.stages.get_mut(pin as usize) {
-                    s.weight += e.weight;
-                }
-            }
-        }
-    }
-}
-
-/// Builder that mirrors the per-job instantiation walk of a compiled
-/// graph: the service layer's stage plans call these hooks in exactly
-/// the order their `build()` spawns tasks and creates queue edges, so
-/// stage indices line up with placement-cursor consumption and edge
-/// indices line up with pool/telemetry order.
-#[derive(Debug, Default)]
-pub struct TopologyBuilder {
-    topo: GraphTopology,
-    /// Edge ids currently open at the frontier (created, producer known,
-    /// consumer not yet seen).
-    frontier: Vec<u32>,
-}
-
-impl TopologyBuilder {
-    /// Starts a topology at the source stage (the task that feeds the
-    /// job's input into edge 0).
-    pub fn new() -> Self {
-        let mut b = TopologyBuilder::default();
-        let s = b.add_stage("source");
-        let e = b.add_edge(&[s]);
-        b.frontier = vec![e];
-        b
-    }
-
-    fn add_stage(&mut self, name: &'static str) -> u32 {
-        self.topo.stages.push(StageInfo { name, weight: 1 });
-        (self.topo.stages.len() - 1) as u32
-    }
-
-    fn add_edge(&mut self, pins: &[u32]) -> u32 {
-        self.topo.edges.push(Hyperedge {
-            pins: pins.to_vec(),
-            weight: 1,
-        });
-        (self.topo.edges.len() - 1) as u32
-    }
-
-    fn consume_frontier(&mut self, stage: u32) {
-        let frontier = std::mem::take(&mut self.frontier);
-        for e in frontier {
-            self.topo.edges[e as usize].pins.push(stage);
-        }
-    }
-
-    /// A linear 1:1/1:N stage: one task popping the frontier edge,
-    /// pushing one new edge.
-    pub fn linear(&mut self, name: &'static str) {
-        let s = self.add_stage(name);
-        self.consume_frontier(s);
-        let e = self.add_edge(&[s]);
-        self.frontier = vec![e];
-    }
-
-    /// A splitter: one task popping the frontier, pushing `degree` new
-    /// edges (created in index order, matching `Node::split`).
-    pub fn split(&mut self, degree: usize) {
-        let s = self.add_stage("split");
-        self.consume_frontier(s);
-        self.frontier = (0..degree.max(1)).map(|_| self.add_edge(&[s])).collect();
-    }
-
-    /// `degree` replica stages, replica `i` popping frontier edge `i`
-    /// and pushing its own new edge (matching `Fanout::map` /
-    /// `Fanout::shard` spawn + edge order).
-    pub fn replicas(&mut self, name: &'static str, degree: usize) {
-        let ins = std::mem::take(&mut self.frontier);
-        let mut outs = Vec::with_capacity(ins.len());
-        for e in ins {
-            let s = self.add_stage(name);
-            self.topo.edges[e as usize].pins.push(s);
-            outs.push(self.add_edge(&[s]));
-        }
-        let _ = degree; // degree == ins.len() by construction
-        self.frontier = outs;
-    }
-
-    /// A merger: one task popping every frontier edge, pushing one new
-    /// edge (matching `Fanout::merge` / `Shards::merge_by_key`).
-    pub fn merge(&mut self, name: &'static str) {
-        let s = self.add_stage(name);
-        self.consume_frontier(s);
-        let e = self.add_edge(&[s]);
-        self.frontier = vec![e];
-    }
-
-    /// Finishes at the sink stage (the task draining the last edge into
-    /// the job's output vector) and returns the topology.
-    pub fn finish(mut self) -> GraphTopology {
-        let s = self.add_stage("sink");
-        self.consume_frontier(s);
-        self.topo
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,45 +580,5 @@ mod tests {
                 assert_eq!(with3, with2, "id {id} moved despite its shard surviving");
             }
         }
-    }
-
-    #[test]
-    fn topology_builder_models_fanout() {
-        // source -> split(3) -> 3 replicas -> merge -> sink
-        let mut b = TopologyBuilder::new();
-        b.split(3);
-        b.replicas("map", 3);
-        b.merge("merge");
-        let topo = b.finish();
-        // Stages: source, split, 3×map, merge, sink.
-        assert_eq!(topo.stages.len(), 7);
-        // Edges: source→split, 3×(split→map), 3×(map→merge), merge→sink.
-        assert_eq!(topo.edges.len(), 8);
-        for e in &topo.edges {
-            assert_eq!(e.pins.len(), 2, "pipeline edges have 2 pins: {e:?}");
-        }
-        let g = topo.to_hypergraph();
-        let res = partition(
-            &g,
-            &PartitionConfig {
-                parts: 2,
-                ..Default::default()
-            },
-        );
-        assert_eq!(res.assignment.len(), 7);
-    }
-
-    #[test]
-    fn reweight_scales_by_traffic() {
-        let mut b = TopologyBuilder::new();
-        b.linear("map");
-        let mut topo = b.finish();
-        topo.reweight(&[100, 10]);
-        assert_eq!(topo.edges[0].weight, 101);
-        assert_eq!(topo.edges[1].weight, 11);
-        // source touches edge 0 only; map touches both; sink edge 1 only.
-        assert_eq!(topo.stages[0].weight, 1 + 101);
-        assert_eq!(topo.stages[1].weight, 1 + 101 + 11);
-        assert_eq!(topo.stages[2].weight, 1 + 11);
     }
 }

@@ -63,10 +63,9 @@ use parking_lot::Mutex;
 use swan::{Entered, JobTable, Refused, RetryDecision, RetryPolicy, Runtime, Scope};
 
 use crate::graph::{GraphBuilder, Node, Partition, DEFAULT_EDGE_CAPACITY, DEFAULT_IO_BATCH};
-use crate::partition::{partition, GraphTopology, PartitionConfig, TopologyBuilder};
 use crate::telemetry::{
-    ClassLatency, EdgeTelemetry, LatencyHistogram, PartitionTelemetry, TelemetrySnapshot,
-    TelemetrySource, TELEMETRY_VERSION,
+    ClassLatency, EdgeTelemetry, LatencyHistogram, TelemetrySnapshot, TelemetrySource,
+    TELEMETRY_VERSION,
 };
 
 // ---------------------------------------------------------------------------
@@ -165,42 +164,6 @@ impl PoolCursor<'_> {
     }
 }
 
-/// A per-job walk over a stage partition's worker-group assignment —
-/// stage-spawn order, one entry per stage task — consumed by
-/// [`GraphBuilder::placed`](crate::graph::GraphBuilder::placed) as the
-/// graph instantiates (DESIGN.md §7.1). Stages beyond the assignment's
-/// length spawn unpinned, so a stale or short assignment degrades to
-/// plain scheduling instead of failing.
-pub struct PlacementCursor<'a> {
-    groups: &'a [u32],
-    next: Cell<usize>,
-}
-
-impl<'a> PlacementCursor<'a> {
-    /// Opens a cursor over `groups`, the per-stage worker-group
-    /// assignment in stage-spawn order (e.g.
-    /// [`crate::partition::PartitionResult::assignment`] of the graph's
-    /// topology).
-    pub fn new(groups: &'a [u32]) -> Self {
-        PlacementCursor {
-            groups,
-            next: Cell::new(0),
-        }
-    }
-
-    /// The next stage's group, if the assignment covers it.
-    pub(crate) fn next_group(&self) -> Option<u32> {
-        let idx = self.next.get();
-        self.next.set(idx + 1);
-        self.groups.get(idx).copied()
-    }
-
-    /// Stage spawns observed so far (placed or not).
-    pub fn consumed(&self) -> usize {
-        self.next.get()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Stage plans: the reusable (per-job re-instantiable) graph description.
 // ---------------------------------------------------------------------------
@@ -211,12 +174,6 @@ impl<'a> PlacementCursor<'a> {
 /// job-local.
 trait StagePlan<I: Send + 'static, O: Send + 'static>: Send + Sync + 'static {
     fn build<'g, 'scope>(&self, node: Node<'g, 'scope, I>) -> Node<'g, 'scope, O>;
-
-    /// Mirrors `build`'s task-spawn and edge-creation walk onto a
-    /// [`TopologyBuilder`], so the partitioner sees exactly the stage
-    /// graph each job instantiates (stage indices = spawn order, edge
-    /// indices = pool/telemetry order; DESIGN.md §7.1).
-    fn describe(&self, topo: &mut TopologyBuilder);
 }
 
 struct IdentityPlan;
@@ -225,8 +182,6 @@ impl<I: Send + 'static> StagePlan<I, I> for IdentityPlan {
     fn build<'g, 'scope>(&self, node: Node<'g, 'scope, I>) -> Node<'g, 'scope, I> {
         node
     }
-
-    fn describe(&self, _topo: &mut TopologyBuilder) {}
 }
 
 struct ChainPlan<I: Send + 'static, M: Send + 'static, O: Send + 'static> {
@@ -240,11 +195,6 @@ impl<I: Send + 'static, M: Send + 'static, O: Send + 'static> StagePlan<I, O>
     fn build<'g, 'scope>(&self, node: Node<'g, 'scope, I>) -> Node<'g, 'scope, O> {
         self.b.build(self.a.build(node))
     }
-
-    fn describe(&self, topo: &mut TopologyBuilder) {
-        self.a.describe(topo);
-        self.b.describe(topo);
-    }
 }
 
 struct MapPlan<T, U> {
@@ -255,10 +205,6 @@ impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for MapPlan<T, U> {
     fn build<'g, 'scope>(&self, node: Node<'g, 'scope, T>) -> Node<'g, 'scope, U> {
         let f = Arc::clone(&self.f);
         node.map(move |x| f(x))
-    }
-
-    fn describe(&self, topo: &mut TopologyBuilder) {
-        topo.linear("map");
     }
 }
 
@@ -271,10 +217,6 @@ impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for FilterMapPlan<T, 
         let f = Arc::clone(&self.f);
         node.filter_map(move |x| f(x))
     }
-
-    fn describe(&self, topo: &mut TopologyBuilder) {
-        topo.linear("filter_map");
-    }
 }
 
 struct FlatMapPlan<T, U> {
@@ -285,10 +227,6 @@ impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for FlatMapPlan<T, U>
     fn build<'g, 'scope>(&self, node: Node<'g, 'scope, T>) -> Node<'g, 'scope, U> {
         let f = Arc::clone(&self.f);
         node.flat_map(move |x| f(x))
-    }
-
-    fn describe(&self, topo: &mut TopologyBuilder) {
-        topo.linear("flat_map");
     }
 }
 
@@ -304,12 +242,6 @@ impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for FanoutMapPlan<T, 
         node.split(self.degree, Partition::RoundRobin)
             .map(move |x| f(x))
             .merge(self.window)
-    }
-
-    fn describe(&self, topo: &mut TopologyBuilder) {
-        topo.split(self.degree);
-        topo.replicas("map", self.degree);
-        topo.merge("merge");
     }
 }
 
@@ -346,12 +278,6 @@ where
                 move |state, emit| finish(state, emit),
             )
             .merge_by_key(self.window, move |v| key(v))
-    }
-
-    fn describe(&self, topo: &mut TopologyBuilder) {
-        topo.split(self.degree);
-        topo.replicas("shard", self.degree);
-        topo.merge("merge_by_key");
     }
 }
 
@@ -501,17 +427,6 @@ pub struct ServiceConfig {
     /// workload name). Restricted to `[A-Za-z0-9_-]` on the wire; other
     /// characters are replaced with `_`. Default `"jobs"`.
     pub job_class: String,
-    /// Stage-placement partitioning (DESIGN.md §7.1): `>= 2` splits the
-    /// graph's stage topology into this many parts with the
-    /// deterministic hypergraph partitioner
-    /// ([`crate::partition::partition`]) and pins each stage task to its
-    /// part's worker group on every job. Pair with a runtime built with
-    /// [`swan::RuntimeConfig::worker_groups`] set to the same count —
-    /// on an ungrouped runtime the assignment is still computed (and
-    /// reported in telemetry) but pinning degrades to plain spawns.
-    /// `0`/`1` (the default) disables placement entirely. Output is
-    /// byte-identical either way; only locality changes.
-    pub partitions: usize,
 }
 
 impl Default for ServiceConfig {
@@ -522,52 +437,6 @@ impl Default for ServiceConfig {
             io_batch: DEFAULT_IO_BATCH,
             retry: RetryPolicy::none(),
             job_class: "jobs".to_string(),
-            partitions: 0,
-        }
-    }
-}
-
-/// One solved stage placement: the topology it was computed on (kept for
-/// [`CompiledGraph::rebalance`]) plus the partitioner's answer.
-struct PlacementPlan {
-    topology: GraphTopology,
-    assignment: Vec<u32>,
-    parts: usize,
-    cut: u64,
-    max_part_weight: u64,
-    rounds: usize,
-}
-
-impl PlacementPlan {
-    /// Partitions `topology` into `parts` deterministically (single
-    /// partitioner thread — bit-identical to any other thread count by
-    /// the partitioner's contract, pinned in `tests/partition_props.rs`).
-    fn solve(topology: GraphTopology, parts: usize) -> Self {
-        let g = topology.to_hypergraph();
-        let r = partition(
-            &g,
-            &PartitionConfig {
-                parts,
-                ..PartitionConfig::default()
-            },
-        );
-        PlacementPlan {
-            topology,
-            assignment: r.assignment,
-            parts,
-            cut: r.cut,
-            max_part_weight: r.max_part_weight,
-            rounds: r.rounds,
-        }
-    }
-
-    fn telemetry(&self) -> PartitionTelemetry {
-        PartitionTelemetry {
-            parts: self.parts as u64,
-            cut: self.cut,
-            max_part_weight: self.max_part_weight,
-            rounds: self.rounds as u64,
-            stages: self.assignment.clone(),
         }
     }
 }
@@ -622,11 +491,6 @@ struct ServiceCore<I: Send + 'static, O: Send + 'static> {
     latency: LatencyHistogram,
     /// The job-class label the histogram reports under.
     job_class: String,
-    /// The current stage placement, when `partitions >= 2`. Behind a
-    /// mutex so [`CompiledGraph::rebalance`] can swap in a re-weighted
-    /// solve; jobs clone the `Arc` once at start, so a rebalance never
-    /// tears a running job's placement.
-    placement: Mutex<Option<Arc<PlacementPlan>>>,
 }
 
 impl<I: Clone + Send + 'static, O: Send + 'static> ServiceCore<I, O> {
@@ -710,25 +574,13 @@ impl<I: Clone + Send + 'static, O: Send + 'static> ServiceCore<I, O> {
     /// sink stage leaves the job's output in `out`.
     fn instantiate(&self, s: &Scope<'static>, input: Vec<I>, out: Arc<Mutex<Vec<O>>>) {
         let cursor = self.pools.cursor();
-        let placement = self.placement.lock().clone();
         let gb = GraphBuilder::on(s)
             .segment_capacity(self.seg_cap)
             .io_batch(self.io_batch)
             .pooled(&cursor);
-        let sink = move |vals| *out.lock() = vals;
-        if let Some(p) = placement.as_ref() {
-            let groups = PlacementCursor::new(&p.assignment);
-            self.plan
-                .build(gb.placed(&groups).source_iter(input))
-                .collect_with(sink);
-            debug_assert_eq!(
-                groups.consumed(),
-                p.assignment.len(),
-                "stage spawns must consume exactly the topology's stage count"
-            );
-        } else {
-            self.plan.build(gb.source_iter(input)).collect_with(sink);
-        }
+        self.plan
+            .build(gb.source_iter(input))
+            .collect_with(move |vals| *out.lock() = vals);
     }
 }
 
@@ -804,11 +656,6 @@ pub struct CompiledGraph<I: Send + 'static, O: Send + 'static> {
 
 impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
     fn start(rt: Arc<Runtime>, plan: Arc<dyn StagePlan<I, O>>, cfg: ServiceConfig) -> Self {
-        let placement = (cfg.partitions >= 2).then(|| {
-            let mut topo = TopologyBuilder::new();
-            plan.describe(&mut topo);
-            Arc::new(PlacementPlan::solve(topo.finish(), cfg.partitions))
-        });
         let core = Arc::new(ServiceCore {
             rt,
             plan,
@@ -820,7 +667,6 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
             retry_timer: RetryTimer(Mutex::new(None)),
             latency: LatencyHistogram::new(),
             job_class: cfg.job_class,
-            placement: Mutex::new(placement),
         });
         CompiledGraph { core }
     }
@@ -926,39 +772,7 @@ impl<I: Clone + Send + 'static, O: Send + 'static> CompiledGraph<I, O> {
             }],
             ingress: None,
             journal: None,
-            partition: self.core.placement.lock().as_ref().map(|p| p.telemetry()),
         }
-    }
-
-    /// Recomputes the stage placement from measured telemetry: every
-    /// edge's lifetime queue traffic (a proxy built from its retired
-    /// queues' segment activity) re-weights the topology
-    /// ([`crate::partition::GraphTopology::reweight`]), and the
-    /// partitioner re-solves deterministically — same counters in, same
-    /// assignment out, regardless of thread count (DESIGN.md §7.1). The
-    /// new placement applies to jobs submitted after the call; running
-    /// jobs keep the placement they started with. Returns the new
-    /// partition telemetry, or `None` when placement is disabled
-    /// (`partitions < 2`).
-    pub fn rebalance(&self) -> Option<PartitionTelemetry> {
-        let edges = self.core.pools.edge_telemetry();
-        let mut guard = self.core.placement.lock();
-        let current = guard.as_ref()?;
-        let traffic: Vec<u64> = edges
-            .iter()
-            .map(|e| {
-                // Segment-level activity scales with the items that
-                // crossed the edge; exact item counts aren't tracked,
-                // but the partitioner only needs relative weights.
-                e.queues.chain_advances + e.queues.head_attaches + e.queues.pool_draws
-            })
-            .collect();
-        let mut topology = current.topology.clone();
-        topology.reweight(&traffic);
-        let plan = Arc::new(PlacementPlan::solve(topology, current.parts));
-        let snap = plan.telemetry();
-        *guard = Some(plan);
-        Some(snap)
     }
 
     /// Tops every edge pool up to `segments_per_edge` parked segments, so
@@ -1408,62 +1222,6 @@ mod tests {
             .expect_accepted()
             .join();
         assert_eq!(ok, vec![2]);
-    }
-
-    #[test]
-    fn partitioned_placement_preserves_output_and_reports_telemetry() {
-        let expect: Vec<u64> = (0..500).map(|x| x * x).collect();
-        // A grouped runtime with pinning on, an ungrouped one with the
-        // assignment still computed: byte-identical output either way.
-        for groups in [1usize, 2] {
-            let rt = Arc::new(Runtime::new(
-                swan::RuntimeConfig::new().workers(4).worker_groups(groups),
-            ));
-            let graph = GraphSpec::<u64, u64>::new()
-                .fanout_map(3, 16, |x| x * x)
-                .compile(
-                    Arc::clone(&rt),
-                    ServiceConfig {
-                        partitions: 2,
-                        segment_capacity: 8,
-                        ..ServiceConfig::default()
-                    },
-                );
-            let out = graph
-                .submit((0..500).collect(), Admission::Unbounded)
-                .expect_accepted()
-                .join();
-            assert_eq!(out, expect, "groups={groups}");
-            let p = graph
-                .telemetry()
-                .partition
-                .expect("partition telemetry present when partitions >= 2");
-            assert_eq!(p.parts, 2);
-            // fanout_map(3): source, split, 3 replicas, merge, sink.
-            assert_eq!(p.stages.len(), 7, "stage count mirrors the spawn walk");
-            assert!(p.stages.iter().all(|&g| g < 2));
-
-            // Rebalancing from measured traffic is deterministic and
-            // leaves job output untouched.
-            let r1 = graph.rebalance().expect("placement enabled");
-            let r2 = graph.rebalance().expect("placement enabled");
-            assert_eq!(
-                r1.stages, r2.stages,
-                "same counters in, same assignment out"
-            );
-            let out = graph
-                .submit((0..500).collect(), Admission::Unbounded)
-                .expect_accepted()
-                .join();
-            assert_eq!(out, expect, "groups={groups} after rebalance");
-        }
-    }
-
-    #[test]
-    fn unpartitioned_graph_reports_no_partition_telemetry() {
-        let (_rt, graph) = square_graph(2, 2);
-        assert!(graph.telemetry().partition.is_none());
-        assert!(graph.rebalance().is_none());
     }
 
     #[test]

@@ -231,24 +231,6 @@ pub struct JournalTelemetry {
     pub lag: u64,
 }
 
-/// Partition-pinning telemetry, present when the service layer compiled
-/// its graph against a deterministic stage partition (DESIGN.md §7): the
-/// partitioner's quality numbers plus the per-stage worker-group
-/// assignment actually handed to [`swan::Scope::spawn_pinned`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PartitionTelemetry {
-    /// Number of parts (worker groups) the stages were split across.
-    pub parts: u64,
-    /// Connectivity-minus-one cut of the chosen assignment.
-    pub cut: u64,
-    /// Heaviest part's total stage weight.
-    pub max_part_weight: u64,
-    /// Refinement rounds the partitioner ran before converging.
-    pub rounds: u64,
-    /// Per-stage part assignment, in stage-spawn order.
-    pub stages: Vec<u32>,
-}
-
 /// A versioned, point-in-time consolidation of every stats surface in
 /// the stack (see module docs). Produced by [`TelemetrySource::telemetry`]
 /// implementations; serialized with
@@ -277,9 +259,6 @@ pub struct TelemetrySnapshot {
     pub ingress: Option<IngressStats>,
     /// Journal counters + lag, when durability is enabled.
     pub journal: Option<JournalTelemetry>,
-    /// Stage-partitioning quality + assignment, when partition pinning
-    /// is enabled (DESIGN.md §7).
-    pub partition: Option<PartitionTelemetry>,
 }
 
 /// Anything that can produce a [`TelemetrySnapshot`]: the service layer's
@@ -335,7 +314,6 @@ impl TelemetrySnapshot {
         kv(&mut s, "sched.helps_queue", m.helps_queue);
         kv(&mut s, "sched.parks", m.parks);
         kv(&mut s, "sched.deferred_tasks", m.deferred_tasks);
-        kv(&mut s, "sched.cross_group_steals", m.cross_group_steals);
 
         let q = &self.queues;
         kv(&mut s, "queues.segments_allocated", q.segments_allocated);
@@ -431,16 +409,6 @@ impl TelemetrySnapshot {
             kv(&mut s, "journal.dir_syncs", j.stats.dir_syncs);
             kv(&mut s, "journal.lag", j.lag);
         }
-
-        if let Some(p) = &self.partition {
-            kv(&mut s, "partition.parts", p.parts);
-            kv(&mut s, "partition.cut", p.cut);
-            kv(&mut s, "partition.max_weight", p.max_part_weight);
-            kv(&mut s, "partition.rounds", p.rounds);
-            for (i, &g) in p.stages.iter().enumerate() {
-                kv(&mut s, &format!("partition.stage.{i}"), g as u64);
-            }
-        }
         s
     }
 
@@ -483,7 +451,6 @@ impl TelemetrySnapshot {
                         "helps_queue" => m.helps_queue = v,
                         "parks" => m.parks = v,
                         "deferred_tasks" => m.deferred_tasks = v,
-                        "cross_group_steals" => m.cross_group_steals = v,
                         _ => {}
                     }
                 }
@@ -596,31 +563,6 @@ impl TelemetrySnapshot {
                         _ => {}
                     }
                 }
-                "partition" => {
-                    let p = snap
-                        .partition
-                        .get_or_insert_with(PartitionTelemetry::default);
-                    match rest {
-                        "parts" => p.parts = v,
-                        "cut" => p.cut = v,
-                        "max_weight" => p.max_part_weight = v,
-                        "rounds" => p.rounds = v,
-                        _ => {
-                            if let Some(idx) = rest.strip_prefix("stage.") {
-                                let Ok(idx) = idx.parse::<usize>() else {
-                                    continue;
-                                };
-                                if idx >= 4096 {
-                                    return Err(format!("stage index {idx} out of range"));
-                                }
-                                if p.stages.len() <= idx {
-                                    p.stages.resize(idx + 1, 0);
-                                }
-                                p.stages[idx] = v as u32;
-                            }
-                        }
-                    }
-                }
                 _ => {} // unknown section: ignore (forward compatibility)
             }
         }
@@ -705,7 +647,6 @@ mod tests {
         let mut snap = TelemetrySnapshot::new();
         snap.sched.tasks_executed = 42;
         snap.sched.parks = 7;
-        snap.sched.cross_group_steals = 2;
         snap.queues.segments_allocated = 3;
         snap.queues.notifies_suppressed = 11;
         snap.storage.edges = 2;
@@ -750,17 +691,16 @@ mod tests {
             },
             lag: 4,
         });
-        snap.partition = Some(PartitionTelemetry {
-            parts: 2,
-            cut: 3,
-            max_part_weight: 17,
-            rounds: 1,
-            stages: vec![0, 0, 1, 1, 0],
-        });
         let text = snap.encode_text();
         assert!(text.starts_with("telemetry_version 1\n"), "{text}");
         let back = TelemetrySnapshot::parse_text(&text).expect("parse");
         assert_eq!(back, snap);
+        // A daemon from before stage placement was removed still sends
+        // these version-1 keys; they fall to the unknown-key arms.
+        let old_daemon = format!(
+            "{text}sched.cross_group_steals 2\npartition.parts 2\npartition.cut 3\npartition.stage.0 1\n"
+        );
+        assert_eq!(TelemetrySnapshot::parse_text(&old_daemon), Ok(snap));
     }
 
     #[test]

@@ -43,8 +43,7 @@ impl From<RangeInclusive<usize>> for WorkerRange {
 /// The defaults follow the paper's philosophy: programs are *scale-free*,
 /// so the only knob a user normally touches is implicit (the machine's
 /// core count). The scheduler itself has no knobs (DESIGN.md §3.1);
-/// what remains is sizing, partition pinning, and the test suite's chaos
-/// mode.
+/// what remains is sizing and the test suite's chaos mode.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Number of worker threads. Defaults to `std::thread::available_parallelism()`.
@@ -56,16 +55,6 @@ pub struct RuntimeConfig {
     /// Clamped up to `workers`; defaults to `workers` (no elasticity
     /// headroom).
     pub max_workers: usize,
-    /// Number of worker groups for partition pinning (DESIGN.md §7.1).
-    /// Worker `idx` belongs to group `idx % worker_groups`; tasks spawned
-    /// with [`crate::Scope::spawn_pinned`] enqueue to their group's
-    /// injector and are preferred by that group's workers. Pinning is
-    /// *advisory*: a group with no eligible work falls back to foreign
-    /// groups (counted in
-    /// [`crate::MetricsSnapshot::cross_group_steals`]), so liveness and
-    /// the scale-free determinism guarantee are unaffected. Default 1
-    /// (grouping off).
-    pub worker_groups: usize,
     /// Chaos-testing mode: seeded random delays before task execution, used
     /// by the determinism test-suite to shake out order-dependent bugs.
     pub chaos: Option<ChaosConfig>,
@@ -82,7 +71,7 @@ pub struct ChaosConfig {
 
 impl RuntimeConfig {
     /// Starts a builder from the defaults (machine core count, no
-    /// elasticity headroom, grouping and chaos off).
+    /// elasticity headroom, chaos off).
     pub fn new() -> Self {
         Self::default()
     }
@@ -94,13 +83,6 @@ impl RuntimeConfig {
         let range = range.into();
         self.workers = range.initial;
         self.max_workers = range.max;
-        self
-    }
-
-    /// Sets the number of worker groups for partition pinning (min 1;
-    /// 1 disables grouping). See [`crate::Scope::spawn_pinned`].
-    pub fn worker_groups(mut self, groups: usize) -> Self {
-        self.worker_groups = groups.max(1);
         self
     }
 
@@ -119,7 +101,6 @@ impl Default for RuntimeConfig {
         Self {
             workers,
             max_workers: workers,
-            worker_groups: 1,
             chaos: None,
         }
     }

@@ -46,11 +46,6 @@ pub struct Frame {
     pub parent: Option<Arc<Frame>>,
     /// Sibling indices from the root; the root's path is empty.
     pub path: Box<[u32]>,
-    /// Worker group this frame is pinned to (partition placement,
-    /// DESIGN.md §7.1). Set by `Scope::spawn_pinned` and inherited by
-    /// children; `None` means unpinned. Advisory: it biases which
-    /// worker's queue the task lands in, never whether it runs.
-    pub group: Option<u32>,
     /// Number of direct children that have not completed yet.
     children_active: AtomicUsize,
     /// Next sibling index to hand out to a spawned child.
@@ -70,7 +65,6 @@ impl Frame {
             root: id,
             parent: None,
             path: Box::new([]),
-            group: None,
             children_active: AtomicUsize::new(0),
             next_child_seq: AtomicU32::new(0),
             panic: Mutex::new(None),
@@ -79,19 +73,8 @@ impl Frame {
     }
 
     /// Creates a child frame of `parent`, assigning the next sibling index.
-    /// Also increments the parent's active-children count. The child
-    /// inherits the parent's worker-group pin.
+    /// Also increments the parent's active-children count.
     pub fn new_child(parent: &Arc<Frame>, id: FrameId) -> Arc<Frame> {
-        Self::new_child_in(parent, id, parent.group)
-    }
-
-    /// [`Frame::new_child`] with an explicit worker-group pin (the
-    /// `spawn_pinned` path, DESIGN.md §7.1), overriding inheritance.
-    pub fn new_child_pinned(parent: &Arc<Frame>, id: FrameId, group: u32) -> Arc<Frame> {
-        Self::new_child_in(parent, id, Some(group))
-    }
-
-    fn new_child_in(parent: &Arc<Frame>, id: FrameId, group: Option<u32>) -> Arc<Frame> {
         let seq = parent.next_child_seq.fetch_add(1, Ordering::Relaxed);
         parent.children_active.fetch_add(1, Ordering::Relaxed);
         let mut path = Vec::with_capacity(parent.path.len() + 1);
@@ -102,7 +85,6 @@ impl Frame {
             root: parent.root,
             parent: Some(Arc::clone(parent)),
             path: path.into_boxed_slice(),
-            group,
             children_active: AtomicUsize::new(0),
             next_child_seq: AtomicU32::new(0),
             panic: Mutex::new(None),

@@ -23,10 +23,6 @@ pub struct Metrics {
     /// Total task ids moved by steals. `steal_batch_items / steals` is
     /// the observed mean batch size.
     pub steal_batch_items: AtomicU64,
-    /// Steals (or group-injector pops) that crossed a worker-group
-    /// boundary — the liveness fallback of partition pinning. Stays near
-    /// zero while the placement keeps every group busy (DESIGN.md §7.1).
-    pub cross_group_steals: AtomicU64,
     /// Tasks executed inside a blocked `sync` (descendant help).
     pub helps_sync: AtomicU64,
     /// Tasks executed inside a blocked queue operation (preceding-task help).
@@ -48,8 +44,6 @@ pub struct MetricsSnapshot {
     pub steal_failures: u64,
     /// Total task ids moved by steals.
     pub steal_batch_items: u64,
-    /// Steals or injector pops that crossed a worker-group boundary.
-    pub cross_group_steals: u64,
     /// Tasks executed inside a blocked `sync`.
     pub helps_sync: u64,
     /// Tasks executed inside a blocked queue operation.
@@ -80,7 +74,6 @@ impl Metrics {
             steals: self.steals.load(Ordering::Relaxed),
             steal_failures: self.steal_failures.load(Ordering::Relaxed),
             steal_batch_items: self.steal_batch_items.load(Ordering::Relaxed),
-            cross_group_steals: self.cross_group_steals.load(Ordering::Relaxed),
             helps_sync: self.helps_sync.load(Ordering::Relaxed),
             helps_queue: self.helps_queue.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),

@@ -71,11 +71,6 @@ pub(crate) struct RtInner {
     pub(crate) config: RuntimeConfig,
     pub(crate) registry: Registry,
     pub(crate) injector: Injector,
-    /// One injector per worker group when grouping is on (DESIGN.md
-    /// §7.1): pinned tasks enqueue to their group's injector, and worker
-    /// `idx` (group `idx % len`) drains its own group's injector ahead of
-    /// the global one. Empty when `worker_groups <= 1`.
-    pub(crate) group_injectors: Vec<Injector>,
     pub(crate) queues: Vec<Deque>,
     pub(crate) sleeper: Sleeper,
     pub(crate) metrics: Metrics,
@@ -130,29 +125,6 @@ impl RtInner {
         self.sleeper.notify_all();
     }
 
-    /// [`RtInner::enqueue`] with a worker-group pin: a pinned task lands
-    /// in the local queue only if the current worker belongs to the
-    /// task's group; otherwise it rides the group's injector so a
-    /// same-group worker picks it up first (DESIGN.md §7.1). Unpinned
-    /// tasks (or ungrouped runtimes) take the plain path.
-    pub(crate) fn enqueue_to(&self, id: FrameId, group: Option<u32>) {
-        let n = self.group_injectors.len();
-        if n > 1 {
-            if let Some(g) = group {
-                let g = g as usize % n;
-                let pushed = self
-                    .worker_index()
-                    .is_some_and(|idx| idx % n == g && self.queues[idx].push(id.0).is_ok());
-                if !pushed {
-                    self.group_injectors[g].push(id.0);
-                }
-                self.sleeper.notify_all();
-                return;
-            }
-        }
-        self.enqueue(id);
-    }
-
     fn chaos_delay(&self, id: FrameId) {
         if let Some(chaos) = &self.config.chaos {
             let mut rng = XorShift64::new(chaos.seed ^ id.0.wrapping_mul(0x9E37_79B9));
@@ -187,9 +159,8 @@ impl RtInner {
                 frame.record_panic(payload);
             }
         }
-        let now_ready = self.registry.complete(task.id);
-        for (id, group) in now_ready {
-            self.enqueue_to(id, group);
+        for id in self.registry.complete(task.id) {
+            self.enqueue(id);
         }
         if let Some(parent) = &frame.parent {
             if let Some(payload) = frame.take_panic() {
@@ -308,24 +279,13 @@ impl RtInner {
     /// global injector. An idle worker first rebalances in-flight work
     /// (the Cilk regime), touching the shared injector only when every
     /// victim probe fails.
-    ///
-    /// With worker groups on: pinned work bound for this worker's own
-    /// group comes right after the local queue, and foreign groups'
-    /// injectors are the liveness fallback of last resort (counted as
-    /// cross-group steals; keeps pinned work flowing even when its group
-    /// is unstaffed, e.g. after an elastic shrink).
     fn find_task(&self, idx: usize, rng: &mut XorShift64) -> Option<RunnableTask> {
         while let Some(id) = self.queues[idx].pop() {
             if let Some(task) = self.registry.claim(id) {
                 return Some(task);
             }
         }
-        if let Some(task) = self.pop_own_group_injector(idx) {
-            return Some(task);
-        }
-        self.steal(idx, rng)
-            .or_else(|| self.pop_injector())
-            .or_else(|| self.pop_foreign_group_injectors(idx))
+        self.steal(idx, rng).or_else(|| self.pop_injector())
     }
 
     /// Claims the next runnable task from the global injector.
@@ -338,63 +298,18 @@ impl RtInner {
         None
     }
 
-    /// Claims the next runnable task pinned to this worker's own group.
-    fn pop_own_group_injector(&self, idx: usize) -> Option<RunnableTask> {
-        let n = self.group_injectors.len();
-        if n <= 1 {
-            return None;
-        }
-        while let Some(id) = self.group_injectors[idx % n].pop() {
-            if let Some(task) = self.registry.claim(id) {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Last-resort scan of the other groups' injectors, in ring order
-    /// from this worker's group. Each success counts as a cross-group
-    /// steal: nonzero means the placement left some group idle while
-    /// another had a backlog.
-    fn pop_foreign_group_injectors(&self, idx: usize) -> Option<RunnableTask> {
-        let n = self.group_injectors.len();
-        if n <= 1 {
-            return None;
-        }
-        let own = idx % n;
-        for off in 1..n {
-            let g = (own + off) % n;
-            while let Some(id) = self.group_injectors[g].pop() {
-                if let Some(task) = self.registry.claim(id) {
-                    Metrics::incr(&self.metrics.cross_group_steals);
-                    return Some(task);
-                }
-            }
-        }
-        None
-    }
-
     /// Random victim probes (a couple of rounds; the worker loop
     /// retries). Steals up to [`STEAL_BATCH`] ids per successful probe;
-    /// extras land in this worker's own queue. With worker groups on, the
-    /// first round of probes stays inside this worker's group —
-    /// cross-group steals are a fallback and counted as such (DESIGN.md
-    /// §7.1).
+    /// extras land in this worker's own queue.
     fn steal(&self, idx: usize, rng: &mut XorShift64) -> Option<RunnableTask> {
         let n = self.queues.len();
         if n <= 1 {
             return None;
         }
-        let groups = self.group_injectors.len();
-        let probes = if groups > 1 { 3 * n } else { 2 * n };
-        for probe in 0..probes {
+        for _ in 0..2 * n {
             let victim = rng.next_below(n);
             if victim == idx {
                 continue;
-            }
-            let cross = groups > 1 && victim % groups != idx % groups;
-            if cross && probe < n {
-                continue; // first round: same-group victims only
             }
             let (first, stolen) =
                 self.queues[victim].steal_batch_into(&self.queues[idx], STEAL_BATCH);
@@ -404,9 +319,6 @@ impl RtInner {
             };
             Metrics::incr(&self.metrics.steals);
             Metrics::add(&self.metrics.steal_batch_items, stolen as u64);
-            if cross {
-                Metrics::incr(&self.metrics.cross_group_steals);
-            }
             if let Some(task) = self.registry.claim(first) {
                 return Some(task);
             }
@@ -486,19 +398,10 @@ impl Runtime {
         let queues = (0..max_workers)
             .map(|_| Deque::with_capacity(QUEUE_CAPACITY))
             .collect();
-        // Worker groups beyond the queue count would be permanently
-        // unstaffed; clamp so every group owns at least one worker slot.
-        let groups = config.worker_groups.clamp(1, max_workers);
-        let group_injectors = if groups > 1 {
-            (0..groups).map(|_| Injector::new()).collect()
-        } else {
-            Vec::new()
-        };
         let inner = Arc::new(RtInner {
             config,
             registry: Registry::new(),
             injector: Injector::new(),
-            group_injectors,
             queues,
             sleeper: Sleeper::new(),
             metrics: Metrics::default(),
@@ -552,12 +455,6 @@ impl Runtime {
     /// Upper bound for [`Runtime::resize_workers`].
     pub fn max_workers(&self) -> usize {
         self.inner.queues.len()
-    }
-
-    /// Number of worker groups available for partition pinning (1 when
-    /// grouping is off; see [`crate::RuntimeConfig::worker_groups`]).
-    pub fn worker_groups(&self) -> usize {
-        self.inner.group_injectors.len().max(1)
     }
 
     /// Elastically grows or shrinks the worker pool to `n` threads
@@ -1140,100 +1037,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pinned_tasks_run_on_grouped_runtimes() {
-        for (workers, groups) in [(4usize, 2usize), (2, 2), (1, 2), (4, 4)] {
-            let rt = Runtime::new(RuntimeConfig::new().workers(workers).worker_groups(groups));
-            assert_eq!(rt.worker_groups(), groups.min(workers).max(1));
-            let counter = AtomicUsize::new(0);
-            rt.scope(|s| {
-                for i in 0..64u32 {
-                    s.spawn_pinned(i % groups as u32, (), |_, ()| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(
-                counter.load(Ordering::SeqCst),
-                64,
-                "workers={workers} groups={groups}"
-            );
-        }
-    }
-
-    #[test]
-    fn pinning_is_advisory_on_ungrouped_runtimes() {
-        let rt = Runtime::with_workers(2);
-        assert_eq!(rt.worker_groups(), 1);
-        let counter = AtomicUsize::new(0);
-        rt.scope(|s| {
-            for _ in 0..16 {
-                s.spawn_pinned(7, (), |_, ()| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn children_inherit_the_group_pin() {
-        let rt = Runtime::new(RuntimeConfig::new().workers(4).worker_groups(2));
-        let counter = AtomicUsize::new(0);
-        rt.scope(|s| {
-            s.spawn_pinned(1, (), |s, ()| {
-                assert_eq!(s.frame().group, Some(1));
-                for _ in 0..8 {
-                    s.spawn((), |s, ()| {
-                        assert_eq!(s.frame().group, Some(1), "children inherit the pin");
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
-    fn unstaffed_group_work_is_rescued_cross_group() {
-        // Two groups but a single worker (group 0): everything pinned to
-        // group 1 must still run, via the foreign-injector fallback, and
-        // the cross-group counter must show it.
-        let rt = Runtime::new(RuntimeConfig::new().workers(1..=2).worker_groups(2));
-        let counter = AtomicUsize::new(0);
-        rt.scope(|s| {
-            for _ in 0..32 {
-                s.spawn_pinned(1, (), |_, ()| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 32);
-        assert!(
-            rt.metrics().cross_group_steals > 0,
-            "rescuing group-1 work from the lone group-0 worker must count"
-        );
-    }
-
-    #[test]
-    fn grouped_runtime_completes_fork_join() {
-        let rt = Runtime::new(RuntimeConfig::new().workers(4).worker_groups(2));
-        let out = AtomicU64::new(0);
-        let out_ref = &out;
-        rt.scope(|s| {
-            for g in 0..2u32 {
-                s.spawn_pinned(g, (), move |s, ()| {
-                    for i in 0..16u64 {
-                        s.spawn((), move |_, ()| {
-                            out_ref.fetch_add(i, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(out.load(Ordering::SeqCst), 2 * (0..16).sum::<u64>());
     }
 
     #[test]

@@ -186,9 +186,8 @@ impl Registry {
     }
 
     /// Removes a completed task and releases its successors. Returns the
-    /// ids of tasks that became ready, each with its frame's worker-group
-    /// pin so the runtime can route it to the right queue.
-    pub fn complete(&self, id: FrameId) -> Vec<(FrameId, Option<u32>)> {
+    /// ids of tasks that became ready.
+    pub fn complete(&self, id: FrameId) -> Vec<FrameId> {
         let mut inner = self.inner.lock();
         let entry = inner
             .tasks
@@ -201,9 +200,8 @@ impl Registry {
                 debug_assert!(succ.pending > 0);
                 succ.pending -= 1;
                 if succ.pending == 0 && succ.body.is_some() {
-                    let group = succ.frame.group;
                     inner.ready.insert(s.0);
-                    now_ready.push((s, group));
+                    now_ready.push(s);
                 }
             }
         }
@@ -285,7 +283,7 @@ mod tests {
         let t1 = reg.claim(1).unwrap();
         drop(t1.body);
         let ready = reg.complete(FrameId(1));
-        assert_eq!(ready, vec![(FrameId(2), None)]);
+        assert_eq!(ready, vec![FrameId(2)]);
         assert!(reg.claim(2).is_some());
     }
 
@@ -312,7 +310,7 @@ mod tests {
         ));
         reg.claim(1).unwrap();
         let ready = reg.complete(FrameId(1));
-        assert_eq!(ready, vec![(FrameId(2), None)]);
+        assert_eq!(ready, vec![FrameId(2)]);
     }
 
     #[test]

@@ -55,38 +55,8 @@ impl<'scope> Scope<'scope> {
         D::Guards: 'scope,
         F: FnOnce(&Scope<'scope>, D::Guards) + Send + 'scope,
     {
-        self.spawn_impl(None, deps, body)
-    }
-
-    /// [`Scope::spawn`] pinned to a worker group (DESIGN.md §7.1): the
-    /// task (and, by inheritance, its children) enqueues to group
-    /// `group % worker_groups`' injector, where that group's workers
-    /// prefer it — the placement hook partition-pinned pipeline stages
-    /// use to avoid cross-partition steals. Pinning is advisory: on an
-    /// ungrouped runtime it is a plain spawn, and an idle foreign worker
-    /// may still take the task rather than let it starve (counted in
-    /// [`crate::MetricsSnapshot::cross_group_steals`]). Determinism is
-    /// unaffected either way — programs here are scale-free.
-    pub fn spawn_pinned<D, F>(&self, group: u32, deps: D, body: F)
-    where
-        D: DepList,
-        D::Guards: 'scope,
-        F: FnOnce(&Scope<'scope>, D::Guards) + Send + 'scope,
-    {
-        self.spawn_impl(Some(group), deps, body)
-    }
-
-    fn spawn_impl<D, F>(&self, group: Option<u32>, deps: D, body: F)
-    where
-        D: DepList,
-        D::Guards: 'scope,
-        F: FnOnce(&Scope<'scope>, D::Guards) + Send + 'scope,
-    {
         let id = self.rt.alloc_id();
-        let frame = match group {
-            Some(g) => Frame::new_child_pinned(&self.frame, id, g),
-            None => Frame::new_child(&self.frame, id),
-        };
+        let frame = Frame::new_child(&self.frame, id);
         let mut ctx = AcquireCtx::new(&self.rt, id, &frame, &self.frame);
         let guards = deps.acquire_all(&mut ctx);
         let preds = std::mem::take(&mut ctx.preds);
@@ -111,10 +81,9 @@ impl<'scope> Scope<'scope> {
                 closure,
             )
         };
-        let pin = frame.group;
         let ready = self.rt.registry.insert(id, frame, task, releases, &preds);
         if ready {
-            self.rt.enqueue_to(id, pin);
+            self.rt.enqueue(id);
         } else {
             Metrics::incr(&self.rt.metrics.deferred_tasks);
         }

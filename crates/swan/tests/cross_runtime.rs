@@ -7,17 +7,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
-use swan::{Runtime, RuntimeConfig};
+use swan::Runtime;
 
 const OUTER_WORKERS: usize = 4;
 const INNER_TASKS: usize = 8;
 
 /// Holds every worker of a 4-worker runtime on one task each (the
 /// barrier), so worker indices 0..=3 are all covered; each task then
-/// opens a scope on `inner` and spawns `INNER_TASKS` tasks there, pinned
-/// round-robin over two groups if `pinned`. Returns how many inner tasks
-/// ran. The watchdog turns the hang this used to cause into a failure.
-fn run_nested(inner: Runtime, pinned: bool) -> usize {
+/// opens a scope on `inner` and spawns `INNER_TASKS` tasks there. Returns
+/// how many inner tasks ran. The watchdog turns the hang this used to
+/// cause into a failure.
+fn run_nested(inner: Runtime) -> usize {
     let ran = Arc::new(AtomicUsize::new(0));
     let (done_tx, done_rx) = mpsc::channel();
     let counter = Arc::clone(&ran);
@@ -29,15 +29,10 @@ fn run_nested(inner: Runtime, pinned: bool) -> usize {
                 s.spawn((), |_, ()| {
                     all_staffed.wait();
                     inner.scope(|s| {
-                        for i in 0..INNER_TASKS {
-                            let body = |_: &swan::Scope<'_>, ()| {
+                        for _ in 0..INNER_TASKS {
+                            s.spawn((), |_, ()| {
                                 counter.fetch_add(1, Ordering::SeqCst);
-                            };
-                            if pinned {
-                                s.spawn_pinned(i as u32 % 2, (), body);
-                            } else {
-                                s.spawn((), body);
-                            }
+                            });
                         }
                     });
                 });
@@ -53,13 +48,14 @@ fn run_nested(inner: Runtime, pinned: bool) -> usize {
 
 #[test]
 fn worker_of_one_runtime_can_open_a_scope_on_another() {
-    let ran = run_nested(Runtime::with_workers(1), false);
+    let ran = run_nested(Runtime::with_workers(1));
     assert_eq!(ran, OUTER_WORKERS * INNER_TASKS);
 }
 
+/// Outer worker indices 0–1 name queues the inner runtime does have (but
+/// does not let a foreign thread push into); 2–3 name queues it lacks.
 #[test]
-fn foreign_worker_pinned_spawns_take_the_group_injector() {
-    let grouped = Runtime::new(RuntimeConfig::new().workers(2).worker_groups(2));
-    let ran = run_nested(grouped, true);
+fn outer_worker_indices_beyond_a_two_queue_inner_runtime_take_the_injector() {
+    let ran = run_nested(Runtime::with_workers(2));
     assert_eq!(ran, OUTER_WORKERS * INNER_TASKS);
 }
