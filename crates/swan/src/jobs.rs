@@ -1,10 +1,11 @@
 //! Job admission for persistent runtimes: a bounded, FIFO-fair job table.
 //!
-//! A persistent runtime (see [`crate::Runtime::persistent`]) keeps its
-//! worker pool hot and lets clients push many independent *jobs* through
-//! it. Unbounded concurrent admission would let a burst of jobs thrash the
-//! scheduler (and the memory of every pipeline instantiated per job), so
-//! services gate job entry through a [`JobTable`]:
+//! A persistent runtime (one [`crate::Runtime`] kept for the process's
+//! life) keeps its worker pool hot and lets clients push many independent
+//! *jobs* through it. Unbounded concurrent admission would let a burst of
+//! jobs thrash the scheduler (and the memory of every pipeline
+//! instantiated per job), so services gate job entry through a
+//! [`JobTable`]:
 //!
 //! * **bounded in-flight**: at most `max_in_flight` jobs execute at once;
 //! * **FIFO fairness**: jobs start strictly in the order they entered —

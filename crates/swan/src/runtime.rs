@@ -31,8 +31,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use crate::config::RuntimeConfig;
 use crate::frame::{Frame, FrameId, HelpMode};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -74,10 +72,6 @@ pub(crate) struct RtInner {
     pub(crate) queues: Vec<Deque>,
     pub(crate) sleeper: Sleeper,
     pub(crate) metrics: Metrics,
-    /// Elastic worker target: the worker on queue `idx` retires as soon as
-    /// it observes `idx >= target_workers` (see `worker_main`). Always in
-    /// `1..=queues.len()`.
-    target_workers: AtomicUsize,
     /// Scopes and detached roots currently open on this runtime (see
     /// [`Runtime::quiesce`]).
     open_scopes: AtomicUsize,
@@ -341,13 +335,6 @@ impl RtInner {
             if self.shutdown.load(Ordering::Acquire) {
                 break;
             }
-            // Elastic shrink: retire promptly (before claiming more work)
-            // so a later grow can re-staff this slot without waiting out a
-            // backlog. Anything left in this worker's queue stays stealable
-            // by the survivors; queue 0 never retires (target >= 1).
-            if idx >= self.target_workers.load(Ordering::Acquire) {
-                break;
-            }
             if let Some(task) = self.find_task(idx, &mut rng) {
                 self.execute(task);
                 continue;
@@ -357,15 +344,6 @@ impl RtInner {
         }
         WORKER_SLOT.with(|w| w.set(None));
     }
-}
-
-/// Spawns the worker thread for queue slot `idx`.
-fn spawn_worker(inner: &Arc<RtInner>, idx: usize) -> JoinHandle<()> {
-    let rt = Arc::clone(inner);
-    std::thread::Builder::new()
-        .name(format!("swan-worker-{idx}"))
-        .spawn(move || rt.worker_main(idx))
-        .expect("failed to spawn worker thread")
 }
 
 /// A work-stealing task-dataflow runtime, in the mold of Swan.
@@ -385,17 +363,15 @@ fn spawn_worker(inner: &Arc<RtInner>, idx: usize) -> JoinHandle<()> {
 /// ```
 pub struct Runtime {
     inner: Arc<RtInner>,
-    /// One slot per worker queue; `None` for slots whose worker is not
-    /// currently staffed (never started, or retired by an elastic shrink).
-    threads: Mutex<Vec<Option<JoinHandle<()>>>>,
+    /// One thread per worker queue, joined on drop.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Runtime {
     /// Builds a runtime from a configuration.
     pub fn new(config: RuntimeConfig) -> Self {
         let workers = config.workers.max(1);
-        let max_workers = config.max_workers.max(workers);
-        let queues = (0..max_workers)
+        let queues = (0..workers)
             .map(|_| Deque::with_capacity(QUEUE_CAPACITY))
             .collect();
         let inner = Arc::new(RtInner {
@@ -405,18 +381,20 @@ impl Runtime {
             queues,
             sleeper: Sleeper::new(),
             metrics: Metrics::default(),
-            target_workers: AtomicUsize::new(workers),
             open_scopes: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
         });
-        let threads = (0..max_workers)
-            .map(|idx| (idx < workers).then(|| spawn_worker(&inner, idx)))
+        let threads = (0..workers)
+            .map(|idx| {
+                let rt = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("swan-worker-{idx}"))
+                    .spawn(move || rt.worker_main(idx))
+                    .expect("failed to spawn worker thread")
+            })
             .collect();
-        Self {
-            inner,
-            threads: Mutex::new(threads),
-        }
+        Self { inner, threads }
     }
 
     /// Runtime with `workers` threads and default settings.
@@ -424,71 +402,9 @@ impl Runtime {
         Self::new(RuntimeConfig::new().workers(workers))
     }
 
-    /// A long-lived **service** runtime: one worker per machine core, kept
-    /// hot across jobs (idle workers park on the sleeper, costing nothing
-    /// between jobs), with elastic headroom to [`Runtime::resize_workers`]
-    /// anywhere in `1..=max(cores, 8)`. Services enter each job as a
-    /// detached root ([`Runtime::spawn_root`]) — a task on these workers
-    /// with a completion hook, no thread of its own — and drain with
-    /// [`Runtime::quiesce`]. Because hyperqueue programs are scale-free,
-    /// resizing never changes observable job output — only throughput.
-    pub fn persistent() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::new(RuntimeConfig::new().workers(cores..=cores.max(8)))
-    }
-
-    /// Number of worker threads the runtime was configured with (the
-    /// initial staffing; see [`Runtime::active_workers`] for the current
-    /// elastic target).
+    /// Number of worker threads, fixed at construction (at least 1).
     pub fn workers(&self) -> usize {
-        self.inner.config.workers
-    }
-
-    /// Current elastic worker target (threads serving tasks right now,
-    /// modulo retirements still in flight).
-    pub fn active_workers(&self) -> usize {
-        self.inner.target_workers.load(Ordering::Acquire)
-    }
-
-    /// Upper bound for [`Runtime::resize_workers`].
-    pub fn max_workers(&self) -> usize {
         self.inner.queues.len()
-    }
-
-    /// Elastically grows or shrinks the worker pool to `n` threads
-    /// (clamped to `1..=max_workers`); returns the applied target.
-    ///
-    /// Shrinking is asynchronous: surplus workers retire as soon as they
-    /// next look for work, and any tasks left in their queues remain
-    /// stealable by the survivors. Growing first joins the retired threads
-    /// of the re-staffed slots, then spawns fresh ones. Determinism is
-    /// unaffected — programs on this runtime are scale-free, so a resize
-    /// (even mid-job) changes throughput, never output.
-    pub fn resize_workers(&self, n: usize) -> usize {
-        let n = n.clamp(1, self.inner.queues.len());
-        let mut threads = self.threads.lock();
-        let cur = self.inner.target_workers.load(Ordering::Acquire);
-        if n > cur {
-            // Re-staffed slots may still hold a retiring thread from an
-            // earlier shrink: join it before handing the queue to a new
-            // one (retirement is prompt — checked before claiming work).
-            for slot in threads[cur..n].iter_mut() {
-                if let Some(h) = slot.take() {
-                    let _ = h.join();
-                }
-            }
-            self.inner.target_workers.store(n, Ordering::Release);
-            for (off, slot) in threads[cur..n].iter_mut().enumerate() {
-                *slot = Some(spawn_worker(&self.inner, cur + off));
-            }
-        } else if n < cur {
-            self.inner.target_workers.store(n, Ordering::Release);
-            // Wake parked surplus workers so they notice and retire.
-            self.inner.sleeper.notify_all();
-        }
-        n
     }
 
     /// Opens a scope: tasks spawned within may borrow from the enclosing
@@ -578,11 +494,10 @@ impl Runtime {
     /// Drains the runtime: blocks until every currently open
     /// [`Runtime::scope`] has returned and every detached root
     /// ([`Runtime::spawn_root`]) has run its hook to the end. This is the
-    /// graceful-shutdown primitive for persistent services (see
-    /// [`Runtime::persistent`]): stop submitting new work first
-    /// (quiescing does not fence new scopes), then `quiesce()` guarantees
-    /// all in-flight jobs have fully drained before the process tears the
-    /// service down.
+    /// graceful-shutdown primitive for long-lived services: stop
+    /// submitting new work first (quiescing does not fence new scopes),
+    /// then `quiesce()` guarantees all in-flight jobs have fully drained
+    /// before the process tears the service down.
     ///
     /// The caller parks on the runtime's sleeper between checks, so
     /// waiting costs nothing while jobs run.
@@ -628,7 +543,7 @@ impl Drop for Runtime {
         // itself. It holds its own `Arc<RtInner>`, sees the flag when the
         // hook returns, and exits unjoined; all others are reaped here.
         let me = std::thread::current().id();
-        for t in self.threads.get_mut().iter_mut().filter_map(Option::take) {
+        for t in self.threads.drain(..) {
             if t.thread().id() != me {
                 let _ = t.join();
             }
@@ -661,11 +576,6 @@ impl RuntimeHandle {
         self.inner.sleeper.notify_all()
     }
 
-    /// Number of worker threads in the runtime.
-    pub fn workers(&self) -> usize {
-        self.inner.config.workers
-    }
-
     /// Scheduler metrics snapshot.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner.metrics.snapshot()
@@ -682,6 +592,13 @@ mod tests {
         let rt = Runtime::with_workers(2);
         assert_eq!(rt.workers(), 2);
         drop(rt);
+        // The fields are public, so a config can bypass the builder's
+        // clamp: the runtime reports the count it actually staffs.
+        let rt = Runtime::new(RuntimeConfig {
+            workers: 0,
+            ..RuntimeConfig::default()
+        });
+        assert_eq!(rt.workers(), 1);
     }
 
     #[test]
@@ -787,63 +704,8 @@ mod tests {
     }
 
     #[test]
-    fn elastic_resize_grows_and_shrinks_between_work() {
-        let rt = Runtime::new(RuntimeConfig::new().workers(1..=4));
-        assert_eq!((rt.active_workers(), rt.max_workers()), (1, 4));
-        let run_batch = |expect: usize| {
-            let counter = AtomicUsize::new(0);
-            rt.scope(|s| {
-                for _ in 0..expect {
-                    s.spawn((), |_, ()| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::SeqCst), expect);
-        };
-        run_batch(32);
-        assert_eq!(rt.resize_workers(4), 4);
-        run_batch(32);
-        assert_eq!(rt.resize_workers(2), 2);
-        run_batch(32);
-        // Grow again: re-staffs slots whose threads retired above.
-        assert_eq!(rt.resize_workers(3), 3);
-        run_batch(32);
-        // Clamping: 0 -> 1, beyond max -> max.
-        assert_eq!(rt.resize_workers(0), 1);
-        assert_eq!(rt.resize_workers(99), 4);
-        run_batch(32);
-    }
-
-    #[test]
-    fn resize_mid_job_does_not_lose_tasks() {
-        let rt = Runtime::new(RuntimeConfig::new().workers(4..=8));
-        let counter = AtomicUsize::new(0);
-        rt.scope(|s| {
-            for i in 0..256 {
-                s.spawn((), |_, ()| {
-                    let mut x = 0u64;
-                    for j in 0..20_000u64 {
-                        x = x.wrapping_mul(31).wrapping_add(j);
-                    }
-                    std::hint::black_box(x);
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-                if i == 64 {
-                    rt.resize_workers(1);
-                }
-                if i == 128 {
-                    rt.resize_workers(8);
-                }
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 256);
-    }
-
-    #[test]
     fn persistent_runtime_serves_scopes_from_multiple_threads() {
-        let rt = Arc::new(Runtime::persistent());
-        assert!(rt.max_workers() >= rt.active_workers());
+        let rt = Arc::new(Runtime::with_workers(2));
         let total = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
             .map(|_| {

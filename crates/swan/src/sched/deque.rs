@@ -167,12 +167,6 @@ impl Deque {
         (b - t).max(0) as usize
     }
 
-    /// Approximate emptiness check (racy; heuristics only).
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Owner-only: whether a push would currently succeed. Exact from the
     /// owner's perspective — only the owner adds items, and concurrent
     /// steals only free space.

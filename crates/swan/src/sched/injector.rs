@@ -30,18 +30,6 @@ impl Injector {
     pub fn pop(&self) -> Option<u64> {
         self.queue.lock().pop_front()
     }
-
-    /// Approximate length (for metrics).
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// True when no ids are queued.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
-    }
 }
 
 impl Default for Injector {
@@ -57,11 +45,10 @@ mod tests {
     #[test]
     fn fifo_order() {
         let inj = Injector::new();
-        assert!(inj.is_empty());
+        assert_eq!(inj.pop(), None);
         inj.push(1);
         inj.push(2);
         inj.push(3);
-        assert_eq!(inj.len(), 3);
         assert_eq!(inj.pop(), Some(1));
         assert_eq!(inj.pop(), Some(2));
         assert_eq!(inj.pop(), Some(3));

@@ -207,30 +207,6 @@ impl Registry {
         }
         now_ready
     }
-
-    /// True if task `id` has not completed yet (spawned and still present).
-    #[allow(dead_code)]
-    pub fn is_incomplete(&self, id: FrameId) -> bool {
-        self.inner.lock().tasks.contains_key(&id.0)
-    }
-
-    /// Number of registered (incomplete) tasks.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.inner.lock().tasks.len()
-    }
-
-    /// True when no tasks are registered.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of ready, unclaimed tasks.
-    #[allow(dead_code)]
-    pub fn ready_len(&self) -> usize {
-        self.inner.lock().ready.len()
-    }
 }
 
 impl Default for Registry {
@@ -264,12 +240,13 @@ mod tests {
         let reg = Registry::new();
         let f = Frame::new_root(FrameId(1));
         assert!(reg.insert(FrameId(1), f, noop_body(), vec![], &[]));
-        assert_eq!(reg.ready_len(), 1);
         let t = reg.claim(1).expect("claimable");
         assert_eq!(t.id, FrameId(1));
         assert!(reg.claim(1).is_none(), "double claim must fail");
         reg.complete(FrameId(1));
-        assert!(reg.is_empty());
+        // Completion unregisters the task: a later dependent sees no edge.
+        let f2 = Frame::new_root(FrameId(2));
+        assert!(reg.insert(FrameId(2), f2, noop_body(), vec![], &[FrameId(1)]));
     }
 
     #[test]

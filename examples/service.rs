@@ -1,26 +1,21 @@
 //! The service layer in one screen: compile a graph once, keep it hot on
-//! a persistent runtime, fire many jobs at it, resize the worker pool
-//! mid-traffic — outputs never change, only throughput.
+//! a persistent runtime, fire many jobs at it — every output matches the
+//! serial elision at any worker count.
 //!
 //! Run with `cargo run --release --example service`.
 
 use std::sync::Arc;
 
 use hyperqueues::pipelines::graph::{Admission, ServiceConfig};
-use hyperqueues::swan::Runtime;
+use hyperqueues::swan::{Runtime, RuntimeConfig};
 use hyperqueues::workloads::service::{
     job_lines, wordcount_serial, wordcount_spec, ServiceWorkloadConfig,
 };
 
 fn main() {
-    // A long-lived runtime: workers park between jobs, and the pool can
-    // grow/shrink elastically while traffic flows.
-    let rt = Arc::new(Runtime::persistent());
-    println!(
-        "persistent runtime: {} worker(s), elastic up to {}",
-        rt.active_workers(),
-        rt.max_workers()
-    );
+    // A long-lived runtime, one worker per core: workers park between jobs.
+    let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
+    println!("persistent runtime: {} worker(s)", rt.workers());
 
     // Compile the wordcount graph once: tokenize -> sharded counting ->
     // ordered merge. All stage closures live behind Arcs, so the same
@@ -43,15 +38,9 @@ fn main() {
     graph.prewarm(cfg.prewarm_depth());
     let warm = graph.telemetry().storage;
 
-    // Fire a burst of jobs; resize the worker pool while they run.
+    // Fire a burst of jobs.
     let handles: Vec<_> = (0..32)
         .map(|j| {
-            if j == 10 {
-                rt.resize_workers(rt.max_workers());
-            }
-            if j == 20 {
-                rt.resize_workers(1);
-            }
             graph
                 .submit(job_lines(&cfg, j), Admission::Unbounded)
                 .expect_accepted()

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! hqd [--addr 127.0.0.1:7171] [--workload wordcount|logstream]
-//!     [--workers N]          0 (default) = persistent(): one per core, elastic
+//!     [--workers N]          0 (default) = one per core
 //!     [--max-in-flight N]    admission bound, default 4
 //!     [--max-queued N]       accepted-but-waiting bound, default 64 (then RETRY)
 //!     [--degree N]           fan-out/shard degree inside each job, default 4
@@ -116,14 +116,11 @@ fn main() {
     }
     let journal_dir = flag(&args, "--journal-dir");
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let worker_range = if workers == 0 {
-        // persistent() shape: one worker per core, elastic headroom to 8.
-        cores..=cores.max(8)
+    let rt = Arc::new(if workers == 0 {
+        Runtime::new(RuntimeConfig::default())
     } else {
-        workers..=workers
-    };
-    let rt = Arc::new(Runtime::new(RuntimeConfig::new().workers(worker_range)));
+        Runtime::with_workers(workers)
+    });
     let service_cfg = ServiceConfig {
         max_in_flight,
         retry: RetryPolicy::retries(max_retries.min(u32::MAX as usize) as u32),
@@ -217,7 +214,7 @@ fn main() {
          max_in_flight {max_in_flight}, max_queued {max_queued}, \
          event_loops {event_loops}{})",
         server.local_addr(),
-        rt.active_workers(),
+        rt.workers(),
         match &journal_dir {
             Some(dir) => format!(", journal {dir}, max_retries {max_retries}"),
             None => String::new(),
