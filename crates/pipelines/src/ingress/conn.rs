@@ -5,21 +5,24 @@
 //!   threads post into.
 //! * [`Conn`], one per connection: the decode → pending-reply-FIFO →
 //!   bounded-write-buffer state machine.
+//! * [`Slab`], one per loop: its connections, addressed by readiness
+//!   token and generation.
 //!
-//! Frame decisions live in `super` (`admit_submit`, `admit_durable`,
-//! `handle_ack`, `handle_query`); `loop.rs` drives both.
+//! `hqd`'s frame decisions live in `super` (`admit_submit`,
+//! `admit_durable`, `handle_ack`, `handle_query`) and `loop.rs` drives
+//! them; the router drives the same parts with its own routing.
 
 use std::collections::VecDeque;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use epoll::{Epoll, EventFd};
 use parking_lot::Mutex;
 
-use super::wire::{FrameDecoder, JobCodec};
-use super::{encode_result_frame, Counters, DurableOutcome, Shared};
+use super::wire::{Frame, FrameDecoder, FrameError, JobCodec};
+use super::{encode_result_frame, DurableOutcome, Shared};
 
 /// Replies a connection may queue ahead of reading more requests. Past
 /// this the loop drops read interest on the socket: a client that
@@ -196,6 +199,52 @@ impl Conn {
         self.wbuf.len() - self.wpos
     }
 
+    /// Reads until `WouldBlock`, a backpressure bound or a fairness cap
+    /// (a level-triggered wait re-reports leftovers), handing every
+    /// complete frame to `on_frame` until the connection starts closing.
+    /// Returns the bytes read and the error of a malformed frame, which
+    /// sets `closing`: the caller answers it, replies drain, then close.
+    pub fn read_frames(
+        &mut self,
+        chunk: &mut [u8],
+        write_buf_limit: usize,
+        mut on_frame: impl FnMut(&mut Conn, Frame),
+    ) -> (u64, Option<FrameError>) {
+        let mut read = 0;
+        for _ in 0..16 {
+            if self.closing || self.dead {
+                break;
+            }
+            if self.pending.len() >= PENDING_CAP || self.unflushed() >= write_buf_limit {
+                break; // backpressure: the interest update drops READ
+            }
+            match self.stream.read(chunk) {
+                Ok(0) => self.dead = true,
+                Ok(n) => {
+                    read += n as u64;
+                    self.dec.extend(&chunk[..n]);
+                    while !self.closing {
+                        match self.dec.next_frame() {
+                            Ok(Some(frame)) => on_frame(self, frame),
+                            Ok(None) => break,
+                            Err(e) => {
+                                self.closing = true;
+                                return (read, Some(e));
+                            }
+                        }
+                    }
+                    if n < chunk.len() {
+                        break; // short read: socket almost certainly drained
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => self.dead = true,
+            }
+        }
+        (read, None)
+    }
+
     /// Queues an immediately-available reply in its FIFO position.
     pub fn push_ready(&mut self, frame: Vec<u8>, is_job_result: bool) {
         self.pending.push_back(PendingSlot::Ready {
@@ -245,19 +294,19 @@ impl Conn {
     /// Moves the contiguous Ready run at the FIFO front into the write
     /// buffer (bounded by `write_buf_limit`) and writes as much as the
     /// socket accepts. On a dead socket, Ready replies are drained
-    /// unwritten instead, counting each lost job result.
-    pub fn pump_out(&mut self, counters: &Counters, write_buf_limit: usize) {
+    /// unwritten instead. Returns the bytes written and the job results
+    /// lost to a dead socket.
+    pub fn pump_out(&mut self, write_buf_limit: usize) -> (u64, u64) {
         if self.dead {
+            let mut dropped = 0;
             while let Some(PendingSlot::Ready { is_job_result, .. }) = self.pending.front() {
-                if *is_job_result {
-                    counters.results_dropped.fetch_add(1, Ordering::Relaxed);
-                }
+                dropped += u64::from(*is_job_result);
                 self.pending.pop_front();
                 self.head_slot += 1;
             }
             self.wbuf.clear();
             self.wpos = 0;
-            return;
+            return (0, dropped);
         }
         // Promote. A single frame larger than the limit still promotes
         // when the buffer is empty (it could never go out otherwise), so
@@ -275,6 +324,7 @@ impl Conn {
             }
         }
         // Flush with partial-write resumption.
+        let mut written = 0u64;
         while self.wpos < self.wbuf.len() {
             match self.stream.write(&self.wbuf[self.wpos..]) {
                 Ok(0) => {
@@ -282,7 +332,7 @@ impl Conn {
                     break;
                 }
                 Ok(n) => {
-                    counters.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+                    written += n as u64;
                     self.wpos += n;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -295,8 +345,7 @@ impl Conn {
         }
         if self.dead {
             // Whatever was still queued can no longer be delivered.
-            self.pump_out(counters, write_buf_limit);
-            return;
+            return (written, self.pump_out(write_buf_limit).1);
         }
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
@@ -306,6 +355,7 @@ impl Conn {
             self.wbuf.drain(..self.wpos);
             self.wpos = 0;
         }
+        (written, 0)
     }
 
     /// True when nothing remains to deliver or account.
@@ -328,6 +378,94 @@ impl Conn {
             want |= epoll::interest::WRITE;
         }
         want
+    }
+}
+
+/// One loop's connections. A connection's index is its readiness token;
+/// the generation beside it advances whenever the index is freed, so an
+/// address `(index, gen)` taken before a disconnect never reaches the
+/// connection that reuses the index.
+#[derive(Default)]
+pub(crate) struct Slab {
+    entries: Vec<(u32, Option<Conn>)>,
+    free: Vec<usize>,
+}
+
+impl Slab {
+    /// Takes over a freshly accepted socket; [`Slab::settle`] registers
+    /// it. Returns its index, or `None` when the socket could not be set
+    /// up (it is dropped).
+    pub fn insert(&mut self, stream: TcpStream, max_frame_len: u32) -> Option<usize> {
+        stream.set_nonblocking(true).ok()?;
+        let _ = stream.set_nodelay(true);
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.entries.push((0, None));
+            self.entries.len() - 1
+        });
+        let (gen, slot) = &mut self.entries[idx];
+        *slot = Some(Conn::new(stream, *gen, max_frame_len));
+        Some(idx)
+    }
+
+    pub fn get_mut(&mut self, idx: usize) -> Option<&mut Conn> {
+        self.entries.get_mut(idx)?.1.as_mut()
+    }
+
+    /// The connection at `idx`, if it is still generation `gen`.
+    pub fn live(&mut self, idx: u32, gen: u32) -> Option<&mut Conn> {
+        match self.entries.get_mut(idx as usize)? {
+            (g, Some(conn)) if *g == gen => Some(conn),
+            _ => None,
+        }
+    }
+
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut Conn)> {
+        self.entries
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(idx, (_, slot))| Some((idx, slot.as_mut()?)))
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.free.len() == self.entries.len()
+    }
+
+    /// Writes what connection `idx` can write, then frees it if it is
+    /// finished (dead or closing, and drained) or else brings its
+    /// readiness interest up to date. Returns [`Conn::pump_out`]'s
+    /// counts.
+    pub fn settle(&mut self, core: &LoopCore, idx: usize, write_buf_limit: usize) -> (u64, u64) {
+        let (gen, slot) = &mut self.entries[idx];
+        let Some(conn) = slot else { return (0, 0) };
+        let counts = conn.pump_out(write_buf_limit);
+        if (conn.dead || conn.closing) && conn.drained() {
+            // Deregister before the drop closes the fd: only epoll
+            // forgets a closed fd by itself.
+            if conn.registered {
+                let _ = core.epoll.delete(epoll::raw_fd(&conn.stream));
+            }
+            *slot = None;
+            *gen = gen.wrapping_add(1);
+            self.free.push(idx);
+            return counts;
+        }
+        let want = conn.desired_interest(write_buf_limit);
+        let fd = epoll::raw_fd(&conn.stream);
+        if want == 0 {
+            // Deregister entirely: with zero interest a closed peer
+            // would still storm hangups at a level-triggered wait.
+            if conn.registered {
+                let _ = core.epoll.delete(fd);
+            }
+            conn.registered = false;
+        } else if !conn.registered {
+            conn.registered = core.epoll.add(fd, idx as u64, want).is_ok();
+            conn.interest = want;
+        } else if want != conn.interest {
+            let _ = core.epoll.modify(fd, idx as u64, want);
+            conn.interest = want;
+        }
+        counts
     }
 }
 

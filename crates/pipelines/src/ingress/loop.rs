@@ -3,16 +3,20 @@
 //! `poll(2)` on other unix), and nothing else — no thread ever waits on a
 //! job or on an fsync on a job's behalf.
 //!
-//! Thread anatomy:
+//! Thread anatomy, the same for `hqd` and for the router
+//! ([`super::router`]), whose loops run their own body over the same
+//! [`Engine`], [`LoopCore`] and [`Slab`]:
 //!
-//! * `hqd-accept` blocks on a readiness set over the listener plus a
-//!   shutdown wakeup handle, accepting until `WouldBlock` and dealing
-//!   connections to loops round-robin.
-//! * `hqd-loop-N` owns a slab of [`Conn`] state machines. Each wait
-//!   returns readable sockets (parse frames, dispatch), writable sockets
-//!   (resume partial writes), or the loop's own wakeup handle (drain the
-//!   inbox: new connections from the acceptor, completions from wherever
-//!   jobs finished).
+//! * `hqd-accept` (`hqrouter-accept`) blocks on a readiness set over the
+//!   listener plus a shutdown wakeup handle, accepting until `WouldBlock`
+//!   and dealing connections to loops round-robin.
+//! * `hqd-loop-N` (`hqrouter-loop-N`) owns a slab of [`Conn`] state
+//!   machines. Each wait returns readable sockets (parse frames,
+//!   dispatch), writable sockets (resume partial writes), or the loop's
+//!   own wakeup handle (drain the inbox: new connections from the
+//!   acceptor, completions from wherever jobs finished). A router loop
+//!   also waits on its upstream connections, one per backend, whose
+//!   replies fill its clients' slots.
 //!
 //! A submit hands the graph a completion callback
 //! ([`crate::service::CompiledGraph::submit_with`]). The runtime worker
@@ -31,25 +35,39 @@
 //! set) until every completion has been accounted as `results_dropped`.
 
 use std::net::TcpListener;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use epoll::{Epoll, EventFd};
 
-use super::conn::{encode_outcome, parse_subscribe_body, Conn, LoopCore, ReplyAddr, PENDING_CAP};
+use super::conn::{encode_outcome, parse_subscribe_body, Conn, LoopCore, ReplyAddr, Slab};
 use super::wire::{encode_frame, Frame, FrameKind, JobCodec};
 use super::{
     admit_durable, admit_submit, complete_durable_then, encode_job_result, sleep_with_shutdown,
-    stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction, ACCEPT_BACKOFF_BASE,
+    stats_text, AcceptBackoff, DurableAction, Shared, SubmitAction,
 };
 
 /// Token of each loop's own wakeup handle (connection tokens are slab
 /// indices, which can never reach this).
-const WAKE_TOKEN: u64 = u64::MAX;
+pub(crate) const WAKE_TOKEN: u64 = u64::MAX;
 
-/// The server's threads, joined at shutdown in dependency order:
+/// What the acceptor needs from the server it accepts for (`hqd`'s
+/// [`Shared`] or the router's state): the shutdown flag and the
+/// `connections` and `accept_errors` counters.
+pub(crate) trait Front: Send + Sync + 'static {
+    fn accept_state(&self) -> (&AtomicBool, &AtomicU64, &AtomicU64);
+}
+
+impl<C: JobCodec> Front for Shared<C> {
+    fn accept_state(&self) -> (&AtomicBool, &AtomicU64, &AtomicU64) {
+        let c = &self.counters;
+        (&self.shutdown, &c.connections, &c.accept_errors)
+    }
+}
+
+/// A server's threads, joined at shutdown in dependency order:
 /// acceptor first (no new connections), then loops (each exits once
 /// every pending reply of its connections has been posted back and
 /// flushed).
@@ -61,13 +79,21 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Spawns [`super::IngressConfig::event_loops`] loop threads and the
-    /// acceptor.
-    pub fn spawn<C: JobCodec>(
+    /// Spawns `n_loops` (at least 1) threads named `{name}-loop-N`, each
+    /// running `run(front, core)` over its own [`LoopCore`] (wakeup
+    /// handle registered under [`WAKE_TOKEN`]), and the acceptor
+    /// `{name}-accept` that deals `listener`'s connections to them
+    /// round-robin, backing off from accept errors starting at
+    /// `backoff_base`.
+    pub fn spawn<F: Front>(
+        name: &str,
         listener: TcpListener,
-        shared: &Arc<Shared<C>>,
+        n_loops: usize,
+        backoff_base: Duration,
+        front: &Arc<F>,
+        run: fn(Arc<F>, Arc<LoopCore>),
     ) -> std::io::Result<Engine> {
-        let n_loops = shared.cfg.event_loops.max(1);
+        let n_loops = n_loops.max(1);
         let mut cores = Vec::with_capacity(n_loops);
         for _ in 0..n_loops {
             let core = LoopCore::new()?;
@@ -82,22 +108,23 @@ impl Engine {
 
         let mut loops = Vec::with_capacity(n_loops);
         for (i, core) in cores.iter().enumerate() {
-            let shared = Arc::clone(shared);
-            let core = Arc::clone(core);
+            let (front, core) = (Arc::clone(front), Arc::clone(core));
             loops.push(
                 std::thread::Builder::new()
-                    .name(format!("hqd-loop-{i}"))
-                    .spawn(move || event_loop(shared, core))
+                    .name(format!("{name}-loop-{i}"))
+                    .spawn(move || run(front, core))
                     .expect("failed to spawn event-loop thread"),
             );
         }
         let acceptor = {
-            let shared = Arc::clone(shared);
+            let front = Arc::clone(front);
             let cores = cores.clone();
             let wake = Arc::clone(&accept_wake);
             std::thread::Builder::new()
-                .name("hqd-accept".to_string())
-                .spawn(move || accept_loop(listener, shared, cores, accept_epoll, wake))
+                .name(format!("{name}-accept"))
+                .spawn(move || {
+                    accept_loop(listener, &*front, backoff_base, cores, accept_epoll, wake)
+                })
                 .expect("failed to spawn acceptor thread")
         };
         Ok(Engine {
@@ -130,21 +157,23 @@ impl Engine {
 /// errors go through the [`AcceptBackoff`] classifier; a resource error
 /// (EMFILE/ENFILE) backs off exponentially instead of spinning on the
 /// forever-readable listener.
-fn accept_loop<C: JobCodec>(
+fn accept_loop(
     listener: TcpListener,
-    shared: Arc<Shared<C>>,
+    front: &dyn Front,
+    backoff_base: Duration,
     cores: Vec<Arc<LoopCore>>,
     ep: Epoll,
     wake: Arc<EventFd>,
 ) {
+    let (shutdown, connections, accept_errors) = front.accept_state();
     let mut rr = 0usize;
-    let mut backoff = AcceptBackoff::new(ACCEPT_BACKOFF_BASE);
+    let mut backoff = AcceptBackoff::new(backoff_base);
     let mut events = Vec::new();
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shutdown.load(Ordering::Acquire) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 backoff.on_success();
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                connections.fetch_add(1, Ordering::Relaxed);
                 cores[rr % cores.len()].push_conn(stream);
                 rr += 1;
             }
@@ -154,21 +183,17 @@ fn accept_loop<C: JobCodec>(
                 wake.drain();
             }
             Err(e) => {
-                shared
-                    .counters
-                    .accept_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                sleep_with_shutdown(backoff.on_error(&e), &shared.shutdown);
+                accept_errors.fetch_add(1, Ordering::Relaxed);
+                sleep_with_shutdown(backoff.on_error(&e), shutdown);
             }
         }
     }
 }
 
-/// One event loop: a readiness wait over its slab of connections plus its
-/// wakeup handle.
-fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
-    let mut slab: Vec<(u32, Option<Conn>)> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
+/// One `hqd` event loop: a readiness wait over its slab of connections
+/// plus its wakeup handle.
+pub(crate) fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
+    let mut slab = Slab::default();
     let mut events: Vec<epoll::Event> = Vec::with_capacity(256);
     let mut chunk = vec![0u8; 16 * 1024];
     let mut touched: Vec<usize> = Vec::new();
@@ -178,7 +203,7 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
         // Block forever unless a telemetry subscription needs a tick: the
         // idle-costs-nothing property (no wakeups without work) is only
         // traded away on connections that asked for a periodic stream.
-        let timeout_ms = subscription_timeout(&slab);
+        let timeout_ms = subscription_timeout(&mut slab);
         if core.epoll.wait(&mut events, timeout_ms).is_err() {
             return; // unrecoverable (the readiness set itself is broken)
         }
@@ -192,7 +217,7 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
                 continue;
             }
             let idx = ev.token as usize;
-            let Some((_, Some(conn))) = slab.get_mut(idx) else {
+            let Some(conn) = slab.get_mut(idx) else {
                 continue;
             };
             if ev.readable() {
@@ -209,92 +234,38 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
                 if draining {
                     continue; // acceptor raced shutdown; drop the socket
                 }
-                let idx = free.pop().unwrap_or_else(|| {
-                    slab.push((0, None));
-                    slab.len() - 1
-                });
-                if stream.set_nonblocking(true).is_err() {
-                    free.push(idx);
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let gen = slab[idx].0;
-                let mut conn = Conn::new(stream, gen, shared.cfg.max_frame_len);
-                conn.interest = epoll::interest::READ;
-                if core
-                    .epoll
-                    .add(epoll::raw_fd(&conn.stream), idx as u64, conn.interest)
-                    .is_err()
-                {
-                    free.push(idx);
-                    continue;
-                }
-                conn.registered = true;
-                slab[idx].1 = Some(conn);
-                touched.push(idx);
+                touched.extend(slab.insert(stream, shared.cfg.max_frame_len));
             }
             for completion in inbox.completions {
-                let idx = completion.conn as usize;
-                if let Some((gen, Some(conn))) = slab.get_mut(idx) {
-                    if *gen == completion.gen {
-                        conn.apply_completion(completion);
-                        touched.push(idx);
-                    }
+                let idx = completion.conn;
+                if let Some(conn) = slab.live(idx, completion.gen) {
+                    conn.apply_completion(completion);
+                    touched.push(idx as usize);
                 }
             }
         }
         if !draining && shared.shutdown.load(Ordering::Acquire) {
             draining = true;
-            for (idx, (_, slot)) in slab.iter_mut().enumerate() {
-                if let Some(conn) = slot {
-                    conn.closing = true;
-                    touched.push(idx);
-                }
+            for (idx, conn) in slab.iter_mut() {
+                conn.closing = true;
+                touched.push(idx);
             }
         }
         emit_due_ticks(&shared, &mut slab, &mut touched);
         touched.sort_unstable();
         touched.dedup();
+        let (mut written, mut dropped) = (0, 0);
         for &idx in &touched {
-            let (gen, slot) = &mut slab[idx];
-            let Some(conn) = slot else { continue };
-            conn.pump_out(&shared.counters, shared.cfg.write_buf_limit);
-            if (conn.dead || conn.closing) && conn.drained() {
-                // Deregister before the drop closes the fd: only epoll
-                // forgets a closed fd by itself.
-                if conn.registered {
-                    let _ = core.epoll.delete(epoll::raw_fd(&conn.stream));
-                }
-                *slot = None;
-                *gen = gen.wrapping_add(1);
-                free.push(idx);
-                continue;
-            }
-            let want = conn.desired_interest(shared.cfg.write_buf_limit);
-            if want == 0 {
-                // Deregister entirely: with zero interest a closed peer
-                // would still storm hangups at a level-triggered wait.
-                if conn.registered {
-                    let _ = core.epoll.delete(epoll::raw_fd(&conn.stream));
-                    conn.registered = false;
-                }
-            } else if !conn.registered {
-                if core
-                    .epoll
-                    .add(epoll::raw_fd(&conn.stream), idx as u64, want)
-                    .is_ok()
-                {
-                    conn.registered = true;
-                    conn.interest = want;
-                }
-            } else if want != conn.interest {
-                let _ = core
-                    .epoll
-                    .modify(epoll::raw_fd(&conn.stream), idx as u64, want);
-                conn.interest = want;
-            }
+            let (w, d) = slab.settle(&core, idx, shared.cfg.write_buf_limit);
+            written += w;
+            dropped += d;
         }
-        if draining && slab.iter().all(|(_, s)| s.is_none()) {
+        let counters = &shared.counters;
+        counters.bytes_out.fetch_add(written, Ordering::Relaxed);
+        counters
+            .results_dropped
+            .fetch_add(dropped, Ordering::Relaxed);
+        if draining && slab.is_empty() {
             return;
         }
     }
@@ -305,11 +276,10 @@ fn event_loop<C: JobCodec>(shared: Arc<Shared<C>>, core: Arc<LoopCore>) {
 /// milliseconds until the earliest due tick (0 if overdue — an immediate
 /// pass). Rounds *up* so a tick is never scheduled a fraction of a
 /// millisecond early and re-spun at timeout 0.
-fn subscription_timeout(slab: &[(u32, Option<Conn>)]) -> i32 {
+fn subscription_timeout(slab: &mut Slab) -> i32 {
     let mut timeout: Option<u128> = None;
     let now = Instant::now();
-    for (_, slot) in slab {
-        let Some(conn) = slot else { continue };
+    for (_, conn) in slab.iter_mut() {
         if conn.dead || conn.closing {
             continue;
         }
@@ -331,14 +301,9 @@ fn subscription_timeout(slab: &[(u32, Option<Conn>)]) -> i32 {
 /// not a burst. A tick that doesn't fit the connection's write-buffer
 /// budget is dropped (`stats_dropped`), never queued: slow consumers
 /// lose ticks, not reply bytes.
-fn emit_due_ticks<C: JobCodec>(
-    shared: &Arc<Shared<C>>,
-    slab: &mut [(u32, Option<Conn>)],
-    touched: &mut Vec<usize>,
-) {
+fn emit_due_ticks<C: JobCodec>(shared: &Arc<Shared<C>>, slab: &mut Slab, touched: &mut Vec<usize>) {
     let now = Instant::now();
-    for (idx, (_, slot)) in slab.iter_mut().enumerate() {
-        let Some(conn) = slot else { continue };
+    for (idx, conn) in slab.iter_mut() {
         let Some((req_id, interval, next_due)) = conn.sub else {
             continue;
         };
@@ -369,8 +334,7 @@ fn emit_due_ticks<C: JobCodec>(
     }
 }
 
-/// Reads until `WouldBlock` (or a fairness cap — a level-triggered wait
-/// re-reports leftovers), parsing and dispatching every completed frame.
+/// Reads and dispatches every frame the socket has ready.
 fn on_readable<C: JobCodec>(
     shared: &Arc<Shared<C>>,
     core: &Arc<LoopCore>,
@@ -378,57 +342,15 @@ fn on_readable<C: JobCodec>(
     idx: usize,
     chunk: &mut [u8],
 ) {
-    use std::io::Read;
-    for _ in 0..16 {
-        if conn.closing || conn.dead {
-            return;
-        }
-        if conn.pending.len() >= PENDING_CAP || conn.unflushed() >= shared.cfg.write_buf_limit {
-            return; // backpressure: the interest update drops READ
-        }
-        match conn.stream.read(chunk) {
-            Ok(0) => {
-                conn.dead = true;
-                return;
-            }
-            Ok(n) => {
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add(n as u64, Ordering::Relaxed);
-                conn.dec.extend(&chunk[..n]);
-                loop {
-                    match conn.dec.next_frame() {
-                        Ok(Some(frame)) => {
-                            shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                            dispatch_frame(shared, core, conn, idx, frame);
-                            if conn.closing {
-                                return;
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            shared
-                                .counters
-                                .protocol_errors
-                                .fetch_add(1, Ordering::Relaxed);
-                            push_error(shared, conn, 0, format!("protocol error: {e}"));
-                            conn.closing = true; // flush replies, then close
-                            return;
-                        }
-                    }
-                }
-                if n < chunk.len() {
-                    return; // short read: socket almost certainly drained
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return;
-            }
-        }
+    let counters = &shared.counters;
+    let (read, malformed) = conn.read_frames(chunk, shared.cfg.write_buf_limit, |conn, frame| {
+        counters.frames_in.fetch_add(1, Ordering::Relaxed);
+        dispatch_frame(shared, core, conn, idx, frame);
+    });
+    counters.bytes_in.fetch_add(read, Ordering::Relaxed);
+    if let Some(e) = malformed {
+        counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        push_error(shared, conn, 0, format!("protocol error: {e}"));
     }
 }
 

@@ -954,7 +954,9 @@ impl IngressServer {
         if let Some((_, replay)) = durable {
             recover_from_replay(&shared, replay, &mut report);
         }
-        let engine = evloop::Engine::spawn(listener, &shared)?;
+        let (loops, run) = (shared.cfg.event_loops, evloop::event_loop);
+        let engine =
+            evloop::Engine::spawn("hqd", listener, loops, ACCEPT_BACKOFF_BASE, &shared, run)?;
         Ok((
             IngressServer {
                 addr,

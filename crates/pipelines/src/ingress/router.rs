@@ -4,14 +4,16 @@
 //! exact same framed protocol, but owns no graph: every request frame is
 //! forwarded **verbatim** to one of N backend daemons chosen by
 //! rendezvous hashing over the frame's `req_id`
-//! ([`crate::partition::rendezvous_route`]), and the backends' reply
-//! streams are merged back into the client connection **in request
-//! order**. Because each backend's own reply stream is a FIFO (the
-//! single-daemon ordering invariant) and the merger forwards exactly one
-//! reply per request, in submission order, the per-connection response
-//! stream through the router is byte-identical to the stream a single
-//! daemon running every job would have produced — sharding is invisible
-//! at the byte level. See DESIGN.md §7.2 for the full argument.
+//! ([`crate::partition::rendezvous_route`]), and the replies go back to
+//! the client **in request order**. It runs on the daemon's event-loop
+//! parts — [`super::default_event_loops`] loops and one acceptor, however
+//! many clients connect — and each loop keeps one upstream connection per
+//! backend for all its clients. A parsed request reserves the next slot
+//! of its client's reply FIFO and joins its shard's upstream with that
+//! slot's address; a backend answers a connection in request order, so
+//! its replies fill the upstream's owed slots front to back, and the
+//! client's stream is byte-identical to the one a single daemon would
+//! have produced (DESIGN.md §7.2).
 //!
 //! # Routing
 //!
@@ -31,39 +33,40 @@
 //!
 //! # Failure containment
 //!
-//! A dead backend fails *its shard's* requests, nobody else's: the
-//! merger detects the broken stream, and every request already routed to
-//! that shard is answered with a synthesized [`FrameKind::Retry`]
-//! (submits) or [`FrameKind::Error`] (queries/stats) instead of stalling
-//! the connection. The next request routed to the shard makes the
-//! forwarder attempt one reconnect; once the backend is back (e.g.
-//! restarted on its journal), its replies — replayed byte-identically
-//! from the journal for durable ids — flow again. Requests routed to
-//! other shards are never delayed or perturbed.
+//! A dead backend fails *its shard's* requests, nobody else's. A broken
+//! upstream (connect refused, write or read failure, EOF) answers every
+//! slot it owed at once with a synthesized [`FrameKind::Retry`]
+//! (submits) or [`FrameKind::Error`] (queries/stats). The next request
+//! routed to the shard re-dials it with a nonblocking connect, but no
+//! sooner than a backoff that starts at [`RouterConfig::poll_interval`],
+//! doubles with every failure up to 1 s and resets on a successful
+//! connect; requests routed there meanwhile are refused on the spot. A
+//! backend restarted on its journal serves durable ids byte-identically
+//! from replay.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use epoll::interest::{READ, WRITE};
 
-use super::{
-    encode_frame, sleep_with_shutdown, AcceptBackoff, Frame, FrameDecoder, FrameKind,
-    DEFAULT_MAX_FRAME_LEN,
-};
+use super::conn::{Completion, Conn, LoopCore, Slab};
+use super::evloop::{Engine, Front, WAKE_TOKEN};
+use super::{default_event_loops, encode_frame, Frame, FrameKind, DEFAULT_MAX_FRAME_LEN};
 use crate::partition::rendezvous_route;
 use crate::telemetry::read_counter;
 
-/// How many forwarded-but-unanswered Ack ids the merger remembers per
-/// shard. Acks are fire-and-forget (a backend replies only on error), so
-/// the set cannot be retired by replies; the cap bounds it instead. An
-/// evicted id's rare error reply would desynchronize the merge, so the
-/// cap is generous relative to any plausible in-flight ack window.
+/// How many forwarded Ack ids an upstream remembers. A backend answers an
+/// Ack only on error, so the list is bounded by eviction, not replies.
 const MAX_TRACKED_ACKS: usize = 1024;
+
+/// Longest wait between re-dials of a dead shard.
+const MAX_REDIAL_BACKOFF: Duration = Duration::from_secs(1);
+
+/// Per-client cap on buffered reply bytes (the daemon's default).
+const WRITE_BUF_LIMIT: usize = 256 * 1024;
 
 // ---------------------------------------------------------------------------
 // Configuration and counters.
@@ -80,8 +83,8 @@ pub struct RouterConfig {
     /// backends' [`super::IngressConfig::max_frame_len`]. Default
     /// [`DEFAULT_MAX_FRAME_LEN`].
     pub max_frame_len: u32,
-    /// Read-timeout granularity at which blocked reads re-check the
-    /// shutdown flag, and the acceptor's poll/backoff base. Default 25 ms.
+    /// First delay of a dead shard's re-dial backoff (doubling up to 1 s)
+    /// and of the acceptor's accept-error backoff. Default 25 ms.
     pub poll_interval: Duration,
 }
 
@@ -161,465 +164,378 @@ impl RouterShared {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The reply-merge queue.
-// ---------------------------------------------------------------------------
-
-/// One unit of reply-stream work, enqueued by the forwarder in request
-/// order and drained FIFO by the merger — the queue *is* the ordering
-/// invariant: replies reach the client exactly in the order their
-/// requests arrived, wherever they were served.
-enum Pending {
-    /// Read exactly one reply frame from `shard` and forward it
-    /// verbatim; on a dead stream synthesize the `kind`-appropriate
-    /// refusal instead.
-    Remote {
-        shard: usize,
-        req_id: u64,
-        kind: FrameKind,
-    },
-    /// Pre-encoded router-synthesized reply bytes.
-    Local(Vec<u8>),
-    /// `shard` reconnected; subsequent `Remote` entries read from this
-    /// stream (enqueued *before* them, so old entries still drain — as
-    /// failures — from the old stream).
-    NewStream { shard: usize, stream: TcpStream },
-    /// An Ack was forwarded to `shard`. Acks get no reply on success,
-    /// so no `Remote` entry — but a backend replies to a *bad* ack with
-    /// an Error frame, which the merger must recognize as out-of-band
-    /// rather than misattribute to the next `Remote` entry's slot.
-    AckSent { shard: usize, req_id: u64 },
+impl Front for RouterShared {
+    fn accept_state(&self) -> (&AtomicBool, &AtomicU64, &AtomicU64) {
+        let c = &self.counters;
+        (&self.shutdown, &c.connections, &c.accept_errors)
+    }
 }
 
-/// Synthesized refusal for a request whose shard is unreachable: Retry
-/// for submits (the client's closed loop resubmits with backoff, and the
-/// resubmit triggers a reconnect attempt), Error for request kinds whose
-/// clients don't retry.
-fn synth_reply(shared: &RouterShared, shard: usize, req_id: u64, kind: FrameKind) -> Vec<u8> {
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+// ---------------------------------------------------------------------------
+// Replies.
+// ---------------------------------------------------------------------------
+
+/// An Error frame the router answers with itself.
+fn local_error(shared: &RouterShared, req_id: u64, msg: &str) -> Vec<u8> {
+    bump(&shared.counters.errors_synthesized);
     let mut out = Vec::new();
-    match kind {
-        FrameKind::Submit | FrameKind::SubmitDurable => {
-            shared
-                .counters
-                .retries_synthesized
-                .fetch_add(1, Ordering::Relaxed);
-            out.reserve(4 + super::FRAME_FIXED_LEN + 4);
-            encode_frame(FrameKind::Retry, req_id, &0u32.to_le_bytes(), &mut out);
-        }
-        _ => {
-            shared
-                .counters
-                .errors_synthesized
-                .fetch_add(1, Ordering::Relaxed);
-            let msg = format!(
-                "shard {shard} ({}) unavailable; retry later",
-                shared.cfg.backends[shard]
-            );
-            encode_frame(FrameKind::Error, req_id, msg.as_bytes(), &mut out);
-        }
-    }
+    encode_frame(FrameKind::Error, req_id, msg.as_bytes(), &mut out);
     out
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// Synthesized refusal for a request whose shard is unreachable: Retry
+/// for submits (the client's closed loop resubmits with backoff), Error
+/// for request kinds whose clients don't retry.
+fn refusal(shared: &RouterShared, shard: usize, req_id: u64, kind: FrameKind) -> Vec<u8> {
+    if !matches!(kind, FrameKind::Submit | FrameKind::SubmitDurable) {
+        let backend = &shared.cfg.backends[shard];
+        let msg = format!("shard {shard} ({backend}) unavailable; retry later");
+        return local_error(shared, req_id, &msg);
+    }
+    bump(&shared.counters.retries_synthesized);
+    let mut out = Vec::new();
+    encode_frame(FrameKind::Retry, req_id, &0u32.to_le_bytes(), &mut out);
+    out
 }
 
-/// Connects one backend, returning the forwarder's write half and the
-/// merger's read half (a dup of the same socket, read-timeout armed so
-/// the merger can observe shutdown while blocked).
-fn connect_backend(addr: &str, poll: Duration) -> std::io::Result<(TcpStream, TcpStream)> {
-    let write = TcpStream::connect(addr)?;
-    write.set_nodelay(true).ok();
-    let read = write.try_clone()?;
-    read.set_read_timeout(Some(poll))?;
-    Ok((write, read))
+/// Queues a reply the router has in hand in the client's next slot.
+fn reply_now(shared: &RouterShared, conn: &mut Conn, frame: Vec<u8>) {
+    bump(&shared.counters.replies_out);
+    conn.push_ready(frame, false);
 }
 
-// ---------------------------------------------------------------------------
-// The merger: the reply half of one client connection.
-// ---------------------------------------------------------------------------
-
-struct Merger {
-    shared: Arc<RouterShared>,
-    client: TcpStream,
-    reads: Vec<Option<TcpStream>>,
-    decs: Vec<FrameDecoder>,
-    /// Per shard: forwarded ack ids awaiting a (rare, error-only) reply.
-    acked: Vec<VecDeque<u64>>,
-    chunk: Vec<u8>,
+/// A loop's clients, plus the ones this pass touched.
+#[derive(Default)]
+struct Clients {
+    slab: Slab,
+    touched: Vec<usize>,
 }
 
-impl Merger {
-    fn run(mut self, rx: mpsc::Receiver<Pending>) {
-        while let Ok(entry) = rx.recv() {
-            let ok = match entry {
-                Pending::Local(bytes) => self.send_client(&bytes),
-                Pending::NewStream { shard, stream } => {
-                    self.reads[shard] = Some(stream);
-                    self.decs[shard] = FrameDecoder::new(self.shared.cfg.max_frame_len);
-                    self.acked[shard].clear();
-                    true
-                }
-                Pending::AckSent { shard, req_id } => {
-                    let q = &mut self.acked[shard];
-                    q.push_back(req_id);
-                    while q.len() > MAX_TRACKED_ACKS {
-                        q.pop_front();
-                    }
-                    true
-                }
-                Pending::Remote {
-                    shard,
-                    req_id,
-                    kind,
-                } => self.deliver(shard, req_id, kind),
-            };
-            if !ok {
-                // Client unwritable: stop merging. The forwarder's next
-                // send into the dropped channel tells it to stop too.
-                break;
-            }
-        }
-    }
-
-    /// Forwards one reply for `req_id` from `shard` — the heart of the
-    /// byte-identity claim: the backend's reply bytes pass through
-    /// unmodified, in queue order.
-    fn deliver(&mut self, shard: usize, req_id: u64, kind: FrameKind) -> bool {
-        loop {
-            match self.read_frame(shard) {
-                Ok(frame) => {
-                    if frame.req_id != req_id && self.acked[shard].contains(&frame.req_id) {
-                        // The error-only reply to a fire-and-forget Ack:
-                        // out of band, not this entry's slot.
-                        self.acked[shard].retain(|&id| id != frame.req_id);
-                        if !self.forward(&frame) {
-                            return false;
-                        }
-                        continue;
-                    }
-                    return self.forward(&frame);
-                }
-                Err(_) => {
-                    self.reads[shard] = None;
-                    self.shared
-                        .counters
-                        .shard_failures
-                        .fetch_add(1, Ordering::Relaxed);
-                    let bytes = synth_reply(&self.shared, shard, req_id, kind);
-                    return self.send_client(&bytes);
-                }
-            }
-        }
-    }
-
-    /// Re-encodes `frame` and writes it to the client. The encoding is
-    /// canonical (`len · kind · req_id · body`), so the emitted bytes are
-    /// identical to the bytes the backend sent.
-    fn forward(&mut self, frame: &Frame) -> bool {
-        let mut out = Vec::with_capacity(4 + super::FRAME_FIXED_LEN + frame.body.len());
-        encode_frame(frame.kind, frame.req_id, &frame.body, &mut out);
-        self.send_client(&out)
-    }
-
-    /// Blocks until `shard`'s next frame (re-checking shutdown at the
-    /// read-timeout granularity). Any read failure means the shard is
-    /// dead to this connection.
-    fn read_frame(&mut self, shard: usize) -> std::io::Result<Frame> {
-        loop {
-            if let Some(frame) = self.decs[shard]
-                .next_frame()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
-            {
-                return Ok(frame);
-            }
-            let Some(stream) = self.reads[shard].as_mut() else {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::NotConnected,
-                    "shard connection is down",
-                ));
-            };
-            match stream.read(&mut self.chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "backend closed the connection",
-                    ))
-                }
-                Ok(n) => {
-                    let bytes = self.chunk[..n].to_vec();
-                    self.decs[shard].extend(&bytes);
-                }
-                Err(e) if is_timeout(&e) => {
-                    if self.shared.shutdown.load(Ordering::Acquire) {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn send_client(&mut self, bytes: &[u8]) -> bool {
-        if self.client.write_all(bytes).is_ok() {
-            self.shared
-                .counters
-                .replies_out
-                .fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
+impl Clients {
+    /// Fills a reserved slot, if its client is still connected.
+    fn fill(&mut self, shared: &RouterShared, o: &Owed, frame: Vec<u8>) {
+        if let Some(conn) = self.slab.live(o.conn, o.gen) {
+            bump(&shared.counters.replies_out);
+            conn.apply_completion(Completion {
+                conn: o.conn,
+                gen: o.gen,
+                slot: o.slot,
+                frame,
+                is_job_result: false,
+            });
+            self.touched.push(o.conn as usize);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// The forwarder: the request half of one client connection.
+// Upstreams: one loop's connection to one backend.
 // ---------------------------------------------------------------------------
 
-/// Serves one client connection: this thread reads and routes request
-/// frames; a paired merger thread assembles the reply stream.
-fn route_connection(shared: Arc<RouterShared>, mut client: TcpStream) {
-    let n = shared.cfg.backends.len();
-    client.set_nodelay(true).ok();
-    client.set_read_timeout(Some(shared.cfg.poll_interval)).ok();
-    let Ok(client_out) = client.try_clone() else {
-        return;
-    };
+/// A forwarded request's claim on its backend's reply stream.
+struct Owed {
+    conn: u32,
+    gen: u32,
+    slot: u64,
+    req_id: u64,
+    kind: FrameKind,
+}
 
-    // Fresh backend connections per client connection: each backend sees
-    // this client as one ordinary ingress connection, so the backend's
-    // own per-connection FIFO is exactly the per-(client, shard) order
-    // the merger relies on.
-    let mut writes: Vec<Option<TcpStream>> = Vec::with_capacity(n);
-    let mut reads: Vec<Option<TcpStream>> = Vec::with_capacity(n);
-    for addr in &shared.cfg.backends {
-        match connect_backend(addr, shared.cfg.poll_interval) {
-            Ok((w, r)) => {
-                writes.push(Some(w));
-                reads.push(Some(r));
+/// One loop's connection to one backend, shared by the loop's clients.
+/// The backend answers it in request order, so `owed` (oldest first)
+/// says which client slot each reply fills.
+#[derive(Default)]
+struct Upstream {
+    /// The connection, a [`Conn`] for its decoder and write buffer, or
+    /// `None` while the shard is down.
+    link: Option<Conn>,
+    /// False until the nonblocking connect completes.
+    connected: bool,
+    owed: VecDeque<Owed>,
+    /// Forwarded Acks as `(req_id, conn, gen)`: the error a bad Ack draws
+    /// goes to its client out of band, not into a later request's slot.
+    acked: VecDeque<(u64, u32, u32)>,
+    /// No re-dial before `retry_at`. `backoff` doubles with each failure
+    /// from [`RouterConfig::poll_interval`] and is zero after a connect.
+    retry_at: Option<Instant>,
+    backoff: Duration,
+    /// Failed since its last connect: the next connect is a reconnect.
+    failed: bool,
+}
+
+/// Shard `k`'s upstream token: counted down from just below
+/// [`WAKE_TOKEN`], where client slab indices never reach.
+fn upstream_token(shard: usize) -> u64 {
+    WAKE_TOKEN - 1 - shard as u64
+}
+
+impl Upstream {
+    /// The link, after starting a nonblocking connect if the shard is
+    /// down and not backing off. `None` means the shard is down.
+    fn link(&mut self, shared: &RouterShared, core: &LoopCore, shard: usize) -> Option<&mut Conn> {
+        if self.link.is_none() && self.retry_at.is_none_or(|t| Instant::now() >= t) {
+            // A host name resolves here, blocking this loop for the lookup.
+            let dialed = shared.cfg.backends[shard]
+                .to_socket_addrs()
+                .and_then(|mut addrs| addrs.next().ok_or(std::io::ErrorKind::NotFound.into()))
+                .and_then(|addr| epoll::connect(&addr))
+                .and_then(|stream| {
+                    let fd = epoll::raw_fd(&stream);
+                    core.epoll.add(fd, upstream_token(shard), READ | WRITE)?;
+                    Ok(stream)
+                });
+            match dialed {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    let mut link = Conn::new(stream, 0, shared.cfg.max_frame_len);
+                    link.interest = READ | WRITE;
+                    (self.link, self.connected) = (Some(link), false);
+                }
+                Err(_) => self.back_off(shared),
             }
-            Err(_) => {
-                // Not fatal: the shard synthesizes refusals until a
-                // later frame's reconnect attempt succeeds.
-                shared
-                    .counters
-                    .shard_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                writes.push(None);
-                reads.push(None);
-            }
+        }
+        self.link.as_mut()
+    }
+
+    /// Counts a failure and schedules the next re-dial.
+    fn back_off(&mut self, shared: &RouterShared) {
+        bump(&shared.counters.shard_failures);
+        self.failed = true;
+        let wait = self.backoff.max(shared.cfg.poll_interval);
+        self.retry_at = Some(Instant::now() + wait);
+        self.backoff = (wait * 2).min(MAX_REDIAL_BACKOFF);
+    }
+
+    /// The link broke: closes it, backs off, and answers every slot it
+    /// owed with a refusal.
+    fn fail(
+        &mut self,
+        shared: &RouterShared,
+        core: &LoopCore,
+        shard: usize,
+        clients: &mut Clients,
+    ) {
+        if let Some(link) = self.link.take() {
+            let _ = core.epoll.delete(epoll::raw_fd(&link.stream));
+        }
+        self.back_off(shared);
+        self.acked.clear();
+        for o in std::mem::take(&mut self.owed) {
+            clients.fill(shared, &o, refusal(shared, shard, o.req_id, o.kind));
         }
     }
 
-    let (tx, rx) = mpsc::channel::<Pending>();
-    let merger = {
-        let merger = Merger {
-            shared: Arc::clone(&shared),
-            client: client_out,
-            decs: (0..n)
-                .map(|_| FrameDecoder::new(shared.cfg.max_frame_len))
-                .collect(),
-            reads,
-            acked: vec![VecDeque::new(); n],
-            chunk: vec![0u8; 16 * 1024],
+    /// Completes a pending connect, then reads every reply that arrived.
+    /// False means the link broke.
+    fn on_ready(
+        &mut self,
+        shared: &RouterShared,
+        ev: epoll::Event,
+        clients: &mut Clients,
+        chunk: &mut [u8],
+    ) -> bool {
+        let Some(link) = self.link.as_mut() else {
+            return true; // failed earlier in this pass
         };
-        std::thread::Builder::new()
-            .name("hqrouter-merge".to_string())
-            .spawn(move || merger.run(rx))
-            .expect("failed to spawn merger thread")
-    };
-
-    let mut dec = FrameDecoder::new(shared.cfg.max_frame_len);
-    let mut chunk = vec![0u8; 16 * 1024];
-    'serve: loop {
-        loop {
-            match dec.next_frame() {
-                Ok(Some(frame)) => {
-                    shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                    if !route_frame(&shared, &mut writes, &tx, frame) {
-                        break 'serve;
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // Same policy as the daemon: a malformed frame is a
-                    // connection-level error; stop reading, let queued
-                    // replies drain.
-                    shared
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .counters
-                        .errors_synthesized
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut out = Vec::new();
-                    encode_frame(
-                        FrameKind::Error,
-                        0,
-                        format!("protocol error: {e}").as_bytes(),
-                        &mut out,
-                    );
-                    let _ = tx.send(Pending::Local(out));
-                    break 'serve;
-                }
+        if !self.connected && ev.writable() {
+            if !matches!(link.stream.take_error(), Ok(None)) || link.stream.peer_addr().is_err() {
+                return false;
+            }
+            self.connected = true;
+            self.backoff = Duration::ZERO;
+            if std::mem::take(&mut self.failed) {
+                bump(&shared.counters.reconnects);
             }
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        match client.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(got) => dec.extend(&chunk[..got]),
-            Err(e) if is_timeout(&e) => continue,
-            Err(_) => break,
-        }
-    }
-    // Closing the queue is what lets the merger finish: it drains every
-    // already-enqueued reply, then exits.
-    drop(tx);
-    let _ = merger.join();
-}
-
-/// Routes one client frame. Returns `false` when the connection should
-/// stop reading (merger gone).
-fn route_frame(
-    shared: &Arc<RouterShared>,
-    writes: &mut [Option<TcpStream>],
-    tx: &mpsc::Sender<Pending>,
-    frame: Frame,
-) -> bool {
-    let n = writes.len();
-    match frame.kind {
-        FrameKind::Submit | FrameKind::SubmitDurable | FrameKind::Query | FrameKind::Ack => {
-            let shard = rendezvous_route(frame.req_id, n);
-            forward_to(shared, writes, tx, shard, &frame)
-        }
-        FrameKind::Subscribe => {
-            let interval = frame
-                .body
-                .get(..4)
-                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                .unwrap_or(0);
-            if interval == 0 {
-                forward_to(shared, writes, tx, 0, &frame)
-            } else {
-                // Periodic ticks are out-of-band frames; merging N
-                // backends' independent tick streams deterministically
-                // is impossible, so the router refuses rather than
-                // silently perturbing the reply stream.
-                shared
-                    .counters
-                    .errors_synthesized
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut out = Vec::new();
-                encode_frame(
-                    FrameKind::Error,
-                    frame.req_id,
-                    b"periodic telemetry subscriptions are not routable; \
-                      subscribe to a backend directly",
-                    &mut out,
-                );
-                tx.send(Pending::Local(out)).is_ok()
-            }
-        }
-        other => {
-            shared
-                .counters
-                .errors_synthesized
-                .fetch_add(1, Ordering::Relaxed);
-            let mut out = Vec::new();
-            encode_frame(
-                FrameKind::Error,
-                frame.req_id,
-                format!("unexpected {other:?} frame from a client").as_bytes(),
-                &mut out,
-            );
-            tx.send(Pending::Local(out)).is_ok()
-        }
-    }
-}
-
-/// Writes `frame` to `shard` (reconnecting a dead shard first) and
-/// enqueues the matching reply-slot entry. A shard that stays dead gets
-/// a synthesized refusal enqueued instead — the connection never stalls
-/// on one dead backend.
-fn forward_to(
-    shared: &Arc<RouterShared>,
-    writes: &mut [Option<TcpStream>],
-    tx: &mpsc::Sender<Pending>,
-    shard: usize,
-    frame: &Frame,
-) -> bool {
-    if writes[shard].is_none() {
-        match connect_backend(&shared.cfg.backends[shard], shared.cfg.poll_interval) {
-            Ok((w, r)) => {
-                shared.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                writes[shard] = Some(w);
-                // Enqueued before this frame's entry, so the merger
-                // switches streams exactly at the reconnect boundary.
-                if tx.send(Pending::NewStream { shard, stream: r }).is_err() {
-                    return false;
-                }
-            }
-            Err(_) => {
-                shared
-                    .counters
-                    .shard_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                if frame.kind == FrameKind::Ack {
-                    // Fire-and-forget: nothing to synthesize. The client
-                    // re-acks after its resubmit round-trips anyway.
-                    return true;
-                }
-                let bytes = synth_reply(shared, shard, frame.req_id, frame.kind);
-                return tx.send(Pending::Local(bytes)).is_ok();
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(4 + super::FRAME_FIXED_LEN + frame.body.len());
-    encode_frame(frame.kind, frame.req_id, &frame.body, &mut out);
-    let write_ok = writes[shard]
-        .as_mut()
-        .map(|w| w.write_all(&out).is_ok())
-        .unwrap_or(false);
-    if !write_ok {
-        writes[shard] = None;
-        shared
-            .counters
-            .shard_failures
-            .fetch_add(1, Ordering::Relaxed);
-        if frame.kind == FrameKind::Ack {
+        if !self.connected || !ev.readable() {
             return true;
         }
-        let bytes = synth_reply(shared, shard, frame.req_id, frame.kind);
-        return tx.send(Pending::Local(bytes)).is_ok();
+        let (owed, acked) = (&mut self.owed, &mut self.acked);
+        let (_, malformed) = link.read_frames(chunk, usize::MAX, |_, frame| {
+            deliver(shared, owed, acked, clients, frame)
+        });
+        malformed.is_none() && !link.dead
     }
-    match frame.kind {
-        FrameKind::Ack => tx
-            .send(Pending::AckSent {
-                shard,
-                req_id: frame.req_id,
-            })
-            .is_ok(),
-        kind => tx
-            .send(Pending::Remote {
-                shard,
-                req_id: frame.req_id,
-                kind,
-            })
-            .is_ok(),
+
+    /// Writes what the socket takes and updates the readiness interest.
+    /// False means the link broke.
+    fn flush(&mut self, core: &LoopCore, shard: usize) -> bool {
+        let Some(link) = self.link.as_mut() else {
+            return true;
+        };
+        let want = if self.connected {
+            link.pump_out(usize::MAX);
+            link.desired_interest(usize::MAX)
+        } else {
+            READ | WRITE
+        };
+        if !link.dead && want != link.interest {
+            let fd = epoll::raw_fd(&link.stream);
+            if core.epoll.modify(fd, upstream_token(shard), want).is_ok() {
+                link.interest = want;
+            }
+        }
+        !link.dead
+    }
+}
+
+/// Puts one reply where it belongs — the heart of the byte-identity
+/// claim: the backend's bytes pass through unmodified (the encoding is
+/// canonical) into the slot of the request they answer, or, for an Ack's
+/// error, to the acking client out of band, appended whole between its
+/// replies.
+fn deliver(
+    shared: &RouterShared,
+    owed: &mut VecDeque<Owed>,
+    acked: &mut VecDeque<(u64, u32, u32)>,
+    clients: &mut Clients,
+    frame: Frame,
+) {
+    let mut bytes = Vec::with_capacity(4 + super::FRAME_FIXED_LEN + frame.body.len());
+    encode_frame(frame.kind, frame.req_id, &frame.body, &mut bytes);
+    if owed.front().map(|o| o.req_id) != Some(frame.req_id) {
+        if let Some(at) = acked.iter().position(|a| a.0 == frame.req_id) {
+            let (_, conn, gen) = acked.remove(at).expect("position is in range");
+            if let Some(client) = clients.slab.live(conn, gen) {
+                bump(&shared.counters.replies_out);
+                client.wbuf.extend_from_slice(&bytes);
+                clients.touched.push(conn as usize);
+            }
+            return;
+        }
+    }
+    if let Some(o) = owed.pop_front() {
+        clients.fill(shared, &o, bytes);
     }
 }
 
 // ---------------------------------------------------------------------------
-// The router.
+// The event loop and the router.
 // ---------------------------------------------------------------------------
+
+/// Routes one client request: appends it to its shard's upstream with
+/// the client's next slot reserved for the reply, or answers it on the
+/// spot (refused subscriptions, unexpected kinds, a down shard).
+fn route(
+    shared: &RouterShared,
+    core: &LoopCore,
+    ups: &mut [Upstream],
+    conn: &mut Conn,
+    idx: usize,
+    frame: Frame,
+) {
+    bump(&shared.counters.frames_in);
+    let shard = match frame.kind {
+        FrameKind::Submit | FrameKind::SubmitDurable | FrameKind::Query | FrameKind::Ack => {
+            rendezvous_route(frame.req_id, ups.len())
+        }
+        FrameKind::Subscribe if frame.body.get(..4).is_none_or(|b| b == [0; 4]) => 0,
+        FrameKind::Subscribe => {
+            // Merging N backends' independent tick streams
+            // deterministically is impossible; refuse rather than perturb
+            // the reply stream.
+            let msg = "periodic telemetry subscriptions are not routable; \
+                       subscribe to a backend directly";
+            return reply_now(shared, conn, local_error(shared, frame.req_id, msg));
+        }
+        other => {
+            let msg = format!("unexpected {other:?} frame from a client");
+            return reply_now(shared, conn, local_error(shared, frame.req_id, &msg));
+        }
+    };
+    let up = &mut ups[shard];
+    let Some(link) = up.link(shared, core, shard) else {
+        // An Ack is fire-and-forget: nothing to refuse. The client
+        // re-acks after its resubmit round-trips anyway.
+        if frame.kind != FrameKind::Ack {
+            let refused = refusal(shared, shard, frame.req_id, frame.kind);
+            reply_now(shared, conn, refused);
+        }
+        return;
+    };
+    encode_frame(frame.kind, frame.req_id, &frame.body, &mut link.wbuf);
+    if frame.kind == FrameKind::Ack {
+        up.acked.push_back((frame.req_id, idx as u32, conn.gen));
+        if up.acked.len() > MAX_TRACKED_ACKS {
+            up.acked.pop_front();
+        }
+    } else {
+        up.owed.push_back(Owed {
+            conn: idx as u32,
+            gen: conn.gen,
+            slot: conn.alloc_waiting_slot(),
+            req_id: frame.req_id,
+            kind: frame.kind,
+        });
+    }
+}
+
+/// One router loop: a readiness wait over its clients, its upstreams and
+/// its wakeup handle. On shutdown it stops reading clients and returns
+/// once every reply they are owed has been written.
+fn event_loop(shared: Arc<RouterShared>, core: Arc<LoopCore>) {
+    let mut clients = Clients::default();
+    let mut ups = Vec::new();
+    ups.resize_with(shared.cfg.backends.len(), Upstream::default);
+    let mut events: Vec<epoll::Event> = Vec::with_capacity(256);
+    let mut chunk = vec![0u8; 16 * 1024];
+    let mut draining = false;
+    while !(draining && clients.slab.is_empty()) {
+        events.clear();
+        if core.epoll.wait(&mut events, -1).is_err() {
+            return; // unrecoverable (the readiness set itself is broken)
+        }
+        clients.touched.clear();
+        for ev in events.iter().copied() {
+            let idx = ev.token as usize;
+            if ev.token == WAKE_TOKEN {
+                // Drain the wakeup *before* taking the inbox: a post that
+                // races in after the take re-rings and is seen next wait.
+                core.wake.drain();
+                for stream in core.take_inbox().conns.into_iter().filter(|_| !draining) {
+                    let idx = clients.slab.insert(stream, shared.cfg.max_frame_len);
+                    clients.touched.extend(idx);
+                }
+            } else if let Some(k) = (0..ups.len()).find(|&k| upstream_token(k) == ev.token) {
+                if !ups[k].on_ready(&shared, ev, &mut clients, &mut chunk) {
+                    ups[k].fail(&shared, &core, k, &mut clients);
+                }
+            } else if let Some(conn) = clients.slab.get_mut(idx) {
+                let (_, malformed) =
+                    conn.read_frames(&mut chunk, WRITE_BUF_LIMIT, |conn, frame| {
+                        route(&shared, &core, &mut ups, conn, idx, frame)
+                    });
+                if let Some(e) = malformed {
+                    bump(&shared.counters.protocol_errors);
+                    let msg = format!("protocol error: {e}");
+                    reply_now(&shared, conn, local_error(&shared, 0, &msg));
+                }
+                clients.touched.push(idx);
+            }
+        }
+        if !draining && shared.shutdown.load(Ordering::Acquire) {
+            draining = true;
+            for (idx, conn) in clients.slab.iter_mut() {
+                conn.closing = true;
+                clients.touched.push(idx);
+            }
+        }
+        for (k, up) in ups.iter_mut().enumerate() {
+            if !up.flush(&core, k) {
+                up.fail(&shared, &core, k, &mut clients);
+            }
+        }
+        clients.touched.sort_unstable();
+        clients.touched.dedup();
+        for &idx in &clients.touched {
+            clients.slab.settle(&core, idx, WRITE_BUF_LIMIT);
+        }
+    }
+}
 
 /// A sharding TCP proxy for the ingress protocol (see module docs).
 /// Bind with [`Router::bind`]; stop with [`Router::shutdown`] or by
@@ -627,15 +543,13 @@ fn forward_to(
 pub struct Router {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    engine: Engine,
 }
 
 impl Router {
     /// Binds `addr` and starts routing to `cfg.backends`. Backends need
-    /// not be up yet: a connection to a down shard is retried when a
-    /// frame routes there. Pass port 0 to let the OS choose (see
-    /// [`Router::local_addr`]).
+    /// not be up yet: a down shard is dialed when a frame routes there.
+    /// Pass port 0 to let the OS choose (see [`Router::local_addr`]).
     pub fn bind(addr: impl ToSocketAddrs, cfg: RouterConfig) -> std::io::Result<Self> {
         if cfg.backends.is_empty() {
             return Err(std::io::Error::new(
@@ -651,20 +565,19 @@ impl Router {
             counters: RouterCounters::default(),
             shutdown: AtomicBool::new(false),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("hqrouter-accept".to_string())
-                .spawn(move || accept_loop(listener, shared, conns))
-                .expect("failed to spawn acceptor thread")
-        };
+        let (loops, backoff_base) = (default_event_loops(), shared.cfg.poll_interval);
+        let engine = Engine::spawn(
+            "hqrouter",
+            listener,
+            loops,
+            backoff_base,
+            &shared,
+            event_loop,
+        )?;
         Ok(Router {
             addr,
             shared,
-            acceptor: Some(acceptor),
-            conns,
+            engine,
         })
     }
 
@@ -687,78 +600,13 @@ impl Router {
 
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for c in self.conns.lock().drain(..) {
-            let _ = c.join();
-        }
+        self.engine.stop_and_join();
     }
 }
 
 impl Drop for Router {
     fn drop(&mut self) {
         self.stop_and_join();
-    }
-}
-
-/// Joins the connection threads that have already finished, keeping the
-/// live ones registered. A long-lived router churns through many
-/// short-lived connections; without this the handle list (and each dead
-/// thread's retained exit state) would grow without bound.
-fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
-    let finished: Vec<JoinHandle<()>> = {
-        let mut live = conns.lock();
-        let mut done = Vec::new();
-        let mut keep = Vec::with_capacity(live.len());
-        for h in live.drain(..) {
-            if h.is_finished() {
-                done.push(h);
-            } else {
-                keep.push(h);
-            }
-        }
-        *live = keep;
-        done
-    };
-    for h in finished {
-        let _ = h.join(); // immediate: the thread already exited
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<RouterShared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut next_conn = 0u64;
-    let mut backoff = AcceptBackoff::new(shared.cfg.poll_interval);
-    while !shared.shutdown.load(Ordering::Acquire) {
-        reap_finished(&conns);
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                backoff.on_success();
-                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                let shared2 = Arc::clone(&shared);
-                let id = next_conn;
-                next_conn += 1;
-                let handle = std::thread::Builder::new()
-                    .name(format!("hqrouter-conn-{id}"))
-                    .spawn(move || route_connection(shared2, stream))
-                    .expect("failed to spawn connection thread");
-                conns.lock().push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval);
-            }
-            Err(e) => {
-                shared
-                    .counters
-                    .accept_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                sleep_with_shutdown(backoff.on_error(&e), &shared.shutdown);
-            }
-        }
     }
 }
 

@@ -1090,6 +1090,72 @@ fn server_threads_are_workers_loops_and_acceptor() {
     run_helper_in_child("thread_census_helper");
 }
 
+/// Child-process body for `router_threads_are_its_loops_and_acceptor`.
+#[test]
+#[ignore = "helper: spawned by router_threads_are_its_loops_and_acceptor"]
+#[cfg(target_os = "linux")]
+fn router_census_helper() {
+    use pipelines::ingress::{default_event_loops, Router, RouterConfig};
+    const CLIENTS: u64 = 8;
+    arm_watchdog();
+    let router_threads = |prefix: &str| {
+        std::fs::read_dir("/proc/self/task")
+            .expect("read /proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with(prefix))
+            .count()
+    };
+    let backends: Vec<_> = (0..2)
+        .map(|_| wordcount_server(1, IngressConfig::default()))
+        .collect();
+    let addrs = backends.iter().map(|(_, s)| s.local_addr().to_string());
+    let router = Router::bind("127.0.0.1:0", RouterConfig::to(addrs)).expect("bind router");
+    let lines = vec!["route these words these words".to_string()];
+    let payload = encode_lines(&lines);
+    // Every client is connected through to the loops and has had jobs
+    // served by both shards before the census.
+    let mut clients: Vec<IngressClient> = (0..CLIENTS)
+        .map(|_| IngressClient::connect(router.local_addr()).unwrap())
+        .collect();
+    for (c, client) in clients.iter_mut().enumerate() {
+        for j in 0..4u64 {
+            match client
+                .submit_and_wait((c as u64) << 32 | j, &payload, BACKOFF)
+                .unwrap()
+            {
+                JobOutcome::Result(bytes) => assert_eq!(bytes, expected_wordcount_bytes(&lines)),
+                JobOutcome::Failed(m) => panic!("client {c} job {j}: {m}"),
+            }
+        }
+    }
+    assert_eq!(router.stats().connections, CLIENTS);
+    let loops = default_event_loops();
+    assert_eq!(router_threads("hqrouter-loop-"), loops);
+    assert_eq!(router_threads("hqrouter-accept"), 1);
+    assert_eq!(
+        router_threads("hqrouter-"),
+        loops + 1,
+        "a router is its loops and its acceptor — no thread per client"
+    );
+    drop(clients);
+    router.shutdown();
+    assert_eq!(
+        router_threads("hqrouter-"),
+        0,
+        "shutdown joins every thread"
+    );
+    drop(backends);
+}
+
+/// The router runs on the daemon's event-loop parts: its thread count
+/// does not grow with its clients. At the parent commit a router ran an
+/// acceptor plus a forwarder and a merger per client.
+#[test]
+#[cfg(target_os = "linux")]
+fn router_threads_are_its_loops_and_acceptor() {
+    run_helper_in_child("router_census_helper");
+}
+
 /// Child-process body for `teardown_right_after_the_first_reply_is_clean`.
 #[test]
 #[ignore = "helper: spawned by teardown_right_after_the_first_reply_is_clean"]

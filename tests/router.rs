@@ -253,3 +253,53 @@ fn stray_ack_errors_do_not_desynchronize_the_merge() {
     drop(backend);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A dead shard is re-dialed on a backoff, not once per frame: a burst
+/// routed to it is refused with Retry after a handful of connect
+/// attempts, and the live shard's reply is untouched. At the parent
+/// commit every frame to the dead shard dialed it once.
+#[test]
+fn a_dead_shard_is_redialed_on_a_backoff_not_per_frame() {
+    const DEAD_SUBMITS: usize = 250;
+    let cfg = ServiceWorkloadConfig::small();
+    let (_rt, live) = wordcount_server(2);
+    // A loopback address nothing listens on: bound, then released.
+    let dead = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve an address");
+    let backends = [live.local_addr().to_string(), dead.to_string()];
+    let router = Router::bind("127.0.0.1:0", RouterConfig::to(backends)).expect("bind router");
+    let dead_ids: Vec<u64> = (1..)
+        .filter(|&id| rendezvous_route(id, 2) == 1)
+        .take(DEAD_SUBMITS)
+        .collect();
+    let live_id = (1..)
+        .find(|&id| rendezvous_route(id, 2) == 0)
+        .expect("an id on the live shard");
+
+    let mut client = IngressClient::connect(router.local_addr()).expect("connect");
+    let lines = job_lines(&cfg, 0);
+    let payload = encode_lines(&lines);
+    for &id in &dead_ids {
+        client.submit(id, &payload).expect("dead-shard submit");
+    }
+    client.submit(live_id, &payload).expect("live-shard submit");
+    for &id in &dead_ids {
+        let frame = client.recv().expect("dead-shard reply");
+        assert_eq!((frame.kind, frame.req_id), (FrameKind::Retry, id));
+    }
+    let frame = client.recv().expect("live-shard reply");
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    encode_frame(frame.kind, frame.req_id, &frame.body, &mut got);
+    let elision = expected_wordcount_bytes(&lines);
+    encode_frame(FrameKind::Result, live_id, &elision, &mut want);
+    assert_eq!(got, want, "the live shard's reply is the serial elision");
+
+    let stats = router.shutdown();
+    assert_eq!(stats.retries_synthesized, DEAD_SUBMITS as u64);
+    assert!(
+        stats.shard_failures <= 10,
+        "{} connect failures for {DEAD_SUBMITS} frames to one dead shard",
+        stats.shard_failures
+    );
+}
