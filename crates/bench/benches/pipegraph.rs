@@ -1,5 +1,7 @@
 //! Graph-pipeline benchmark: the logstream workload on the DAG composition
-//! layer, fan-out degrees swept against the linear chain equivalent.
+//! layer, fan-out degrees swept against the linear chain equivalent. The
+//! degree moves only branch A's aggregation shards; branch B's digest is
+//! a farm, which has no degree.
 //!
 //! Besides the criterion table, this harness writes `BENCH_pipegraph.json`
 //! (median ms per run for the linear chain and each fan-out degree, plus

@@ -8,9 +8,10 @@
 //! 3. slice API vs per-element push/pop (§5.2);
 //! 4. pthreads thread-count tuning sensitivity (the scale-free argument:
 //!    mis-tuned pthreads loses performance, hyperqueues have no knob);
-//! 5. graph fan-out degree sweep on the logstream DAG workload (how much
-//!    the `pipelines::graph` split/merge machinery buys over the linear
-//!    chain, and where the distributor/merge overhead bites).
+//! 5. graph shard degree sweep on the logstream DAG workload (how much
+//!    the `pipelines::graph` shards and digest farm buy over the linear
+//!    chain, and where the router/merge overhead bites; the degree moves
+//!    only the aggregation shards).
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablations [--scale small]
@@ -197,7 +198,7 @@ fn main() {
         serial_time.as_secs_f64() / d.as_secs_f64()
     );
 
-    println!("\nAblation 5: graph fan-out degree (logstream DAG workload, {cores} workers)");
+    println!("\nAblation 5: graph shard degree (logstream DAG workload, {cores} workers)");
     let lcfg = logstream::LogConfig::bench(if args.is_small() { 30_000 } else { 150_000 });
     let lines = logstream::corpus(&lcfg);
     let (lserial, _) = bench::time(|| logstream::run_serial(&lcfg, &lines));
@@ -213,11 +214,11 @@ fn main() {
         assert_eq!(
             out.checksum(),
             linear_out.checksum(),
-            "fan-out degree {degree} diverged"
+            "shard degree {degree} diverged"
         );
         println!(
             "  {:<18} {:>9.1} ms  speedup vs serial {:>5.2}   vs linear {:>5.2}",
-            format!("fan-out degree {degree}"),
+            format!("shard degree {degree}"),
             d.as_secs_f64() * 1e3,
             lserial.as_secs_f64() / d.as_secs_f64(),
             dlin.as_secs_f64() / d.as_secs_f64()

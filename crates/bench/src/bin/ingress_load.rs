@@ -178,8 +178,7 @@ fn sweep_workload(
             }
             Workload::Logstream => {
                 let graph = Arc::new(
-                    logstream_digest_spec(cfg.degree, cfg.window, cfg.parse_work)
-                        .compile(Arc::clone(&rt), service_cfg),
+                    logstream_digest_spec(cfg.parse_work).compile(Arc::clone(&rt), service_cfg),
                 );
                 IngressServer::bind("127.0.0.1:0", graph, Arc::new(LogstreamCodec), ingress_cfg)
             }

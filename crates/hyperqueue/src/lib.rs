@@ -55,7 +55,6 @@ mod queue;
 mod segment;
 mod slice;
 mod state;
-mod tag;
 mod view;
 
 pub use pool::{PoolStats, SegmentPool};
@@ -66,7 +65,6 @@ pub use queue::{
 pub use segment::segment_capacity_for;
 pub use slice::{ReadSlice, WriteSlice};
 pub use state::{Mode, QueueStats, POP_LABEL, PUSH_LABEL};
-pub use tag::{AutoTag, Pusher, Tagged};
 
 #[cfg(test)]
 mod tests {

@@ -6,17 +6,17 @@
 //! preserving that guarantee end to end:
 //!
 //! * [`Node::map`] — a linear stage (one hyperqueue in, one out);
-//! * [`Node::split`] — deterministic fan-out: a distributor assigns each
-//!   value its sequence number in the pre-split serial order and routes
-//!   it round-robin or by key to one of N replica edges (hand-built
-//!   tagged producers get the same numbering from
-//!   [`hyperqueue::AutoTag`] via [`GraphBuilder::source_tagged`]);
-//! * [`Fanout::merge`] — deterministic fan-in: a sequence-tagged reorder
-//!   window (a generalized [`crate::reorder::ReorderBuffer`]) reassembles
-//!   the pre-split serial order exactly;
-//! * [`Fanout::shard`] / [`Shards::merge_by_key`] — stateful per-shard
-//!   stages (aggregations) whose sorted shard outputs are k-way merged
-//!   into one globally ordered stream;
+//! * [`Node::farm_map`] — a stateless stage farmed out per batch: the
+//!   stage pops a batch at a time (`io_batch` rounded up to whole
+//!   segments) and spawns one child per batch, each holding a push grant
+//!   on the output edge. The queue reduces the
+//!   children's views in spawn order (DESIGN.md §2), so the output is in
+//!   serial order with no sequence numbers, no reorder buffer and no
+//!   degree or window to choose — swan runs as many children at once as
+//!   it has workers;
+//! * [`Node::shard`] / [`Shards::merge_by_key`] — stateful per-key shards
+//!   (aggregations) whose sorted shard outputs are k-way merged into one
+//!   globally ordered stream;
 //! * [`Node::tee`] — multicast to independent downstream chains.
 //!
 //! Every edge is a hyperqueue and every stage moves data with the batched
@@ -28,11 +28,11 @@
 //! A graph's observable output is a pure function of the program text and
 //! the source values — never of the worker count or schedule — provided
 //! the user-supplied stage closures are themselves deterministic (and, for
-//! [`Partition::keyed`], the key function is a pure function of the
-//! value). Concretely:
+//! [`Node::shard`], the key function is a pure function of the value).
+//! Concretely:
 //!
-//! * `split(..).map(f).merge(w)` equals `map(f)` applied on the unsplit
-//!   stream, for every degree and every window `w ≥ 1`;
+//! * `farm_map(f)` equals `map(f)`, at any `io_batch` and any worker
+//!   count;
 //! * `shard(..).merge_by_key(w, k)` equals the stable ascending-by-`k`
 //!   interleaving of the shard outputs, with ties broken by shard index —
 //!   each shard must emit its own output ascending by `k` (aggregations
@@ -43,10 +43,10 @@
 //! running randomly generated DAG shapes on 1/2/8 workers and comparing
 //! against the serial elision.
 //!
-//! # Example: fan-out across 4 replica stages, deterministic fan-in
+//! # Example: a farmed stage, output in serial order
 //!
 //! ```
-//! use pipelines::graph::{GraphBuilder, Partition};
+//! use pipelines::graph::GraphBuilder;
 //! use swan::Runtime;
 //!
 //! let rt = Runtime::with_workers(4);
@@ -54,11 +54,11 @@
 //! let out_ref = &mut out;
 //! rt.scope(move |s| {
 //!     GraphBuilder::on(s)
+//!         .segment_capacity(16)
+//!         .io_batch(16)           // one child per 16 values
 //!         .source_iter(0u64..1000)
-//!         .split(4, Partition::RoundRobin) // fan-out: 4 replica edges
-//!         .map(|x| x * x)                  // runs on all 4 replicas
-//!         .merge(32)                       // fan-in: serial order restored
-//!         .collect_into(out_ref);
+//!         .farm_map(|x| x * x)    // children run on every worker
+//!         .collect_into(out_ref); // in serial order, from the views
 //! });
 //! assert_eq!(out, (0u64..1000).map(|x| x * x).collect::<Vec<_>>());
 //! ```
@@ -66,10 +66,9 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use hyperqueue::{AutoTag, Hyperqueue, PopDep, PushToken, Tagged};
+use hyperqueue::{Hyperqueue, PopDep, PushToken};
 use swan::{DepList, Scope};
 
-use crate::reorder::ReorderBuffer;
 use crate::service::PoolCursor;
 
 pub use crate::service::{
@@ -83,36 +82,6 @@ pub const DEFAULT_EDGE_CAPACITY: usize = 64;
 /// Default number of values a stage moves per `pop_batch`/`push_iter`
 /// round.
 pub const DEFAULT_IO_BATCH: usize = 32;
-
-/// How a fan-out distributor routes values to replica edges.
-///
-/// Both policies are deterministic: the route of a value depends only on
-/// its serial position (round-robin) or its content (keyed) — never on
-/// timing.
-pub enum Partition<'p, T> {
-    /// Value with serial position `seq` goes to replica `seq % degree`.
-    /// Best for uniform, stateless replica stages.
-    RoundRobin,
-    /// Value `v` goes to replica `key(v) % degree`: all values with equal
-    /// keys visit the same replica, in their serial order — what stateful
-    /// per-key stages (sharded aggregation) need. `key` must be a pure
-    /// function of the value.
-    Keyed(Box<dyn Fn(&T) -> u64 + Send + 'p>),
-}
-
-impl<'p, T> Partition<'p, T> {
-    /// Keyed routing by `key` (see [`Partition::Keyed`]).
-    pub fn keyed(key: impl Fn(&T) -> u64 + Send + 'p) -> Self {
-        Partition::Keyed(Box::new(key))
-    }
-
-    fn route(&self, seq: u64, value: &T, degree: u64) -> usize {
-        match self {
-            Partition::RoundRobin => (seq % degree) as usize,
-            Partition::Keyed(key) => (key(value) % degree) as usize,
-        }
-    }
-}
 
 /// Entry point: builds graph nodes inside an open [`Scope`].
 ///
@@ -165,9 +134,9 @@ impl<'g, 'scope> GraphBuilder<'g, 'scope> {
         self
     }
 
-    /// Spawns one stage task. Every combinator below routes its spawns
-    /// through here (or [`Self::spawn_stage_replicas`]): the one place a
-    /// stage is lowered to a swan task.
+    /// Spawns one stage task. Every combinator below routes its stages
+    /// through here: the one place a stage is lowered to a swan task. (A
+    /// farm's per-batch children are spawned by its stage task.)
     fn spawn_stage<D, F>(&self, deps: D, body: F)
     where
         D: DepList,
@@ -175,22 +144,6 @@ impl<'g, 'scope> GraphBuilder<'g, 'scope> {
         F: FnOnce(&Scope<'scope>, D::Guards) + Send + 'scope,
     {
         self.scope.spawn(deps, body)
-    }
-
-    /// [`swan::Scope::spawn_replicas`] routed through
-    /// [`Self::spawn_stage`]: one stage per dependency bundle,
-    /// sharing a single body closure, spawned in `deps` order.
-    fn spawn_stage_replicas<D, F>(&self, deps: impl IntoIterator<Item = D>, body: F)
-    where
-        D: DepList,
-        D::Guards: 'scope,
-        F: Fn(&Scope<'scope>, usize, D::Guards) + Send + Sync + 'scope,
-    {
-        let body = Arc::new(body);
-        for (idx, d) in deps.into_iter().enumerate() {
-            let b = Arc::clone(&body);
-            self.spawn_stage(d, move |s, guards| b(s, idx, guards));
-        }
     }
 
     fn edge<T: Send + 'static>(&self) -> Hyperqueue<T> {
@@ -232,37 +185,6 @@ impl<'g, 'scope> GraphBuilder<'g, 'scope> {
     /// with hand-written hyperqueue code).
     pub fn adopt<T: Send + 'static>(self, q: Hyperqueue<T>) -> Node<'g, 'scope, T> {
         Node { gb: self, q }
-    }
-
-    /// A sequence-tagged source: the producer pushes plain values through
-    /// an [`AutoTag`] adapter, which assigns consecutive serial positions
-    /// starting at `start`. Several tagged sources covering disjoint,
-    /// gapless sequence ranges can be rejoined in serial order with
-    /// [`GraphBuilder::merge_tagged`] — a hand-built fan-out, without
-    /// going through [`Node::split`].
-    pub fn source_tagged<T, F>(self, start: u64, producer: F) -> Node<'g, 'scope, Tagged<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut AutoTag<T, PushToken<Tagged<T>>>) + Send + 'scope,
-    {
-        let q = self.edge::<Tagged<T>>();
-        self.spawn_stage((q.pushdep(),), move |_, (push,)| {
-            let mut tagger = AutoTag::with_start(push, start);
-            producer(&mut tagger);
-        });
-        Node { gb: self, q }
-    }
-
-    /// Deterministic fan-in over hand-built tagged edges (see
-    /// [`GraphBuilder::source_tagged`]; [`Fanout::merge`] is this
-    /// operation applied to a [`Node::split`]'s edges). The union of the
-    /// edges' sequence numbers must be gapless from 0.
-    pub fn merge_tagged<T: Send + 'static>(
-        self,
-        edges: Vec<Node<'g, 'scope, Tagged<T>>>,
-        window: usize,
-    ) -> Node<'g, 'scope, T> {
-        Fanout { gb: self, edges }.merge(window)
     }
 }
 
@@ -331,28 +253,82 @@ impl<'g, 'scope, T: Send + 'static> Node<'g, 'scope, T> {
         Node { gb, q: out }
     }
 
-    /// Deterministic fan-out: a distributor task tags every value with its
-    /// serial position and routes it to one of `degree` replica edges
-    /// according to `partition`. Follow with [`Fanout::map`] /
-    /// [`Fanout::shard`] to put work on the replicas, and
-    /// [`Fanout::merge`] / [`Shards::merge_by_key`] to rejoin.
-    pub fn split(self, degree: usize, partition: Partition<'scope, T>) -> Fanout<'g, 'scope, T> {
+    /// A stateless 1:1 stage farmed out per batch. The stage task pops
+    /// `io_batch` values at a time and moves each batch into one child
+    /// spawned with a push grant on the output edge, so batches run on as
+    /// many workers as are free. Order needs no tags: the hyperqueue
+    /// reduces the children's views in spawn order, and the output equals
+    /// [`Node::map`]'s at any batch size and worker count.
+    ///
+    /// Every child starts its own segment on the output edge, so a batch
+    /// is `io_batch` rounded up to a whole number of segments: each child
+    /// fills the segments it starts, and the edge needs no more segments
+    /// than a single producer would. Every batch but the stream's last is
+    /// full, so the cut depends on the input alone, never on timing.
+    pub fn farm_map<U, F>(self, f: F) -> Node<'g, 'scope, U>
+    where
+        U: Send + 'static,
+        F: Fn(T) -> U + Send + Sync + 'scope,
+    {
+        let gb = self.gb;
+        let out = gb.edge::<U>();
+        let cap = hyperqueue::segment_capacity_for(gb.seg_cap);
+        let batch = gb.io_batch.div_ceil(cap) * cap;
+        let f = Arc::new(f);
+        gb.spawn_stage(
+            (self.q.popdep(), out.pushdep()),
+            move |s, (mut c, mut p)| loop {
+                let mut vals = Vec::with_capacity(batch);
+                while vals.len() < batch && c.pop_batch_into(batch - vals.len(), &mut vals) > 0 {}
+                if vals.is_empty() {
+                    break;
+                }
+                let f = Arc::clone(&f);
+                s.spawn((p.pushdep(),), move |_, (mut p,)| {
+                    p.push_iter(vals.into_iter().map(&*f));
+                });
+            },
+        );
+        Node { gb, q: out }
+    }
+
+    /// Keyed fan-out over `degree` stateful shards — the shape of sharded
+    /// aggregation. A router task sends value `v` to shard
+    /// `key(v) % degree`, so equal keys meet on one shard in their serial
+    /// order (`key` must be a pure function of the value). Shard `i`
+    /// builds its state with `init(i)`, folds every value through `step`
+    /// (emitting zero or more outputs per input into the scratch vector)
+    /// and `finish`es by emitting the rest. Rejoin the shards with
+    /// [`Shards::merge_by_key`], whose contract requires each shard's
+    /// emissions to ascend by the merge key.
+    pub fn shard<S, U, K, I, FS, FF>(
+        self,
+        degree: usize,
+        key: K,
+        init: I,
+        step: FS,
+        finish: FF,
+    ) -> Shards<'g, 'scope, U>
+    where
+        U: Send + 'static,
+        K: Fn(&T) -> u64 + Send + 'scope,
+        I: Fn(usize) -> S + Send + Sync + 'scope,
+        FS: Fn(&mut S, T, &mut Vec<U>) + Send + Sync + 'scope,
+        FF: Fn(S, &mut Vec<U>) + Send + Sync + 'scope,
+    {
         let gb = self.gb;
         let degree = degree.max(1);
         let batch = gb.io_batch;
-        let outs: Vec<Hyperqueue<Tagged<T>>> = (0..degree).map(|_| gb.edge()).collect();
-        let pushes: Vec<_> = outs.iter().map(|q| q.pushdep()).collect();
+        let routed: Vec<Hyperqueue<T>> = (0..degree).map(|_| gb.edge()).collect();
+        let pushes: Vec<_> = routed.iter().map(|q| q.pushdep()).collect();
         gb.spawn_stage(
             (self.q.popdep(), pushes),
             move |_, (mut input, mut pushes)| {
-                let mut seq = 0u64;
                 let mut vals = Vec::with_capacity(batch);
-                let mut bufs: Vec<Vec<Tagged<T>>> = (0..degree).map(|_| Vec::new()).collect();
+                let mut bufs: Vec<Vec<T>> = (0..degree).map(|_| Vec::new()).collect();
                 while input.pop_batch_into(batch, &mut vals) > 0 {
                     for value in vals.drain(..) {
-                        let shard = partition.route(seq, &value, degree as u64);
-                        bufs[shard].push(Tagged::new(seq, value));
-                        seq += 1;
+                        bufs[(key(&value) % degree as u64) as usize].push(value);
                     }
                     for (buf, push) in bufs.iter_mut().zip(pushes.iter_mut()) {
                         if !buf.is_empty() {
@@ -362,7 +338,28 @@ impl<'g, 'scope, T: Send + 'static> Node<'g, 'scope, T> {
                 }
             },
         );
-        Fanout {
+        let stage = Arc::new((init, step, finish));
+        let outs: Vec<Hyperqueue<U>> = (0..degree).map(|_| gb.edge()).collect();
+        for (idx, (q, out)) in routed.iter().zip(&outs).enumerate() {
+            let stage = Arc::clone(&stage);
+            gb.spawn_stage((q.popdep(), out.pushdep()), move |_, (mut c, mut p)| {
+                let (init, step, finish) = &*stage;
+                let mut state = init(idx);
+                let mut vals = Vec::with_capacity(batch);
+                let mut emit = Vec::new();
+                while c.pop_batch_into(batch, &mut vals) > 0 {
+                    for v in vals.drain(..) {
+                        step(&mut state, v, &mut emit);
+                    }
+                    if !emit.is_empty() {
+                        p.push_iter(emit.drain(..));
+                    }
+                }
+                finish(state, &mut emit);
+                p.push_iter(emit);
+            });
+        }
+        Shards {
             gb,
             edges: outs.into_iter().map(|q| Node { gb, q }).collect(),
         }
@@ -469,175 +466,13 @@ impl<'g, 'scope, T: Send + 'static> Node<'g, 'scope, T> {
     }
 }
 
-/// The replica edges of a fan-out: `degree` sequence-tagged streams that
-/// together carry the pre-split stream exactly once.
-pub struct Fanout<'g, 'scope, T: Send + 'static> {
-    gb: GraphBuilder<'g, 'scope>,
-    edges: Vec<Node<'g, 'scope, Tagged<T>>>,
-}
-
-impl<'g, 'scope, T: Send + 'static> Fanout<'g, 'scope, T> {
-    /// Number of replica edges.
-    pub fn degree(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// A 1:1 transform applied on every replica concurrently. The closure
-    /// is shared (`Fn`) across replicas; sequence tags ride along
-    /// untouched so a later [`Fanout::merge`] can restore serial order.
-    pub fn map<U, F>(self, f: F) -> Fanout<'g, 'scope, U>
-    where
-        U: Send + 'static,
-        F: Fn(T) -> U + Send + Sync + 'scope,
-    {
-        let gb = self.gb;
-        let batch = gb.io_batch;
-        let outs: Vec<Hyperqueue<Tagged<U>>> = (0..self.edges.len()).map(|_| gb.edge()).collect();
-        let deps: Vec<_> = self
-            .edges
-            .into_iter()
-            .zip(outs.iter())
-            .map(|(n, out)| (n.q.popdep(), out.pushdep()))
-            .collect();
-        gb.spawn_stage_replicas(deps, move |_, _idx, (mut c, mut p)| {
-            let mut vals = Vec::with_capacity(batch);
-            while c.pop_batch_into(batch, &mut vals) > 0 {
-                p.push_iter(vals.drain(..).map(|t| t.map(&f)));
-            }
-        });
-        Fanout {
-            gb,
-            edges: outs.into_iter().map(|q| Node { gb, q }).collect(),
-        }
-    }
-
-    /// A stateful per-replica stage — the shape of sharded aggregation.
-    /// Each replica builds its state with `init(replica_index)`, folds
-    /// every tagged value through `step` (emitting zero or more outputs
-    /// per input into the scratch vector), and `finish`es by emitting its
-    /// remaining outputs. The result is `degree` independent *untagged*
-    /// streams; rejoin them with [`Shards::merge_by_key`], whose contract
-    /// requires each replica's emissions to ascend by the merge key.
-    pub fn shard<S, U, I, FS, FF>(self, init: I, step: FS, finish: FF) -> Shards<'g, 'scope, U>
-    where
-        U: Send + 'static,
-        I: Fn(usize) -> S + Send + Sync + 'scope,
-        FS: Fn(&mut S, Tagged<T>, &mut Vec<U>) + Send + Sync + 'scope,
-        FF: Fn(S, &mut Vec<U>) + Send + Sync + 'scope,
-    {
-        let gb = self.gb;
-        let batch = gb.io_batch;
-        let outs: Vec<Hyperqueue<U>> = (0..self.edges.len()).map(|_| gb.edge()).collect();
-        let deps: Vec<_> = self
-            .edges
-            .into_iter()
-            .zip(outs.iter())
-            .map(|(n, out)| (n.q.popdep(), out.pushdep()))
-            .collect();
-        gb.spawn_stage_replicas(deps, move |_, idx, (mut c, mut p)| {
-            let mut state = init(idx);
-            let mut vals = Vec::with_capacity(batch);
-            let mut emit = Vec::new();
-            while c.pop_batch_into(batch, &mut vals) > 0 {
-                for t in vals.drain(..) {
-                    step(&mut state, t, &mut emit);
-                }
-                if !emit.is_empty() {
-                    p.push_iter(emit.drain(..));
-                }
-            }
-            finish(state, &mut emit);
-            p.push_iter(emit);
-        });
-        Shards {
-            gb,
-            edges: outs.into_iter().map(|q| Node { gb, q }).collect(),
-        }
-    }
-
-    /// Deterministic fan-in: reassembles the pre-split serial order from
-    /// the sequence tags through a reorder window. `window` bounds how
-    /// many values the merge pops from one replica edge per round.
-    ///
-    /// The merged stream is byte-identical to the unsplit stream for any
-    /// degree, window and worker count — the fan-out/fan-in pair is
-    /// observationally a no-op.
-    ///
-    /// # Memory
-    ///
-    /// Under **round-robin** routing, consecutive sequence numbers
-    /// interleave across edges, so each sweep's contiguous prefix drains
-    /// and parked values stay within about `degree × window`. Under
-    /// **keyed** routing the parked count instead follows the routing
-    /// skew: if the key correlates with stream position (e.g. the first
-    /// half of the stream keys to shard 0), the buffer must park up to
-    /// the skewed run's length before the gap fills — the same
-    /// unboundedness the hyperqueue itself accepts on a producer/consumer
-    /// rate mismatch. Keyed fan-outs that need bounded fan-in memory
-    /// should aggregate per shard and rejoin with
-    /// [`Shards::merge_by_key`], whose buffering is strictly
-    /// `degree × window`.
-    pub fn merge(self, window: usize) -> Node<'g, 'scope, T> {
-        let gb = self.gb;
-        let window = window.max(1);
-        let out = gb.edge::<T>();
-        let pops: Vec<_> = self.edges.into_iter().map(|n| n.q.popdep()).collect();
-        gb.spawn_stage((pops, out.pushdep()), move |_, (mut pops, mut push)| {
-            let n = pops.len();
-            let mut done = vec![false; n];
-            let mut live = n;
-            let mut buf = ReorderBuffer::with_start(0);
-            let mut vals: Vec<Tagged<T>> = Vec::with_capacity(window);
-            let mut ready: Vec<T> = Vec::new();
-            while live > 0 {
-                for (i, pop) in pops.iter_mut().enumerate() {
-                    if done[i] {
-                        continue;
-                    }
-                    // Blocks until this edge shows data or closes —
-                    // safe: the graph is acyclic, so the edge's
-                    // producer never waits on this merge.
-                    if pop.pop_batch_into(window, &mut vals) == 0 {
-                        done[i] = true;
-                        live -= 1;
-                        continue;
-                    }
-                    for t in vals.drain(..) {
-                        buf.insert(t.seq, t.value);
-                    }
-                    if buf.drain_ready(&mut ready) > 0 {
-                        push.push_iter(ready.drain(..));
-                    }
-                }
-            }
-            assert_eq!(
-                buf.parked(),
-                0,
-                "fan-out merge saw a sequence gap: a split edge dropped values"
-            );
-        });
-        Node { gb, q: out }
-    }
-
-    /// Unwraps the tagged replica edges (escape hatch for custom fan-in
-    /// topologies).
-    pub fn into_edges(self) -> Vec<Node<'g, 'scope, Tagged<T>>> {
-        self.edges
-    }
-}
-
-/// Independent untagged per-shard streams produced by [`Fanout::shard`].
+/// Independent per-shard streams produced by [`Node::shard`].
 pub struct Shards<'g, 'scope, T: Send + 'static> {
     gb: GraphBuilder<'g, 'scope>,
     edges: Vec<Node<'g, 'scope, T>>,
 }
 
 impl<'g, 'scope, T: Send + 'static> Shards<'g, 'scope, T> {
-    /// Number of shard streams.
-    pub fn degree(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Deterministic ordered fan-in over sorted shard streams: a k-way
     /// merge ascending by `key`, ties broken by shard index. Each shard
     /// must emit its own stream ascending by `key` (up to equal keys);
@@ -704,11 +539,6 @@ impl<'g, 'scope, T: Send + 'static> Shards<'g, 'scope, T> {
         });
         Node { gb, q: out }
     }
-
-    /// Unwraps the shard streams (escape hatch).
-    pub fn into_edges(self) -> Vec<Node<'g, 'scope, T>> {
-        self.edges
-    }
 }
 
 #[cfg(test)]
@@ -716,53 +546,35 @@ mod tests {
     use super::*;
     use swan::Runtime;
 
-    fn squares_via(degree: usize, window: usize, workers: usize, keyed: bool) -> Vec<u64> {
+    /// 497 = 62 · 8 + 1 values: at `io_batch` ≤ 8 the farm cuts 8-value
+    /// batches and the last child gets one value.
+    fn squares_via_farm(io_batch: usize, workers: usize) -> Vec<u64> {
         let rt = Runtime::with_workers(workers);
         let mut out = Vec::new();
         let out_ref = &mut out;
         rt.scope(move |s| {
-            let part = if keyed {
-                Partition::keyed(|v: &u64| v / 7)
-            } else {
-                Partition::RoundRobin
-            };
             GraphBuilder::on(s)
                 .segment_capacity(8)
-                .source_iter(0u64..500)
-                .split(degree, part)
-                .map(|x| x * x)
-                .merge(window)
+                .io_batch(io_batch)
+                .source_iter(0u64..497)
+                .farm_map(|x| x * x)
                 .collect_into(out_ref);
         });
         out
     }
 
     #[test]
-    fn split_map_merge_equals_serial_elision() {
-        let expect: Vec<u64> = (0..500).map(|x| x * x).collect();
-        for degree in [1, 2, 3, 4] {
+    fn farm_map_equals_serial_elision() {
+        let expect: Vec<u64> = (0..497).map(|x| x * x).collect();
+        for io_batch in [1, 3, 8, 32] {
             for workers in [1, 2, 8] {
                 assert_eq!(
-                    squares_via(degree, 16, workers, false),
+                    squares_via_farm(io_batch, workers),
                     expect,
-                    "degree {degree} workers {workers}"
+                    "io_batch {io_batch} workers {workers}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn keyed_split_preserves_serial_order_after_merge() {
-        let expect: Vec<u64> = (0..500).map(|x| x * x).collect();
-        for workers in [1, 2, 8] {
-            assert_eq!(squares_via(3, 4, workers, true), expect);
-        }
-    }
-
-    #[test]
-    fn tiny_window_still_correct() {
-        let expect: Vec<u64> = (0..500).map(|x| x * x).collect();
-        assert_eq!(squares_via(4, 1, 8, false), expect);
     }
 
     #[test]
@@ -793,11 +605,12 @@ mod tests {
                 GraphBuilder::on(s)
                     .segment_capacity(4)
                     .source_iter((0u64..300).map(|i| i % 13))
-                    .split(3, Partition::keyed(|v: &u64| *v))
                     .shard(
+                        3,
+                        |v: &u64| *v,
                         |_idx| std::collections::BTreeMap::<u64, u64>::new(),
-                        |counts, t, _emit| {
-                            *counts.entry(t.value).or_insert(0) += 1;
+                        |counts, v, _emit| {
+                            *counts.entry(v).or_insert(0) += 1;
                         },
                         |counts, emit| emit.extend(counts),
                     )
@@ -811,34 +624,6 @@ mod tests {
             assert_eq!(
                 got,
                 expect.into_iter().collect::<Vec<_>>(),
-                "{workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn hand_built_tagged_sources_merge_in_serial_order() {
-        // Two AutoTag producers covering disjoint sequence ranges: the
-        // merge interleaves them back into one gapless serial stream.
-        for workers in [1usize, 2, 8] {
-            let rt2 = Runtime::with_workers(workers);
-            let mut out = Vec::new();
-            let out_ref = &mut out;
-            rt2.scope(move |s| {
-                let gb = GraphBuilder::on(s).segment_capacity(4);
-                let low = gb.source_tagged(0, |t| {
-                    t.push_iter((0u64..250).map(|v| v * 10));
-                });
-                let high = gb.source_tagged(250, |t| {
-                    for v in 250u64..500 {
-                        t.push(v * 10);
-                    }
-                });
-                gb.merge_tagged(vec![low, high], 16).collect_into(out_ref);
-            });
-            assert_eq!(
-                out,
-                (0u64..500).map(|v| v * 10).collect::<Vec<_>>(),
                 "{workers} workers"
             );
         }

@@ -6,7 +6,7 @@
 //! programming model runs the same workload kernels on the same allocator:
 //!
 //! * **pthreads-style** building blocks: blocking bounded MPMC channels
-//!   ([`bounded`]), a Lamport SPSC ring ([`spsc::SpscRing`]), and reorder buffers
+//!   ([`bounded`]), a Lamport SPSC ring ([`spsc::SpscRing`]), and a reorder queue
 //!   ([`reorder`]). The workload drivers hand-roll thread-per-stage
 //!   pipelines from these, exactly like PARSEC's pthreads codes — including
 //!   the per-machine thread-count tuning the paper criticizes.
@@ -17,10 +17,10 @@
 //!   the evaluation.
 //!
 //! **The DAG composition layer** ([`graph`]): a typed builder that goes
-//! *beyond* the paper's linear chains — deterministic fan-out
-//! ([`graph::Node::split`]), sequence-tagged fan-in ([`graph::Fanout::merge`],
-//! reusing the [`reorder`] machinery), sharded stateful stages with ordered
-//! k-way merges, and multicast ([`graph::Node::tee`]) — all running on the
+//! *beyond* the paper's linear chains — stateless stages farmed out one
+//! child per batch ([`graph::Node::farm_map`], ordered by the queue's views
+//! rather than by tags), keyed stateful shards with ordered k-way merges
+//! ([`graph::Node::shard`]), and multicast ([`graph::Node::tee`]) — all running on the
 //! `swan` runtime over hyperqueue edges with batched slice I/O, and all
 //! preserving the serial-elision determinism guarantee. See the [`graph`]
 //! module docs for the contract and a worked example. On top of it sit
@@ -43,7 +43,7 @@ pub mod tbb;
 pub mod telemetry;
 
 pub use bounded::{channel, Receiver, Sender};
-pub use graph::{Fanout, GraphBuilder, Node, Partition, Shards};
+pub use graph::{GraphBuilder, Node, Shards};
 pub use ingress::{
     IngressClient, IngressConfig, IngressServer, IngressStats, JobCodec, QueryStatus,
     RecoveryReport, Router, RouterConfig, RouterStats,
@@ -54,7 +54,7 @@ pub use journal::{
 pub use partition::{
     partition, rendezvous_route, Hyperedge, Hypergraph, PartitionConfig, PartitionResult,
 };
-pub use reorder::{ReorderBuffer, ReorderQueue};
+pub use reorder::ReorderQueue;
 pub use service::{
     Admission, CompiledGraph, GraphSpec, JobError, JobHandle, ServiceConfig, ServiceStorageStats,
     Submission,

@@ -1,90 +1,51 @@
-//! Reorder buffers: restoring sequence order after a parallel stage.
+//! Reorder queues: restoring sequence order after a parallel stage.
 //!
-//! Serial *in-order* pipeline stages (ferret's output stage, dedup's
-//! writer) must observe items in their original sequence even though the
-//! preceding parallel stage completes them out of order. Both baseline
-//! models (pthreads-style and the TBB clone) need this; hyperqueues get it
-//! for free from the view algebra — which is precisely the paper's point.
+//! A serial *in-order* stage of a pthreads-style baseline (ferret's output
+//! stage) must observe items in their original sequence even though the
+//! preceding parallel stage completes them out of order: its workers
+//! insert `(seq, value)` pairs into a [`ReorderQueue`] and the drainer
+//! receives them in sequence order. Hyperqueues get this for free from the
+//! view algebra — which is precisely the paper's point, and why the graph
+//! layer's [`farm_map`](crate::graph::Node::farm_map) carries no sequence
+//! numbers.
 
 use std::collections::BTreeMap;
 
 use parking_lot::{Condvar, Mutex};
 
 /// Non-blocking reorder buffer: feed `(seq, value)` pairs in any order,
-/// drain values in exact sequence order.
-///
-/// Besides the classic per-item `insert`/`pop_next` the baselines use,
-/// the buffer supports the batched shape the hyperqueue graph merge needs
-/// ([`ReorderBuffer::drain_ready`]) plus occupancy telemetry
-/// ([`ReorderBuffer::high_water`]) so reorder-window sizing is observable.
-pub struct ReorderBuffer<T> {
+/// take values out in exact sequence order.
+struct ReorderBuffer<T> {
     pending: BTreeMap<u64, T>,
     next: u64,
-    high_water: usize,
 }
 
 impl<T> ReorderBuffer<T> {
     /// Creates a buffer expecting sequence numbers starting at 0.
-    pub fn new() -> Self {
-        Self::with_start(0)
-    }
-
-    /// Creates a buffer expecting sequence numbers starting at `start` —
-    /// for merging a stream that was split off mid-sequence.
-    pub fn with_start(start: u64) -> Self {
+    fn new() -> Self {
         Self {
             pending: BTreeMap::new(),
-            next: start,
-            high_water: 0,
+            next: 0,
         }
     }
 
     /// Inserts an out-of-order item.
-    pub fn insert(&mut self, seq: u64, value: T) {
+    fn insert(&mut self, seq: u64, value: T) {
         debug_assert!(seq >= self.next, "sequence number {seq} already drained");
         let old = self.pending.insert(seq, value);
         debug_assert!(old.is_none(), "duplicate sequence number {seq}");
-        self.high_water = self.high_water.max(self.pending.len());
     }
 
     /// Pops the next in-order item, if it has arrived.
-    pub fn pop_next(&mut self) -> Option<T> {
+    fn pop_next(&mut self) -> Option<T> {
         let v = self.pending.remove(&self.next)?;
         self.next += 1;
         Some(v)
     }
 
-    /// Moves every currently-contiguous item (in sequence order) into
-    /// `out`, returning how many were moved — the batched analogue of
-    /// calling [`ReorderBuffer::pop_next`] until it yields `None`.
-    pub fn drain_ready(&mut self, out: &mut Vec<T>) -> usize {
-        let before = out.len();
-        while let Some(v) = self.pop_next() {
-            out.push(v);
-        }
-        out.len() - before
-    }
-
     /// Sequence number the buffer is waiting for.
-    pub fn next_seq(&self) -> u64 {
+    fn next_seq(&self) -> u64 {
         self.next
-    }
-
-    /// Number of items parked out of order.
-    pub fn parked(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Peak number of simultaneously parked items over the buffer's
-    /// lifetime — the effective reorder window a run actually needed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-}
-
-impl<T> Default for ReorderBuffer<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -175,25 +136,8 @@ mod tests {
         b.insert(1, "b");
         assert_eq!(b.pop_next(), Some("b"));
         assert_eq!(b.pop_next(), Some("c"));
-        assert_eq!(b.parked(), 0);
-    }
-
-    #[test]
-    fn buffer_batched_drain_and_telemetry() {
-        let mut b = ReorderBuffer::with_start(10);
-        assert_eq!(b.next_seq(), 10);
-        b.insert(13, 3);
-        b.insert(11, 1);
-        b.insert(12, 2);
-        assert_eq!(b.high_water(), 3);
-        let mut out = vec![0];
-        assert_eq!(b.drain_ready(&mut out), 0, "seq 10 still missing");
-        b.insert(10, 0);
-        assert_eq!(b.drain_ready(&mut out), 4);
-        assert_eq!(out, vec![0, 0, 1, 2, 3]);
-        assert_eq!(b.parked(), 0);
-        assert_eq!(b.high_water(), 4, "high-water is a lifetime peak");
-        assert_eq!(b.next_seq(), 14);
+        assert_eq!(b.pop_next(), None);
+        assert_eq!(b.next_seq(), 3);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!
 //! let rt = Arc::new(Runtime::with_workers(2));
 //! let graph = GraphSpec::<u64, u64>::new()
-//!     .fanout_map(4, 32, |x| x * x)
+//!     .farm_map(|x| x * x)
 //!     .compile(Arc::clone(&rt), ServiceConfig::default());
 //! let jobs: Vec<_> = (0..4)
 //!     .map(|j| {
@@ -58,11 +58,11 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hyperqueue::{PoolStats, QueueStats, SegmentPool, Tagged};
+use hyperqueue::{PoolStats, QueueStats, SegmentPool};
 use parking_lot::Mutex;
 use swan::{Entered, JobTable, Refused, RetryDecision, RetryPolicy, Runtime, Scope};
 
-use crate::graph::{GraphBuilder, Node, Partition, DEFAULT_EDGE_CAPACITY, DEFAULT_IO_BATCH};
+use crate::graph::{GraphBuilder, Node, DEFAULT_EDGE_CAPACITY, DEFAULT_IO_BATCH};
 use crate::telemetry::{
     ClassLatency, EdgeTelemetry, LatencyHistogram, TelemetrySnapshot, TelemetrySource,
     TELEMETRY_VERSION,
@@ -230,18 +230,14 @@ impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for FlatMapPlan<T, U>
     }
 }
 
-struct FanoutMapPlan<T, U> {
-    degree: usize,
-    window: usize,
+struct FarmMapPlan<T, U> {
     f: Arc<dyn Fn(T) -> U + Send + Sync>,
 }
 
-impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for FanoutMapPlan<T, U> {
+impl<T: Send + 'static, U: Send + 'static> StagePlan<T, U> for FarmMapPlan<T, U> {
     fn build<'g, 'scope>(&self, node: Node<'g, 'scope, T>) -> Node<'g, 'scope, U> {
         let f = Arc::clone(&self.f);
-        node.split(self.degree, Partition::RoundRobin)
-            .map(move |x| f(x))
-            .merge(self.window)
+        node.farm_map(move |x| f(x))
     }
 }
 
@@ -271,13 +267,14 @@ where
             Arc::clone(&self.finish),
         );
         let key = Arc::clone(&self.key);
-        node.split(self.degree, Partition::keyed(move |v: &T| route(v)))
-            .shard(
-                move |idx| init(idx),
-                move |state: &mut S, t: Tagged<T>, emit: &mut Vec<U>| step(state, t.value, emit),
-                move |state, emit| finish(state, emit),
-            )
-            .merge_by_key(self.window, move |v| key(v))
+        node.shard(
+            self.degree,
+            move |v: &T| route(v),
+            move |idx| init(idx),
+            move |state: &mut S, v: T, emit: &mut Vec<U>| step(state, v, emit),
+            move |state, emit| finish(state, emit),
+        )
+        .merge_by_key(self.window, move |v| key(v))
     }
 }
 
@@ -339,25 +336,17 @@ impl<I: Send + 'static, O: Send + 'static> GraphSpec<I, O> {
         self.then(FlatMapPlan { f: Arc::new(f) })
     }
 
-    /// Deterministic round-robin fan-out across `degree` replicas of a
-    /// 1:1 stage, rejoined in serial order through a reorder window (see
-    /// [`Node::split`] / [`crate::graph::Fanout::merge`]).
-    pub fn fanout_map<U: Send + 'static>(
+    /// A stateless 1:1 stage farmed out one child per batch, its output
+    /// in serial order from the queue's views (see [`Node::farm_map`]).
+    pub fn farm_map<U: Send + 'static>(
         self,
-        degree: usize,
-        window: usize,
         f: impl Fn(O) -> U + Send + Sync + 'static,
     ) -> GraphSpec<I, U> {
-        self.then(FanoutMapPlan {
-            degree: degree.max(1),
-            window: window.max(1),
-            f: Arc::new(f),
-        })
+        self.then(FarmMapPlan { f: Arc::new(f) })
     }
 
     /// Keyed fan-out over `degree` stateful shards with an ordered k-way
-    /// fan-in — the sharded-aggregation shape (see
-    /// [`crate::graph::Fanout::shard`] /
+    /// fan-in — the sharded-aggregation shape (see [`Node::shard`] /
     /// [`crate::graph::Shards::merge_by_key`]). Values route by
     /// `route(v) % degree`; each shard folds its values through
     /// `init`/`step`/`finish`, and must emit ascending by `key`.
@@ -941,16 +930,14 @@ mod tests {
         max_in_flight: usize,
     ) -> (Arc<Runtime>, CompiledGraph<u64, u64>) {
         let rt = Arc::new(Runtime::with_workers(workers));
-        let graph = GraphSpec::<u64, u64>::new()
-            .fanout_map(3, 16, |x| x * x)
-            .compile(
-                Arc::clone(&rt),
-                ServiceConfig {
-                    max_in_flight,
-                    segment_capacity: 8,
-                    ..ServiceConfig::default()
-                },
-            );
+        let graph = GraphSpec::<u64, u64>::new().farm_map(|x| x * x).compile(
+            Arc::clone(&rt),
+            ServiceConfig {
+                max_in_flight,
+                segment_capacity: 8,
+                ..ServiceConfig::default()
+            },
+        );
         (rt, graph)
     }
 
@@ -991,15 +978,13 @@ mod tests {
     fn telemetry_reports_the_rounded_segment_capacity() {
         for (requested, real) in [(3, 4), (100, 128)] {
             let rt = Arc::new(Runtime::with_workers(2));
-            let graph = GraphSpec::<u64, u64>::new()
-                .fanout_map(2, 16, |x| x + 1)
-                .compile(
-                    rt,
-                    ServiceConfig {
-                        segment_capacity: requested,
-                        ..ServiceConfig::default()
-                    },
-                );
+            let graph = GraphSpec::<u64, u64>::new().farm_map(|x| x + 1).compile(
+                rt,
+                ServiceConfig {
+                    segment_capacity: requested,
+                    ..ServiceConfig::default()
+                },
+            );
             graph
                 .submit((0..300).collect(), Admission::Unbounded)
                 .expect_accepted()
@@ -1030,8 +1015,11 @@ mod tests {
             .submit((0..500).collect(), Admission::Unbounded)
             .expect_accepted()
             .join();
+        // Source→farm and farm→sink: the farm adds no edge per worker.
+        assert_eq!(graph.telemetry().storage.edges, 2);
         // 500 items, capacity-8 segments: no schedule can chain more than
-        // ceil(500/8) + 2 segments on any edge.
+        // ceil(500/8) + 2 segments on any edge; the farm's children fill
+        // whole segments, so they need no more.
         graph.prewarm(500 / 8 + 3);
         let warm = graph.telemetry();
         for _ in 0..10 {
@@ -1054,6 +1042,56 @@ mod tests {
         assert_eq!(after.latency[0].class, "jobs");
         assert_eq!(after.latency[0].histogram.count(), 11);
         assert!(after.latency[0].histogram.quantile(0.5) > 0);
+    }
+
+    #[test]
+    fn farm_edge_stays_within_the_prewarm_recipe_when_its_head_stalls() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        // Value 0 is held until every value past the first segment is
+        // mapped: the sink can pop nothing, so every later child's
+        // segments are live at once — the farm edge's worst case.
+        const N: usize = 64;
+        const LATER: usize = N - 8;
+        let seen = AtomicUsize::new(0);
+        let stalled = Arc::new(AtomicBool::new(false));
+        let held = Arc::clone(&stalled);
+        let graph = GraphSpec::<u64, u64>::new()
+            .farm_map(move |x| {
+                if x == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while seen.load(Ordering::Acquire) < LATER && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    held.store(seen.load(Ordering::Acquire) == LATER, Ordering::Release);
+                } else if x >= 8 {
+                    seen.fetch_add(1, Ordering::AcqRel);
+                }
+                x + 1
+            })
+            .compile(
+                Arc::new(Runtime::with_workers(4)),
+                ServiceConfig {
+                    segment_capacity: 8,
+                    // Not a multiple of the capacity: the farm rounds each
+                    // batch up to whole segments.
+                    io_batch: 3,
+                    ..ServiceConfig::default()
+                },
+            );
+        let out = graph
+            .submit((0..N as u64).collect(), Admission::Unbounded)
+            .expect_accepted()
+            .join();
+        assert_eq!(out, (1..=N as u64).collect::<Vec<u64>>());
+        assert!(
+            stalled.load(Ordering::Acquire),
+            "the head child never held the farm up"
+        );
+        // On cold pools every miss is a segment live at its edge's high
+        // water: the prewarm recipe must cover it.
+        for e in graph.telemetry().edges {
+            assert!(e.pool.misses as usize <= N / 8 + 2, "{e:?}");
+        }
     }
 
     #[test]
@@ -1149,6 +1187,38 @@ mod tests {
             .expect_accepted()
             .join();
         assert_eq!(ok, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn panicking_farm_child_fails_its_job_and_the_graph_survives() {
+        let rt = Arc::new(Runtime::with_workers(2));
+        let graph = GraphSpec::<u64, u64>::new()
+            .farm_map(|x| {
+                assert!(x != 13, "unlucky child");
+                x * 2
+            })
+            .compile(
+                rt,
+                ServiceConfig {
+                    segment_capacity: 4,
+                    io_batch: 4,
+                    ..ServiceConfig::default()
+                },
+            );
+        // Value 13 sits in the fourth of eight children.
+        let err = graph
+            .submit((0..32).collect(), Admission::Unbounded)
+            .expect_accepted()
+            .wait()
+            .expect_err("a panicking farm child must fail its job");
+        assert!(err.to_string().contains("unlucky child"), "{err}");
+        assert_eq!(err.attempts(), 1);
+        let ok = graph
+            .submit((14..64).collect(), Admission::Unbounded)
+            .expect_accepted()
+            .join();
+        assert_eq!(ok, (14..64).map(|x| x * 2).collect::<Vec<u64>>());
+        assert_eq!(graph.telemetry().admission.failed, 1);
     }
 
     #[test]

@@ -89,25 +89,6 @@ impl<'scope> Scope<'scope> {
         }
     }
 
-    /// Spawns one task per element of `deps`, sharing a single body closure
-    /// across the replicas — the spawn surface of fan-out pipeline stages
-    /// (one replica per dependency bundle, e.g. one per shard queue). The
-    /// body receives the replica index alongside the guards; replicas are
-    /// spawned in `deps` order, so dependence edges derive from program
-    /// order exactly as with individual [`Scope::spawn`] calls.
-    pub fn spawn_replicas<D, F>(&self, deps: impl IntoIterator<Item = D>, body: F)
-    where
-        D: DepList,
-        D::Guards: 'scope,
-        F: Fn(&Scope<'scope>, usize, D::Guards) + Send + Sync + 'scope,
-    {
-        let body = Arc::new(body);
-        for (idx, d) in deps.into_iter().enumerate() {
-            let b = Arc::clone(&body);
-            self.spawn(d, move |s, guards| b(s, idx, guards));
-        }
-    }
-
     /// Waits until all children spawned by this scope have completed,
     /// executing descendant tasks meanwhile. Panics from the subtree
     /// resurface here. This is the paper's `sync` statement.
@@ -215,22 +196,6 @@ mod tests {
         let v = order.into_inner();
         assert_eq!(v.len(), 5);
         assert_eq!(*v.last().unwrap(), 99, "sync must come after children");
-    }
-
-    #[test]
-    fn spawn_replicas_runs_one_task_per_dep_bundle() {
-        use crate::Versioned;
-        let rt = Runtime::with_workers(4);
-        let cells: Vec<Versioned<usize>> = (0..6).map(|_| Versioned::new(0)).collect();
-        rt.scope(|s| {
-            let deps: Vec<_> = cells.iter().map(|c| (c.write(),)).collect();
-            s.spawn_replicas(deps, |_, idx, (mut w,)| {
-                *w = idx + 1;
-            });
-        });
-        for (i, c) in cells.iter().enumerate() {
-            assert_eq!(c.read_latest(), i + 1, "replica {i} did not run");
-        }
     }
 
     #[test]

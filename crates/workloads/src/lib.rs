@@ -8,7 +8,7 @@
 //! * [`dedup`] — 5-stage deduplicating compressor (Table 2, Figure 11)
 //! * [`bzip2`] — 3-stage block compressor (§6.3)
 //! * [`logstream`] — streaming log analytics over a **graph-shaped**
-//!   pipeline (tee + keyed/round-robin fan-out + ordered fan-in), the
+//!   pipeline (tee + keyed shards with an ordered fan-in + a farm), the
 //!   workload that exercises `pipelines::graph` beyond the paper's
 //!   straight chains
 //! * [`service`] — thousands of small wordcount/logstream jobs fired at

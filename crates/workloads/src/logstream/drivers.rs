@@ -1,9 +1,9 @@
 //! logstream drivers: serial reference, linear hyperqueue chain, and the
-//! fan-out/fan-in graph — all producing byte-identical output.
+//! sharded-and-farmed graph — all producing byte-identical output.
 
 use std::collections::BTreeMap;
 
-use pipelines::graph::{GraphBuilder, Partition};
+use pipelines::graph::GraphBuilder;
 use swan::Runtime;
 
 use crate::logstream::stages::{
@@ -68,7 +68,7 @@ pub fn run_serial(cfg: &LogConfig, lines: &[String]) -> (LogOutput, StageClock) 
 
 /// The linear hyperqueue chain: source → parse stage → aggregation sink,
 /// with the firehose folded on the tee'd second branch. This is the
-/// degree-independent baseline the fan-out graph must beat.
+/// degree-independent baseline the sharded graph must beat.
 pub fn run_linear(cfg: &LogConfig, lines: &[String], rt: &Runtime) -> LogOutput {
     let mut agg: BTreeMap<WindowKey, WindowAgg> = BTreeMap::new();
     let mut firehose = 0u64;
@@ -89,8 +89,8 @@ pub fn run_linear(cfg: &LogConfig, lines: &[String], rt: &Runtime) -> LogOutput 
 }
 
 /// The DAG driver: keyed fan-out across `degree` aggregation shards with
-/// an ordered key-merge (branch A), and a round-robin digest fan-out with
-/// a sequence-tag merge (branch B). Output is byte-identical to
+/// an ordered key-merge (branch A), and the digest farmed out per batch
+/// (branch B, ordered by the queue's views). Output is byte-identical to
 /// [`run_serial`] and [`run_linear`] at every degree and worker count.
 pub fn run_graph(cfg: &LogConfig, lines: &[String], rt: &Runtime, degree: usize) -> LogOutput {
     let mut summaries: Vec<String> = Vec::new();
@@ -102,14 +102,12 @@ pub fn run_graph(cfg: &LogConfig, lines: &[String], rt: &Runtime, degree: usize)
         // Branch A: parse + windowed aggregation, sharded by service so
         // every (window, service) cell lives on exactly one shard and sees
         // its records in serial order.
-        a.split(
+        a.shard(
             degree,
-            Partition::keyed(move |&i: &u64| service_key(&lines[i as usize])),
-        )
-        .shard(
+            move |&i: &u64| service_key(&lines[i as usize]),
             |_idx| BTreeMap::<WindowKey, WindowAgg>::new(),
-            move |map, t, _emit| {
-                let rec = parse_line(cfg, &lines[t.value as usize]);
+            move |map, i, _emit| {
+                let rec = parse_line(cfg, &lines[i as usize]);
                 fold_record(cfg, map, &rec);
             },
             |map, emit| emit.extend(map),
@@ -117,11 +115,9 @@ pub fn run_graph(cfg: &LogConfig, lines: &[String], rt: &Runtime, degree: usize)
         .merge_by_key(cfg.merge_window, |&(k, _)| k)
         .map(|(k, a)| summary_line(&k, &a))
         .collect_into(sum_ref);
-        // Branch B: the raw firehose digest, fanned round-robin and
-        // rejoined in serial order by sequence tag.
-        b.split(degree, Partition::RoundRobin)
-            .map(move |i| line_digest(&lines[i as usize]))
-            .merge(cfg.merge_window)
+        // Branch B: the raw firehose digest, farmed out per batch; the
+        // views keep it in serial order.
+        b.farm_map(move |i| line_digest(&lines[i as usize]))
             .for_each(move |d| *fire_ref = firehose_fold(*fire_ref, d));
     });
     LogOutput {

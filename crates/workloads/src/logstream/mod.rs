@@ -8,15 +8,16 @@
 //!                      ┌─ keyed fan-out ─ shard 0: parse + window agg ─┐
 //! source ── tee ── A ──┼─ (by service)  ─ shard 1: parse + window agg ─┼─ merge_by_key ─ emit
 //!            │         └─ …                                            ┘   (ordered summaries)
-//!            └─── B ── round-robin fan-out ── digest replicas ── seq merge ── firehose checksum
+//!            └─── B ── digest farm (one child per batch) ── firehose checksum
 //! ```
 //!
 //! Branch A shards a windowed per-service aggregation by service key and
 //! rejoins the sorted shard outputs into one globally ordered summary
-//! stream; branch B fans the raw firehose across replica digest stages
-//! and rejoins in serial order. Every driver (serial, linear chain,
-//! fan-out graph at any degree) must produce byte-identical output at any
-//! worker count — asserted by `tests/pipeline_shapes.rs`.
+//! stream; branch B farms the raw firehose digest out one child per
+//! batch, kept in serial order by the queue's views. Every driver
+//! (serial, linear chain, graph at any shard degree) must produce
+//! byte-identical output at any worker count — asserted by
+//! `tests/pipeline_shapes.rs`.
 //!
 //! As with the other workloads the input is synthetic but the kernels are
 //! real: lines are actually formatted and actually parsed field by field,
@@ -44,10 +45,9 @@ pub struct LogConfig {
     pub records_per_tick: usize,
     /// Window length in ticks for the tumbling aggregation windows.
     pub window_ticks: u64,
-    /// Fan-out degree for the sharded aggregation (branch A) and the
-    /// digest replicas (branch B).
+    /// Shard degree of the aggregation (branch A).
     pub shards: usize,
-    /// Reorder/read-ahead window for the merges.
+    /// Read-ahead window of branch A's shard merge.
     pub merge_window: usize,
     /// Extra per-record CPU (rounds of digest mixing in the parse kernel):
     /// the knob that makes the pipeline compute-bound for the speedup

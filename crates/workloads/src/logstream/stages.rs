@@ -1,7 +1,7 @@
 //! The logstream stage kernels: field-by-field parsing, windowed
 //! per-service aggregation, summary formatting, and the firehose digest.
 //!
-//! Every driver — serial, linear chain, fan-out graph — runs exactly these
+//! Every driver — serial, linear chain, sharded graph — runs exactly these
 //! functions; the drivers differ only in how the kernels are wired.
 
 use std::collections::BTreeMap;

@@ -9,8 +9,8 @@
 //!   word hash, k-way merge the sorted shard outputs (the stateful
 //!   sharded-aggregation shape);
 //! * **logstream digest** — per-line digest with optional enrichment
-//!   work, fanned round-robin across replicas and rejoined in serial
-//!   order (the stateless fan-out shape).
+//!   work, farmed out one child per batch and kept in serial order by the
+//!   queue's views (the stateless farm shape).
 //!
 //! Every job's output is checked against its serial elision, so the
 //! throughput and latency numbers (p50/p95/p99 into `BENCH_service.json`)
@@ -38,9 +38,10 @@ pub struct ServiceWorkloadConfig {
     /// Input lines per job (jobs are deliberately small — the point is
     /// per-job overhead, not per-job bandwidth).
     pub job_lines: usize,
-    /// Fan-out degree / shard count inside each job's graph.
+    /// Shard count of the wordcount job's graph (the logstream farm has
+    /// no degree).
     pub degree: usize,
-    /// Reorder/read-ahead window for the merges.
+    /// Read-ahead window of the wordcount job's shard merge.
     pub window: usize,
     /// Admission bound (max concurrently executing jobs).
     pub max_in_flight: usize,
@@ -182,16 +183,11 @@ pub fn enriched_digest(line: &str, parse_work: u32) -> u64 {
     d
 }
 
-/// The logstream-digest job graph: stateless per-line digest, fanned
-/// round-robin across `degree` replicas, rejoined in serial order.
-pub fn logstream_digest_spec(
-    degree: usize,
-    window: usize,
-    parse_work: u32,
-) -> GraphSpec<String, u64> {
-    GraphSpec::<String, String>::new().fanout_map(degree, window, move |line: String| {
-        enriched_digest(&line, parse_work)
-    })
+/// The logstream-digest job graph: stateless per-line digest, farmed out
+/// one child per batch, in serial order.
+pub fn logstream_digest_spec(parse_work: u32) -> GraphSpec<String, u64> {
+    GraphSpec::<String, String>::new()
+        .farm_map(move |line: String| enriched_digest(&line, parse_work))
 }
 
 /// Serial elision of [`logstream_digest_spec`].
@@ -215,7 +211,7 @@ pub fn build_logstream_service(
     rt: Arc<Runtime>,
     cfg: &ServiceWorkloadConfig,
 ) -> CompiledGraph<String, u64> {
-    logstream_digest_spec(cfg.degree, cfg.window, cfg.parse_work).compile(rt, cfg.service_config())
+    logstream_digest_spec(cfg.parse_work).compile(rt, cfg.service_config())
 }
 
 // ---------------------------------------------------------------------------

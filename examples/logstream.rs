@@ -6,12 +6,12 @@
 //! ```
 //!
 //! Builds the DAG (tee → keyed fan-out over aggregation shards →
-//! ordered key-merge, plus a round-robin digest fan-out rejoined by
-//! sequence tag), runs it at several worker counts, and shows the output
-//! is byte-identical every time — then prints a hand-built mini-DAG so the
+//! ordered key-merge, plus a digest farmed out one child per batch),
+//! runs it at several worker counts, and shows the output is
+//! byte-identical every time — then prints a hand-built mini-DAG so the
 //! builder API is visible end to end.
 
-use hyperqueues::pipelines::graph::{GraphBuilder, Partition};
+use hyperqueues::pipelines::graph::GraphBuilder;
 use hyperqueues::swan::Runtime;
 use hyperqueues::workloads::logstream::{corpus, run_graph, run_serial, LogConfig};
 
@@ -24,7 +24,7 @@ fn main() {
     cfg.parse_work = 40; // keep the demo snappy
     let lines = corpus(&cfg);
     println!(
-        "logstream: {} records, {} services, fan-out degree {degree}",
+        "logstream: {} records, {} services, shard degree {degree}",
         cfg.records, cfg.services
     );
 
@@ -50,21 +50,24 @@ fn main() {
         println!("  {line}");
     }
 
-    // The builder API in miniature: fan out a squaring stage over 3
-    // replicas, merge back in serial order, tee a checksum branch.
+    // The builder API in miniature: farm a squaring stage out one child
+    // per 4-value segment (in serial order, from the views), tee a
+    // checksum branch.
     let rt = Runtime::with_workers(4);
     let mut squares = Vec::new();
     let mut checksum = 0u64;
     let (sq_ref, ck_ref) = (&mut squares, &mut checksum);
     rt.scope(move |s| {
-        let (main, side) = GraphBuilder::on(s).source_iter(1u64..=10).tee();
-        main.split(3, Partition::RoundRobin)
-            .map(|x| x * x)
-            .merge(8)
-            .collect_into(sq_ref);
+        let (main, side) = GraphBuilder::on(s)
+            .segment_capacity(4)
+            .io_batch(4)
+            .source_iter(1u64..=10)
+            .tee();
+        main.farm_map(|x| x * x).collect_into(sq_ref);
         side.for_each(move |x| *ck_ref += x);
     });
     println!(
-        "\nmini-DAG: squares of 1..=10 via 3 replicas = {squares:?} (sum of inputs: {checksum})"
+        "\nmini-DAG: squares of 1..=10 via a farm of 4-value children = {squares:?} \
+         (sum of inputs: {checksum})"
     );
 }

@@ -10,7 +10,7 @@
 //!     [--workers N]          0 (default) = one per core
 //!     [--max-in-flight N]    admission bound, default 4
 //!     [--max-queued N]       accepted-but-waiting bound, default 64 (then RETRY)
-//!     [--degree N]           fan-out/shard degree inside each job, default 4
+//!     [--degree N]           shard degree of the wordcount job, default 4
 //!     [--run-secs N]         serve for N seconds, then drain and exit;
 //!                            0 (default) = serve until stdin closes or
 //!                            a "quit" line arrives
@@ -167,9 +167,7 @@ fn main() {
             }
         }
         "logstream" => {
-            let graph = Arc::new(
-                logstream_digest_spec(degree, 32, 40).compile(Arc::clone(&rt), service_cfg),
-            );
+            let graph = Arc::new(logstream_digest_spec(40).compile(Arc::clone(&rt), service_cfg));
             let codec = Arc::new(LogstreamCodec);
             match &journal {
                 Some((j, replay)) => IngressServer::bind_durable(

@@ -10,7 +10,7 @@
 //!   `pushdep`/`popdep`/`pushpopdep` access modes;
 //! * [`pipelines`] — the pthreads-style and TBB-style comparison baselines,
 //!   plus `pipelines::graph`, the deterministic DAG composition layer
-//!   (fan-out/fan-in/tee over hyperqueue edges);
+//!   (farms, keyed shards and tees over hyperqueue edges);
 //! * [`workloads`] — ferret, dedup and bzip2, each with drivers for every
 //!   programming model of the paper's evaluation, plus the graph-shaped
 //!   logstream workload.

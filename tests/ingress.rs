@@ -190,7 +190,7 @@ fn oversized_result_degrades_to_a_job_error() {
     // server must answer with an Error, not an oversized frame.
     let rt = Arc::new(Runtime::with_workers(2));
     let graph =
-        Arc::new(logstream_digest_spec(2, 8, 0).compile(Arc::clone(&rt), ServiceConfig::default()));
+        Arc::new(logstream_digest_spec(0).compile(Arc::clone(&rt), ServiceConfig::default()));
     let server = IngressServer::bind(
         "127.0.0.1:0",
         graph,
@@ -613,7 +613,7 @@ fn oversized_queried_result_degrades_to_an_error_frame() {
     let dir = journal_temp_dir("query-oversize");
     let rt = Arc::new(Runtime::with_workers(2));
     let graph =
-        Arc::new(logstream_digest_spec(2, 8, 0).compile(Arc::clone(&rt), ServiceConfig::default()));
+        Arc::new(logstream_digest_spec(0).compile(Arc::clone(&rt), ServiceConfig::default()));
     let (journal, replay) = Journal::open(JournalConfig::at(&dir)).expect("open journal");
     let (server, _) = IngressServer::bind_durable(
         "127.0.0.1:0",

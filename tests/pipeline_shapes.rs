@@ -7,15 +7,16 @@
 //! the original input).
 //!
 //! Part 2 — the DAG determinism sweep: randomly generated graph shapes
-//! (fan-out degree 1–4, merge windows 1–64, segment capacities 2–8,
-//! round-robin and keyed routing, optional tee) built on
-//! `pipelines::graph` must produce byte-identical output on 1/2/8
-//! workers, equal to the serial elision computed by plain iterator code.
+//! (maps, per-batch farms, optional tees; segment capacities 2–8, batch
+//! sizes 1 to the capacity, which farms round up to a whole segment)
+//! built on `pipelines::graph` must produce byte-identical output on
+//! 1/2/8 workers, equal to the serial elision computed by plain iterator
+//! code.
 //!
 //! Part 3 — the graph-shaped logstream workload agrees across serial,
-//! linear-chain and fan-out drivers at every worker count.
+//! linear-chain and sharded-graph drivers at every worker count.
 
-use hyperqueues::pipelines::graph::{GraphBuilder, Partition};
+use hyperqueues::pipelines::graph::GraphBuilder;
 use hyperqueues::swan::Runtime;
 use hyperqueues::workloads::{bzip2, dedup, ferret, logstream};
 use proptest::prelude::*;
@@ -92,13 +93,8 @@ fn bzip2_all_models_agree_and_roundtrip() {
 enum ShapeOp {
     /// A linear map stage.
     Map { mul: u64, add: u64 },
-    /// `split(degree) → replica map → merge(window)`, round-robin or keyed.
-    FanOut {
-        degree: usize,
-        window: usize,
-        keyed: bool,
-        mul: u64,
-    },
+    /// `farm_map`: one child per batch, ordered by the views.
+    Farm { mul: u64 },
     /// Multicast: the side branch folds an order-sensitive checksum.
     Tee,
 }
@@ -121,8 +117,8 @@ fn serial_elision(total: u64, ops: &[ShapeOp]) -> (Vec<u64>, Vec<u64>) {
             ShapeOp::Map { mul, add } => {
                 vals.iter_mut().for_each(|v| *v = mix(*v, *mul, *add));
             }
-            // A fan-out/merge pair is observationally a map.
-            ShapeOp::FanOut { mul, .. } => {
+            // A farm is observationally a map.
+            ShapeOp::Farm { mul } => {
                 vals.iter_mut().for_each(|v| *v = mix(*v, *mul, 1));
             }
             ShapeOp::Tee => tees.push(vals.iter().copied().fold(0, fold_step)),
@@ -132,7 +128,13 @@ fn serial_elision(total: u64, ops: &[ShapeOp]) -> (Vec<u64>, Vec<u64>) {
 }
 
 /// Builds and runs the same shape on the graph layer.
-fn graph_run(total: u64, ops: &[ShapeOp], seg_cap: usize, workers: usize) -> (Vec<u64>, Vec<u64>) {
+fn graph_run(
+    total: u64,
+    ops: &[ShapeOp],
+    seg_cap: usize,
+    io_batch: usize,
+    workers: usize,
+) -> (Vec<u64>, Vec<u64>) {
     let rt = Runtime::with_workers(workers);
     let mut out = Vec::new();
     let tee_count = ops.iter().filter(|o| matches!(o, ShapeOp::Tee)).count();
@@ -144,26 +146,12 @@ fn graph_run(total: u64, ops: &[ShapeOp], seg_cap: usize, workers: usize) -> (Ve
         rt.scope(move |s| {
             let gb = GraphBuilder::on(s)
                 .segment_capacity(seg_cap)
-                .io_batch(seg_cap);
+                .io_batch(io_batch);
             let mut node = gb.source_iter(0..total);
             for op in ops {
                 node = match op {
                     ShapeOp::Map { mul, add } => node.map(move |x| mix(x, mul, add)),
-                    ShapeOp::FanOut {
-                        degree,
-                        window,
-                        keyed,
-                        mul,
-                    } => {
-                        let part = if keyed {
-                            Partition::keyed(|v: &u64| v % 7)
-                        } else {
-                            Partition::RoundRobin
-                        };
-                        node.split(degree, part)
-                            .map(move |x| mix(x, mul, 1))
-                            .merge(window)
-                    }
+                    ShapeOp::Farm { mul } => node.farm_map(move |x| mix(x, mul, 1)),
                     ShapeOp::Tee => {
                         let (a, b) = node.tee();
                         let slot = tee_slots.pop_front().expect("one slot per tee");
@@ -181,14 +169,7 @@ fn graph_run(total: u64, ops: &[ShapeOp], seg_cap: usize, workers: usize) -> (Ve
 fn op_strategy() -> impl Strategy<Value = ShapeOp> {
     prop_oneof![
         (1u64..1000, 0u64..1000).prop_map(|(mul, add)| ShapeOp::Map { mul, add }),
-        (1usize..=4, 1usize..=64, any::<bool>(), 1u64..1000).prop_map(
-            |(degree, window, keyed, mul)| ShapeOp::FanOut {
-                degree,
-                window,
-                keyed,
-                mul,
-            }
-        ),
+        (1u64..1000).prop_map(|mul| ShapeOp::Farm { mul }),
         Just(ShapeOp::Tee),
     ]
 }
@@ -198,26 +179,31 @@ proptest! {
         cases: 24, ..ProptestConfig::default()
     })]
 
-    /// ≥ 20 random DAG shapes (fan-out degree 1–4, merge windows 1–64,
-    /// segment capacities 2–8, RR/keyed routing, tees), each run on 1, 2
-    /// and 8 workers: the merged output and every tee-branch fold must be
+    /// ≥ 20 random DAG shapes (maps, farms, tees; segment capacities
+    /// 2–8, batch sizes 1 to the capacity; a farm cuts whole segments, so
+    /// its last child holds 1 to `cap` values), each run on 1, 2 and 8
+    /// workers: the output and every tee-branch fold must be
     /// byte-identical to the serial elision.
     #[test]
     fn random_dag_shapes_match_serial_elision_at_all_worker_counts(
         total in 1u64..400,
         seg_cap in 2usize..=8,
+        batch_pick in 0usize..64,
         ops in prop::collection::vec(op_strategy(), 1..5),
     ) {
+        let io_batch = 1 + batch_pick % seg_cap;
         let (expect, expect_tees) = serial_elision(total, &ops);
         for workers in [1usize, 2, 8] {
-            let (got, tees) = graph_run(total, &ops, seg_cap, workers);
+            let (got, tees) = graph_run(total, &ops, seg_cap, io_batch, workers);
             prop_assert_eq!(
                 &got, &expect,
-                "main output diverged: {workers} workers, cap {seg_cap}, ops {ops:?}"
+                "main output diverged: {workers} workers, cap {seg_cap}, \
+                 batch {io_batch}, ops {ops:?}"
             );
             prop_assert_eq!(
                 &tees, &expect_tees,
-                "tee branch diverged: {workers} workers, cap {seg_cap}, ops {ops:?}"
+                "tee branch diverged: {workers} workers, cap {seg_cap}, \
+                 batch {io_batch}, ops {ops:?}"
             );
         }
     }

@@ -81,10 +81,9 @@ fn sustained_jobs_allocate_zero_segments_after_warmup() {
     // the steady state is exactly "job N+1 reuses job N's segments".
     let mut cfg = small_cfg(jobs);
     cfg.job_lines = 24;
-    cfg.degree = 2;
     cfg.max_in_flight = 1;
     let rt = Arc::new(Runtime::with_workers(2));
-    let graph = logstream_digest_spec(cfg.degree, cfg.window, 0).compile(
+    let graph = logstream_digest_spec(0).compile(
         Arc::clone(&rt),
         ServiceConfig {
             max_in_flight: cfg.max_in_flight,
@@ -434,7 +433,7 @@ proptest! {
     ) {
         let rt = Arc::new(Runtime::with_workers(workers));
         let graph = GraphSpec::<u64, u64>::new()
-            .fanout_map(3, 8, |x| x.wrapping_mul(x) ^ 0x9E37)
+            .farm_map(|x| x.wrapping_mul(x) ^ 0x9E37)
             .filter_map(|x| (x % 3 != 1).then_some(x))
             .compile(
                 Arc::clone(&rt),
