@@ -648,7 +648,7 @@ fn spawn_transfer_and_release<T: Send + 'static>(
     };
     if let Some(p) = pred {
         // Rule 3: serialize pop-privileged siblings.
-        ctx.add_predecessor(p);
+        ctx.add_predecessor(&p);
     }
     if mode.has_push() {
         parent.label_incr((inner.id, PUSH_LABEL));

@@ -16,9 +16,9 @@
 
 use std::collections::HashMap;
 use std::ptr::NonNull;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use swan::frame::{program_order, Frame, FrameId, ProgramOrder};
+use swan::frame::{program_order, Frame, ProgramOrder};
 
 use crate::pool::SegmentPool;
 use crate::segment::{segment_capacity_for, Segment};
@@ -69,7 +69,7 @@ pub(crate) struct FrameEntry<T> {
     /// Live pop-privileged children; consuming requires 0 (see module docs).
     pub(crate) pop_delegations: usize,
     /// Rule-3 predecessor tracking: last pop-privileged child spawned.
-    last_pop_child: Option<FrameId>,
+    last_pop_child: Option<Weak<Frame>>,
 }
 
 /// Counters reported by [`crate::Hyperqueue::stats`].
@@ -282,7 +282,7 @@ impl<T> QueueState<T> {
         parent_id: u64,
         child: &Arc<Frame>,
         mode: Mode,
-    ) -> Option<FrameId> {
+    ) -> Option<Weak<Frame>> {
         let child_id = child.id.0;
         assert!(
             !self.frames.contains_key(&child_id),
@@ -312,7 +312,7 @@ impl<T> QueueState<T> {
             let mut pred = None;
             if mode.has_pop() {
                 // Rule 3: a pop task waits for the previous pop task.
-                pred = p.last_pop_child.replace(child.id);
+                pred = p.last_pop_child.replace(Arc::downgrade(child));
                 p.pop_delegations += 1;
             }
             let left = p.last_live_child.replace(child_id);
@@ -766,7 +766,12 @@ impl<T> Drop for QueueState<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swan::frame::Frame;
+    use swan::frame::{Frame, FrameId};
+
+    /// The id of a rule-3 predecessor, if it names a live frame.
+    fn pred_id(pred: Option<Weak<Frame>>) -> Option<FrameId> {
+        pred.and_then(|p| p.upgrade()).map(|f| f.id)
+    }
 
     fn state_with_owner(cap: usize) -> (QueueState<u32>, Arc<Frame>) {
         let owner = Frame::new_root(FrameId(100));
@@ -948,11 +953,14 @@ mod tests {
         let c1 = Frame::new_child(&owner, FrameId(101));
         let c2 = Frame::new_child(&owner, FrameId(102));
         assert!(st.spawn_transfer(100, &c1, Mode::Pop).is_none());
-        assert_eq!(st.spawn_transfer(100, &c2, Mode::Pop), Some(FrameId(101)));
+        assert_eq!(
+            pred_id(st.spawn_transfer(100, &c2, Mode::Pop)),
+            Some(FrameId(101))
+        );
         // pushpop also participates in the pop chain.
         let c3 = Frame::new_child(&owner, FrameId(103));
         assert_eq!(
-            st.spawn_transfer(100, &c3, Mode::PushPop),
+            pred_id(st.spawn_transfer(100, &c3, Mode::PushPop)),
             Some(FrameId(102))
         );
     }

@@ -73,7 +73,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_accepts_count_and_range() {
+    fn workers_clamps_to_at_least_one() {
         assert_eq!(RuntimeConfig::new().workers(0).workers, 1);
         assert_eq!(RuntimeConfig::new().workers(8).workers, 8);
     }

@@ -10,45 +10,32 @@
 //! ref \[10\]); it names predecessor tasks, may register completion callbacks,
 //! and returns the guard value handed to the task body.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use crate::frame::{Frame, FrameId};
+use crate::frame::{Frame, ReleaseFn};
 use crate::runtime::{RtInner, RuntimeHandle};
-use crate::sched::ReleaseFn;
 
 /// Context available to [`DepArg::acquire`] during a spawn.
 pub struct AcquireCtx<'a> {
     pub(crate) rt: &'a Arc<RtInner>,
-    pub(crate) task: FrameId,
     pub(crate) frame: &'a Arc<Frame>,
     pub(crate) parent: &'a Arc<Frame>,
-    pub(crate) preds: Vec<FrameId>,
     pub(crate) releases: Vec<ReleaseFn>,
 }
 
 impl<'a> AcquireCtx<'a> {
-    pub(crate) fn new(
-        rt: &'a Arc<RtInner>,
-        task: FrameId,
-        frame: &'a Arc<Frame>,
-        parent: &'a Arc<Frame>,
-    ) -> Self {
+    pub(crate) fn new(rt: &'a Arc<RtInner>, frame: &'a Arc<Frame>, parent: &'a Arc<Frame>) -> Self {
         Self {
             rt,
-            task,
             frame,
             parent,
-            preds: Vec::new(),
             releases: Vec::new(),
         }
     }
 
-    /// Id of the task being spawned.
-    pub fn task_id(&self) -> FrameId {
-        self.task
-    }
-
-    /// The frame of the task being spawned.
+    /// The frame of the task being spawned. Dependency objects remember
+    /// it as `Arc::downgrade(ctx.frame())` to name it as a later task's
+    /// predecessor without keeping it alive.
     pub fn frame(&self) -> &Arc<Frame> {
         self.frame
     }
@@ -59,9 +46,10 @@ impl<'a> AcquireCtx<'a> {
     }
 
     /// Declares that the spawned task must wait for `pred` to complete.
-    /// Predecessors that already completed are ignored by the registry.
-    pub fn add_predecessor(&mut self, pred: FrameId) {
-        self.preds.push(pred);
+    /// A predecessor that has already completed (or whose frame is gone)
+    /// adds no edge.
+    pub fn add_predecessor(&mut self, pred: &Weak<Frame>) {
+        self.frame.wait_for(pred);
     }
 
     /// Registers a callback to run when the spawned task completes (after

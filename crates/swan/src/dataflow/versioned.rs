@@ -23,12 +23,12 @@
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
 use crate::dataflow::engine::{AcquireCtx, DepArg};
-use crate::frame::FrameId;
+use crate::frame::Frame;
 
 /// Global object-id allocator shared by all dependency-object kinds
 /// (versioned objects, hyperqueues). Ids label selective-sync counters and
@@ -51,10 +51,12 @@ unsafe impl<T: Send> Sync for VersionCell<T> {}
 
 struct VState<T> {
     current: Arc<VersionCell<T>>,
-    last_writer: Option<FrameId>,
+    last_writer: Weak<Frame>,
     /// Reader tasks spawned since the last writer (direct children of
-    /// privilege holders; descendants are covered transitively).
-    readers: Vec<FrameId>,
+    /// privilege holders; descendants are covered transitively). Readers
+    /// that have completed are dropped whenever the list would grow, so a
+    /// read-mostly object keeps only about as many as are live.
+    readers: Vec<Weak<Frame>>,
 }
 
 struct VersionedInner<T> {
@@ -99,7 +101,7 @@ impl<T: Send + 'static> Versioned<T> {
                     current: Arc::new(VersionCell {
                         data: UnsafeCell::new(value),
                     }),
-                    last_writer: None,
+                    last_writer: Weak::new(),
                     readers: Vec::new(),
                 }),
             }),
@@ -213,11 +215,13 @@ impl<T: Send + 'static> DepArg for InDep<T> {
     type Guard = ReadGuard<T>;
     fn acquire(self, ctx: &mut AcquireCtx<'_>) -> Self::Guard {
         let mut state = self.inner.state.lock();
-        if let Some(w) = state.last_writer {
-            ctx.add_predecessor(w);
+        ctx.add_predecessor(&state.last_writer);
+        if state.readers.len() == state.readers.capacity() {
+            state
+                .readers
+                .retain(|r| r.upgrade().is_some_and(|f| !f.is_done()));
         }
-        let me = ctx.task_id();
-        state.readers.push(me);
+        state.readers.push(Arc::downgrade(ctx.frame()));
         ReadGuard {
             cell: Arc::clone(&state.current),
         }
@@ -233,7 +237,7 @@ impl<T: Send + Default + 'static> DepArg for OutDep<T> {
             data: UnsafeCell::new(T::default()),
         });
         state.current = Arc::clone(&cell);
-        state.last_writer = Some(ctx.task_id());
+        state.last_writer = Arc::downgrade(ctx.frame());
         state.readers.clear();
         WriteGuard { cell }
     }
@@ -243,13 +247,11 @@ impl<T: Send + 'static> DepArg for InOutDep<T> {
     type Guard = WriteGuard<T>;
     fn acquire(self, ctx: &mut AcquireCtx<'_>) -> Self::Guard {
         let mut state = self.inner.state.lock();
-        if let Some(w) = state.last_writer {
-            ctx.add_predecessor(w);
-        }
+        ctx.add_predecessor(&state.last_writer);
         for r in state.readers.drain(..) {
-            ctx.add_predecessor(r);
+            ctx.add_predecessor(&r);
         }
-        state.last_writer = Some(ctx.task_id());
+        state.last_writer = Arc::downgrade(ctx.frame());
         WriteGuard {
             cell: Arc::clone(&state.current),
         }
@@ -379,5 +381,53 @@ mod tests {
         let log = fd.read_latest();
         let expect: Vec<u64> = (0..total).map(|i| i * i).collect();
         assert_eq!(log, expect, "consume stage must observe serial order");
+    }
+
+    #[test]
+    fn read_mostly_object_keeps_its_reader_list_small() {
+        // 10 000 read-only tasks on one object, in rounds of 100 with a
+        // sync between: at most 100 readers are ever live, so the list
+        // must not keep the completed ones.
+        let rt = Runtime::with_workers(2);
+        let v: Versioned<u64> = Versioned::new(7);
+        rt.scope(|s| {
+            for _ in 0..100 {
+                for _ in 0..100 {
+                    s.spawn((v.read(),), |_, (g,)| assert_eq!(*g, 7));
+                }
+                s.sync();
+            }
+        });
+        let readers = v.inner.state.lock().readers.len();
+        assert!(readers <= 256, "{readers} readers kept for 100 live");
+    }
+
+    #[test]
+    fn predecessor_completing_during_registration_hands_off_once() {
+        // Each update is spawned as soon as the previous one starts, so
+        // its registration (naming the previous one as predecessor) races
+        // that one's completion; the chaos jitter shifts where the two
+        // meet. A lost edge hangs the scope or loses an update; a double
+        // hand-off runs a task twice.
+        const TASKS: usize = 400;
+        for seed in 0..8 {
+            let config = crate::RuntimeConfig::new().workers(2).with_chaos(seed, 5);
+            let rt = Runtime::new(config);
+            let v: Versioned<u64> = Versioned::new(0);
+            let started = AtomicUsize::new(0);
+            rt.scope(|s| {
+                for i in 0..TASKS {
+                    while started.load(Ordering::SeqCst) < i {
+                        std::hint::spin_loop();
+                    }
+                    s.spawn((v.update(),), |_, (mut g,)| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        *g += 1;
+                    });
+                }
+            });
+            assert_eq!(v.read_latest(), TASKS as u64, "seed {seed}");
+            assert_eq!(started.load(Ordering::SeqCst), TASKS, "seed {seed}");
+        }
     }
 }

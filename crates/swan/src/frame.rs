@@ -18,13 +18,34 @@
 //! point). Hence, comparing paths lexicographically — with the convention
 //! that a *descendant* precedes its ancestor's continuation — yields the
 //! serial order of the *remaining work* of two frames.
+//!
+//! A frame is also its task: it owns the body until a worker runs it, the
+//! count of predecessors still pending, and the successors waiting on it.
+//! The runtime's queues hold frames, so whoever pops a frame owns its
+//! task; nothing else arbitrates.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
+
+use crate::runtime::RtInner;
+
+/// Type-erased task body. The worker that runs it passes the runtime and
+/// the task's own frame, from which the body builds its `Scope`; the
+/// `'static` here is a lie upheld by the scope barrier (see `scope.rs`
+/// for the safety argument).
+pub(crate) type TaskBody = Box<dyn FnOnce(&Arc<RtInner>, &Arc<Frame>) + Send + 'static>;
+
+/// Completion callback registered by dependency objects at spawn time
+/// (e.g. hyperqueue view reduction, producer-section release).
+pub(crate) type ReleaseFn = Box<dyn FnOnce() + Send + 'static>;
+
+/// Completion hook of a detached root (`Runtime::spawn_root`): receives
+/// the subtree's panic payload, if any.
+pub(crate) type RootHook = Box<dyn FnOnce(Option<Box<dyn Any + Send>>) + Send + 'static>;
 
 /// Identifies a frame (== the task instance that runs in it).
 /// Ids are allocated from a global monotonic counter and never reused.
@@ -55,21 +76,44 @@ pub struct Frame {
     /// Outstanding children counted per (object, mode) label; backs the
     /// paper's selective sync (`sync (popdep<int>)queue;`, §5.5).
     labeled: Mutex<HashMap<LabelKey, usize>>,
+    /// Predecessors that have not completed, plus one guard the spawner
+    /// holds until the task is fully registered ([`Frame::install`]).
+    /// Whoever drops it to zero enqueues the task.
+    pending: AtomicUsize,
+    task: Mutex<TaskState>,
+}
+
+/// The task a frame runs, and the tasks that wait for it.
+#[derive(Default)]
+struct TaskState {
+    body: Option<TaskBody>,
+    releases: Vec<ReleaseFn>,
+    /// `Some` only for a detached root.
+    on_done: Option<RootHook>,
+    succs: Vec<Arc<Frame>>,
+    /// Set once the task has completed: later dependents add no edge.
+    done: bool,
 }
 
 impl Frame {
-    /// Creates a root frame (used by `Runtime::scope`).
-    pub fn new_root(id: FrameId) -> Arc<Frame> {
+    fn new(id: FrameId, root: FrameId, parent: Option<Arc<Frame>>, path: Box<[u32]>) -> Arc<Frame> {
         Arc::new(Frame {
             id,
-            root: id,
-            parent: None,
-            path: Box::new([]),
+            root,
+            parent,
+            path,
             children_active: AtomicUsize::new(0),
             next_child_seq: AtomicU32::new(0),
             panic: Mutex::new(None),
             labeled: Mutex::new(HashMap::new()),
+            pending: AtomicUsize::new(1),
+            task: Mutex::new(TaskState::default()),
         })
+    }
+
+    /// Creates a root frame (used by `Runtime::scope`).
+    pub fn new_root(id: FrameId) -> Arc<Frame> {
+        Frame::new(id, id, None, Box::new([]))
     }
 
     /// Creates a child frame of `parent`, assigning the next sibling index.
@@ -80,16 +124,89 @@ impl Frame {
         let mut path = Vec::with_capacity(parent.path.len() + 1);
         path.extend_from_slice(&parent.path);
         path.push(seq);
-        Arc::new(Frame {
+        Frame::new(
             id,
-            root: parent.root,
-            parent: Some(Arc::clone(parent)),
-            path: path.into_boxed_slice(),
-            children_active: AtomicUsize::new(0),
-            next_child_seq: AtomicU32::new(0),
-            panic: Mutex::new(None),
-            labeled: Mutex::new(HashMap::new()),
-        })
+            parent.root,
+            Some(Arc::clone(parent)),
+            path.into_boxed_slice(),
+        )
+    }
+
+    /// Makes this task wait for `pred`. A predecessor that has completed
+    /// (or no longer exists) adds no edge, and neither does the task
+    /// itself. Naming one predecessor twice counts twice and releases
+    /// twice.
+    pub(crate) fn wait_for(self: &Arc<Self>, pred: &Weak<Frame>) {
+        let Some(pred) = pred.upgrade() else { return };
+        if Arc::ptr_eq(&pred, self) {
+            return;
+        }
+        // Under the predecessor's lock, so its completion either sees this
+        // edge or has already marked itself done. The increment can be
+        // Relaxed: the predecessor only decrements after taking the lock
+        // this section releases, and the guard keeps the count above zero
+        // until `install`.
+        let mut state = pred.task.lock();
+        if !state.done {
+            self.pending.fetch_add(1, Ordering::Relaxed);
+            state.succs.push(Arc::clone(self));
+        }
+    }
+
+    /// Hands the frame its task and drops the spawner's guard. Returns
+    /// true if no predecessor is pending: the caller enqueues the task.
+    pub(crate) fn install(
+        &self,
+        body: TaskBody,
+        releases: Vec<ReleaseFn>,
+        on_done: Option<RootHook>,
+    ) -> bool {
+        {
+            let mut state = self.task.lock();
+            state.body = Some(body);
+            state.releases = releases;
+            state.on_done = on_done;
+        }
+        self.release_one()
+    }
+
+    /// Drops one pending count; true if it was the last.
+    fn release_one(&self) -> bool {
+        // AcqRel: the releaser that reaches zero sees the installed body
+        // and every predecessor's effects, and hands them on via enqueue.
+        self.pending.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+
+    /// Takes the task's body, release callbacks and root hook; the worker
+    /// that popped the frame calls this exactly once.
+    pub(crate) fn take_task(&self) -> (TaskBody, Vec<ReleaseFn>, Option<RootHook>) {
+        let mut state = self.task.lock();
+        let body = state.body.take().expect("a queued task has a body");
+        (
+            body,
+            std::mem::take(&mut state.releases),
+            state.on_done.take(),
+        )
+    }
+
+    /// Marks the task completed and hands each successor whose last
+    /// pending predecessor this was to `ready`.
+    pub(crate) fn complete(&self, mut ready: impl FnMut(Arc<Frame>)) {
+        let succs = {
+            let mut state = self.task.lock();
+            state.done = true;
+            std::mem::take(&mut state.succs)
+        };
+        for succ in succs {
+            if succ.release_one() {
+                ready(succ);
+            }
+        }
+    }
+
+    /// True once the task has completed.
+    pub(crate) fn is_done(&self) -> bool {
+        self.task.lock().done
     }
 
     /// Number of direct children still running (or not yet started).
@@ -101,10 +218,12 @@ impl Frame {
         self.children_active.load(Ordering::Acquire)
     }
 
-    /// Marks one direct child of `self` as completed.
-    pub fn child_completed(&self) {
+    /// Marks one direct child of `self` as completed; true if it was the
+    /// last one active.
+    pub fn child_completed(&self) -> bool {
         let prev = self.children_active.fetch_sub(1, Ordering::Release);
         debug_assert!(prev > 0, "children_active underflow");
+        prev == 1
     }
 
     /// Records a panic payload (first one wins) for propagation at sync.
@@ -320,6 +439,66 @@ mod tests {
         let p = r.take_panic().unwrap();
         assert_eq!(*p.downcast::<&str>().unwrap(), "first");
         assert!(r.take_panic().is_none());
+    }
+
+    fn noop() -> TaskBody {
+        Box::new(|_, _| {})
+    }
+
+    /// Completes `f`; returns the ids of the successors it made ready.
+    fn complete(f: &Frame) -> Vec<FrameId> {
+        let mut ready = Vec::new();
+        f.complete(|s| ready.push(s.id));
+        ready
+    }
+
+    #[test]
+    fn insert_without_preds_is_ready() {
+        let r = root();
+        let a = Frame::new_child(&r, FrameId(1));
+        assert!(a.install(noop(), vec![], None));
+        drop(a.take_task());
+        assert!(complete(&a).is_empty());
+        assert!(a.is_done());
+        // A completed task adds no edge, even while its frame lives on.
+        let b = Frame::new_child(&r, FrameId(2));
+        b.wait_for(&Arc::downgrade(&a));
+        assert!(b.install(noop(), vec![], None));
+    }
+
+    #[test]
+    fn dependent_task_waits_for_predecessor() {
+        let r = root();
+        let a = Frame::new_child(&r, FrameId(1));
+        let b = Frame::new_child(&r, FrameId(2));
+        assert!(a.install(noop(), vec![], None));
+        b.wait_for(&Arc::downgrade(&a));
+        assert!(!b.install(noop(), vec![], None), "not ready yet");
+        assert_eq!(complete(&a), vec![FrameId(2)]);
+    }
+
+    #[test]
+    fn completed_predecessor_contributes_no_edge() {
+        let r = root();
+        // A predecessor whose frame is gone has completed.
+        let gone = Arc::downgrade(&Frame::new_child(&r, FrameId(1)));
+        let b = Frame::new_child(&r, FrameId(2));
+        b.wait_for(&gone);
+        // Self-edges are meaningless (a task reading and updating one
+        // object names itself).
+        b.wait_for(&Arc::downgrade(&b));
+        assert!(b.install(noop(), vec![], None));
+    }
+
+    #[test]
+    fn duplicate_preds_count_twice_and_release_twice() {
+        let r = root();
+        let a = Frame::new_child(&r, FrameId(1));
+        let b = Frame::new_child(&r, FrameId(2));
+        b.wait_for(&Arc::downgrade(&a));
+        b.wait_for(&Arc::downgrade(&a));
+        assert!(!b.install(noop(), vec![], None));
+        assert_eq!(complete(&a), vec![FrameId(2)]);
     }
 
     #[test]

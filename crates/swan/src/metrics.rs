@@ -18,10 +18,10 @@ pub struct Metrics {
     /// Successful steal operations (one per victim probe that yielded at
     /// least one task; a batch counts once).
     pub steals: AtomicU64,
-    /// Steal probes that found nothing (empty victim or lost CAS race).
+    /// Steal probes that found the victim's queue empty.
     pub steal_failures: AtomicU64,
-    /// Total task ids moved by steals. `steal_batch_items / steals` is
-    /// the observed mean batch size.
+    /// Total tasks moved by steals. `steal_batch_items / steals` is the
+    /// observed mean batch size.
     pub steal_batch_items: AtomicU64,
     /// Tasks executed inside a blocked `sync` (descendant help).
     pub helps_sync: AtomicU64,
@@ -42,7 +42,7 @@ pub struct MetricsSnapshot {
     pub steals: u64,
     /// Steal probes that found nothing.
     pub steal_failures: u64,
-    /// Total task ids moved by steals.
+    /// Total tasks moved by steals.
     pub steal_batch_items: u64,
     /// Tasks executed inside a blocked `sync`.
     pub helps_sync: u64,

@@ -22,6 +22,17 @@
 //! blocked frame never waits on work buried beneath it. Combined with the
 //! paper's observation that hyperqueue dependences respect the serial
 //! elision's total order, this yields deadlock freedom.
+//!
+//! # Queues
+//!
+//! A task is its [`Frame`], and the queues hold frames: each worker owns a
+//! [`TaskQueue`], and one more serves as the injector for threads that are
+//! not this runtime's workers. A ready task sits in exactly one queue, so
+//! popping it is claiming it. A task with dataflow predecessors waits in
+//! their successor lists instead, and the predecessor that completes last
+//! enqueues it. Workers and blocked operations park on the [`Sleeper`];
+//! threads that only wait (`Runtime::scope`'s caller, `Runtime::quiesce`)
+//! wait on the [`Latch`].
 
 use std::any::Any;
 use std::cell::Cell;
@@ -32,18 +43,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::config::RuntimeConfig;
-use crate::frame::{Frame, FrameId, HelpMode};
+use crate::frame::{Frame, FrameId, HelpMode, TaskBody};
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::sched::{Deque, Injector, Registry, RunnableTask, Sleeper};
+use crate::sched::{Latch, Sleeper, TaskQueue};
 use crate::scope::Scope;
 use crate::util::{Backoff, XorShift64};
 
-/// Capacity of each per-worker deque; overflow goes to the unbounded
-/// global injector.
-const QUEUE_CAPACITY: usize = 512;
-
 /// Upper bound on one steal batch: a thief takes
-/// `min(STEAL_BATCH, ceil(victim_len/2))` ids per successful probe.
+/// `min(STEAL_BATCH, ceil(victim_len/2))` tasks per successful probe.
 const STEAL_BATCH: usize = 16;
 
 /// Maximum depth of nested "help" execution a blocked worker will stack
@@ -67,10 +74,13 @@ thread_local! {
 
 pub(crate) struct RtInner {
     pub(crate) config: RuntimeConfig,
-    pub(crate) registry: Registry,
-    pub(crate) injector: Injector,
-    pub(crate) queues: Vec<Deque>,
+    /// One queue per worker; the owner pushes and pops at the back.
+    queues: Vec<TaskQueue>,
+    /// Tasks made ready by threads that are not this runtime's workers.
+    injector: TaskQueue,
     pub(crate) sleeper: Sleeper,
+    /// Releases `Runtime::scope`'s caller and `Runtime::quiesce`.
+    latch: Latch,
     pub(crate) metrics: Metrics,
     /// Scopes and detached roots currently open on this runtime (see
     /// [`Runtime::quiesce`]).
@@ -81,14 +91,14 @@ pub(crate) struct RtInner {
 
 /// Counts one scope or detached root out of [`RtInner::open_scopes`].
 /// The decrement lives in `Drop` so panicking scopes and hooks are
-/// counted out too, and it notifies the sleeper so a quiescing thread
-/// re-checks promptly.
+/// counted out too; the last one releases a quiescing thread.
 struct OpenScope<'rt>(&'rt RtInner);
 
 impl Drop for OpenScope<'_> {
     fn drop(&mut self) {
-        self.0.open_scopes.fetch_sub(1, Ordering::SeqCst);
-        self.0.sleeper.notify_all();
+        if self.0.open_scopes.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.0.latch.release();
+        }
     }
 }
 
@@ -100,7 +110,7 @@ impl RtInner {
     /// Queue index of the current thread if it is one of *this* runtime's
     /// workers. A worker of another runtime that opens a scope or helps
     /// here is an external thread: its index names a slot in its own
-    /// runtime, and deque pushes are owner-only.
+    /// runtime, and it enqueues through the injector.
     fn worker_index(&self) -> Option<usize> {
         WORKER_SLOT.with(|w| match w.get() {
             Some((rt, idx)) if std::ptr::eq(rt, self) => Some(idx),
@@ -108,13 +118,11 @@ impl RtInner {
         })
     }
 
-    /// Makes task `id` runnable: local queue if on a worker, else injector.
-    pub(crate) fn enqueue(&self, id: FrameId) {
-        let pushed = self
-            .worker_index()
-            .is_some_and(|idx| self.queues[idx].push(id.0).is_ok());
-        if !pushed {
-            self.injector.push(id.0);
+    /// Makes `task` runnable: local queue if on a worker, else injector.
+    pub(crate) fn enqueue(&self, task: Arc<Frame>) {
+        match self.worker_index() {
+            Some(idx) => self.queues[idx].push(task),
+            None => self.injector.push(task),
         }
         self.sleeper.notify_all();
     }
@@ -132,14 +140,13 @@ impl RtInner {
         }
     }
 
-    /// Runs a claimed task to completion: body, implicit sync over its
+    /// Runs a popped task to completion: body, implicit sync over its
     /// children, release callbacks (dataflow/hyperqueue completion
-    /// handling), successor notification, and parent bookkeeping.
-    pub(crate) fn execute(self: &Arc<Self>, task: RunnableTask) {
-        self.chaos_delay(task.id);
-        let frame = Arc::clone(&task.frame);
-        let body = task.body;
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(body)) {
+    /// handling), successor hand-off, and parent bookkeeping.
+    pub(crate) fn execute(self: &Arc<Self>, frame: Arc<Frame>) {
+        self.chaos_delay(frame.id);
+        let (body, releases, on_done) = frame.take_task();
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| body(self, &frame))) {
             frame.record_panic(payload);
         }
         // Implicit sync: a procedure completes only after all children have
@@ -148,23 +155,24 @@ impl RtInner {
         self.wait_children(&frame, false);
         // Release callbacks run *after* the implicit sync: this is the
         // "task completion" moment of §4.2 where views are reduced.
-        for release in task.releases {
+        for release in releases {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(release)) {
                 frame.record_panic(payload);
             }
         }
-        for id in self.registry.complete(task.id) {
-            self.enqueue(id);
-        }
+        frame.complete(|succ| self.enqueue(succ));
         if let Some(parent) = &frame.parent {
             if let Some(payload) = frame.take_panic() {
                 parent.record_panic(payload);
             }
-            parent.child_completed();
+            if parent.child_completed() && parent.parent.is_none() {
+                // A root's last child: its scope's caller may be waiting.
+                self.latch.release();
+            }
         }
         Metrics::incr(&self.metrics.tasks_executed);
         self.sleeper.notify_all();
-        if let Some(on_done) = task.on_done {
+        if let Some(on_done) = on_done {
             // A detached root: this worker is the thread that would have
             // slept in `Runtime::scope`. The root stays open until the
             // hook has returned and its captures are dropped (`_open`
@@ -185,7 +193,7 @@ impl RtInner {
         let mut backoff = Backoff::new();
         while frame.children_active() > 0 {
             if backoff.is_completed() {
-                self.sleeper.park(PARK_TIMEOUT);
+                self.latch.wait_until(None, || frame.children_active() == 0);
             } else {
                 backoff.snooze();
             }
@@ -255,7 +263,7 @@ impl RtInner {
         if depth >= MAX_HELP_DEPTH {
             return false;
         }
-        let Some(task) = self.registry.claim_filtered(mode, blocked) else {
+        let Some(task) = self.take_eligible(mode, blocked) else {
             return false;
         };
         match mode {
@@ -268,34 +276,45 @@ impl RtInner {
         true
     }
 
-    /// Worker's task-finding order (DESIGN.md §3.1): the local deque
-    /// (LIFO), then steal-half batches from random victims, then the
-    /// global injector. An idle worker first rebalances in-flight work
-    /// (the Cilk regime), touching the shared injector only when every
-    /// victim probe fails.
-    fn find_task(&self, idx: usize, rng: &mut XorShift64) -> Option<RunnableTask> {
-        while let Some(id) = self.queues[idx].pop() {
-            if let Some(task) = self.registry.claim(id) {
+    /// The help scan: a task `blocked` may run under `mode`, looked for in
+    /// this thread's own queue, then the other workers' queues, then the
+    /// injector, one queue lock at a time. Of each queue's oldest eligible
+    /// task it takes the one with the lowest id. A task another thread
+    /// takes between the scan and the removal restarts the scan.
+    fn take_eligible(&self, mode: HelpMode, blocked: &Frame) -> Option<Arc<Frame>> {
+        let own = self.worker_index();
+        let queues = own
+            .into_iter()
+            .chain((0..self.queues.len()).filter(|&i| Some(i) != own))
+            .map(|i| &self.queues[i])
+            .chain(std::iter::once(&self.injector));
+        loop {
+            let (queue, id) = queues
+                .clone()
+                .filter_map(|q| q.first_eligible(mode, blocked).map(|id| (q, id)))
+                .min_by_key(|&(_, id)| id)?;
+            if let Some(task) = queue.take(id) {
                 return Some(task);
             }
         }
-        self.steal(idx, rng).or_else(|| self.pop_injector())
     }
 
-    /// Claims the next runnable task from the global injector.
-    fn pop_injector(&self) -> Option<RunnableTask> {
-        while let Some(id) = self.injector.pop() {
-            if let Some(task) = self.registry.claim(id) {
-                return Some(task);
-            }
-        }
-        None
+    /// Worker's task-finding order (DESIGN.md §3.1): the local queue
+    /// (LIFO), then steal-half batches from random victims, then the
+    /// injector. An idle worker first rebalances in-flight work (the Cilk
+    /// regime), touching the shared injector only when every victim probe
+    /// fails.
+    fn find_task(&self, idx: usize, rng: &mut XorShift64) -> Option<Arc<Frame>> {
+        self.queues[idx]
+            .pop()
+            .or_else(|| self.steal(idx, rng))
+            .or_else(|| self.injector.pop_front())
     }
 
     /// Random victim probes (a couple of rounds; the worker loop
-    /// retries). Steals up to [`STEAL_BATCH`] ids per successful probe;
-    /// extras land in this worker's own queue.
-    fn steal(&self, idx: usize, rng: &mut XorShift64) -> Option<RunnableTask> {
+    /// retries). Steals up to [`STEAL_BATCH`] tasks per successful probe:
+    /// the oldest runs now, the rest land in this worker's own queue.
+    fn steal(&self, idx: usize, rng: &mut XorShift64) -> Option<Arc<Frame>> {
         let n = self.queues.len();
         if n <= 1 {
             return None;
@@ -305,24 +324,20 @@ impl RtInner {
             if victim == idx {
                 continue;
             }
-            let (first, stolen) =
-                self.queues[victim].steal_batch_into(&self.queues[idx], STEAL_BATCH);
-            let Some(first) = first else {
+            let mut batch: [Option<Arc<Frame>>; STEAL_BATCH] = Default::default();
+            let stolen = self.queues[victim].steal_half(&mut batch);
+            if stolen == 0 {
                 Metrics::incr(&self.metrics.steal_failures);
                 continue;
-            };
+            }
             Metrics::incr(&self.metrics.steals);
             Metrics::add(&self.metrics.steal_batch_items, stolen as u64);
-            if let Some(task) = self.registry.claim(first) {
-                return Some(task);
+            let mut batch = batch.into_iter().flatten();
+            let first = batch.next();
+            if stolen > 1 {
+                self.queues[idx].extend(batch);
             }
-            // The first id was stale; any extras landed in our own queue —
-            // drain them through the normal local path before re-probing.
-            while let Some(id) = self.queues[idx].pop() {
-                if let Some(task) = self.registry.claim(id) {
-                    return Some(task);
-                }
-            }
+            return first;
         }
         None
     }
@@ -371,15 +386,12 @@ impl Runtime {
     /// Builds a runtime from a configuration.
     pub fn new(config: RuntimeConfig) -> Self {
         let workers = config.workers.max(1);
-        let queues = (0..workers)
-            .map(|_| Deque::with_capacity(QUEUE_CAPACITY))
-            .collect();
         let inner = Arc::new(RtInner {
             config,
-            registry: Registry::new(),
-            injector: Injector::new(),
-            queues,
+            queues: (0..workers).map(|_| TaskQueue::default()).collect(),
+            injector: TaskQueue::default(),
             sleeper: Sleeper::new(),
+            latch: Latch::default(),
             metrics: Metrics::default(),
             open_scopes: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
@@ -473,16 +485,12 @@ impl Runtime {
     {
         // Counted out by the worker, after the hook.
         self.inner.open_scopes.fetch_add(1, Ordering::SeqCst);
-        let id = self.inner.alloc_id();
-        let root = Frame::new_root(id);
-        let (rt, frame) = (Arc::clone(&self.inner), Arc::clone(&root));
-        self.inner.registry.insert_root(
-            id,
-            root,
-            Box::new(move || body(&Scope::new(rt, frame))),
-            Box::new(on_done),
-        );
-        self.inner.enqueue(id);
+        let root = Frame::new_root(self.inner.alloc_id());
+        let body: TaskBody =
+            Box::new(move |rt, frame| body(&Scope::new(Arc::clone(rt), Arc::clone(frame))));
+        let ready = root.install(body, Vec::new(), Some(Box::new(on_done)));
+        debug_assert!(ready, "a detached root has no predecessors");
+        self.inner.enqueue(root);
     }
 
     /// Scopes and detached roots currently open on this runtime (jobs, in
@@ -499,26 +507,23 @@ impl Runtime {
     /// then `quiesce()` guarantees all in-flight jobs have fully drained
     /// before the process tears the service down.
     ///
-    /// The caller parks on the runtime's sleeper between checks, so
-    /// waiting costs nothing while jobs run.
+    /// The caller waits on the runtime's latch, which the last open
+    /// scope's close releases, so waiting costs nothing while jobs run.
     pub fn quiesce(&self) {
-        while self.inner.open_scopes.load(Ordering::SeqCst) > 0 {
-            self.inner.sleeper.park(PARK_TIMEOUT);
-        }
+        self.drained_by(None);
     }
 
     /// Bounded [`Runtime::quiesce`]: `true` if the runtime drained within
     /// `timeout`, `false` if scopes were still open when it elapsed.
     pub fn quiesce_timeout(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while self.inner.open_scopes.load(Ordering::SeqCst) > 0 {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            self.inner.sleeper.park((deadline - now).min(PARK_TIMEOUT));
-        }
-        true
+        self.drained_by(Some(std::time::Instant::now() + timeout))
+    }
+
+    fn drained_by(&self, deadline: Option<std::time::Instant>) -> bool {
+        let inner = &self.inner;
+        inner
+            .latch
+            .wait_until(deadline, || inner.open_scopes.load(Ordering::SeqCst) == 0)
     }
 
     /// A snapshot of the scheduler counters.
@@ -873,38 +878,9 @@ mod tests {
     }
 
     #[test]
-    fn full_deque_overflow_spills_to_injector() {
-        // Spawn far more tasks than one deque holds (capacity 512) from a
-        // single frame: the overflow must ride the injector, and every
-        // child must still run exactly once. At 1 worker no thief can
-        // drain the deque, so all of the excess takes the injector path.
-        const CHILDREN: usize = 2000;
-        for workers in [1usize, 2] {
-            let rt = Runtime::with_workers(workers);
-            let runs: Vec<AtomicUsize> = (0..CHILDREN).map(|_| AtomicUsize::new(0)).collect();
-            rt.scope(|s| {
-                s.spawn((), |s, ()| {
-                    for run in &runs {
-                        s.spawn((), move |_, ()| {
-                            run.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-            });
-            for (i, run) in runs.iter().enumerate() {
-                assert_eq!(
-                    run.load(Ordering::SeqCst),
-                    1,
-                    "child {i}, {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn work_is_actually_stolen_across_workers() {
         // A chain of sequentially-spawning tasks from one frame, each doing
-        // real work, should exercise the deques; with several workers some
+        // real work, should exercise the queues; with several workers some
         // steals or injector traffic must occur. We assert the weaker
         // property that all tasks ran and multiple workers participated.
         let rt = Runtime::with_workers(4);

@@ -1,13 +1,8 @@
-//! Scheduler internals: per-worker Chase-Lev deques, the global
-//! injector, the task registry (the single arbiter of task state), and
-//! idle parking.
+//! Scheduler internals: the task queue every worker and the injector use,
+//! idle parking for workers, and the latch for threads that only wait.
 
-mod deque;
-mod injector;
-mod registry;
+mod queue;
 mod sleeper;
 
-pub use deque::Deque;
-pub use injector::Injector;
-pub use registry::{Registry, ReleaseFn, RunnableTask, TaskBody};
-pub use sleeper::Sleeper;
+pub use queue::TaskQueue;
+pub use sleeper::{Latch, Sleeper};

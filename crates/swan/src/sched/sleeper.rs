@@ -1,6 +1,7 @@
-//! Idle-worker parking.
+//! Idle-worker parking, and the latch for threads that only wait.
 //!
-//! Workers that find no work park here with a short timeout; any event that
+//! Workers that find no work, and workers blocked in `sync` or a queue
+//! operation, park on the [`Sleeper`] with a short timeout; any event that
 //! may unblock someone (a task becoming ready, a task completing, a
 //! hyperqueue push) calls [`Sleeper::notify_all`]. Because every wait uses a
 //! timeout, a missed notification costs at most one park interval rather
@@ -27,10 +28,15 @@
 //! inside `wait_for`), or the parker sees the bumped `epoch` and skips the
 //! wait. A wake can therefore only be missed in the window before the
 //! parker increments `parked`, where the timeout bounds the cost.
+//!
+//! Threads that wait without working — the caller of `Runtime::scope`
+//! for its root's children, `Runtime::quiesce` for the open scopes — wait
+//! on the runtime's [`Latch`] instead, which only a root's last child
+//! completion and the last open scope's close release.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Park/unpark rendezvous for idle or blocked workers.
 pub struct Sleeper {
@@ -89,6 +95,61 @@ impl Sleeper {
 impl Default for Sleeper {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Where threads wait for a condition that some completion makes true.
+///
+/// No timeout re-poll: a waiter re-checks its condition under the lock,
+/// and a releaser that sees a waiter takes the lock before notifying, so
+/// the wake cannot fall between the check and the wait. The releaser's
+/// state change and its `waiting` load are fenced against the waiter's
+/// increment and its check (the store/load pair of [`Sleeper`]), so one of
+/// the two always sees the other.
+#[derive(Default)]
+pub struct Latch {
+    waiting: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Latch {
+    /// Blocks until `done` returns true or `deadline` passes; returns the
+    /// last value of `done`.
+    pub fn wait_until(&self, deadline: Option<Instant>, mut done: impl FnMut() -> bool) -> bool {
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let mut guard = self.lock.lock();
+        let done = loop {
+            if done() {
+                break true;
+            }
+            match deadline {
+                None => self.cv.wait(&mut guard),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        break false;
+                    }
+                    self.cv.wait_for(&mut guard, deadline - now);
+                }
+            }
+        };
+        drop(guard);
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        done
+    }
+
+    /// Wakes every waiter to re-check its condition. Call after the state
+    /// change that may have made a condition true; nearly free when
+    /// nobody waits.
+    pub fn release(&self) {
+        fence(Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        drop(self.lock.lock());
+        self.cv.notify_all();
     }
 }
 
@@ -161,5 +222,30 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_millis(400));
         stop.store(true, Ordering::SeqCst);
         notifier.join().unwrap();
+    }
+
+    #[test]
+    fn latch_wakes_a_waiter_without_a_timeout() {
+        let latch = Arc::new(Latch::default());
+        let flag = Arc::new(AtomicBool::new(false));
+        let (l2, f2) = (Arc::clone(&latch), Arc::clone(&flag));
+        let waiter = std::thread::spawn(move || l2.wait_until(None, || f2.load(Ordering::SeqCst)));
+        // Release only once the waiter has counted itself in, so the
+        // release takes the notifying path.
+        while latch.waiting.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        flag.store(true, Ordering::SeqCst);
+        latch.release();
+        assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn latch_wait_honours_its_deadline() {
+        let latch = Latch::default();
+        let t0 = Instant::now();
+        assert!(!latch.wait_until(Some(t0 + Duration::from_millis(10)), || false));
+        assert!(t0.elapsed() >= Duration::from_millis(10));
+        assert!(latch.wait_until(Some(t0), || true), "a true condition wins");
     }
 }

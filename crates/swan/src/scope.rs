@@ -11,10 +11,9 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::dataflow::engine::{AcquireCtx, DepList};
-use crate::frame::{Frame, FrameId, HelpMode, LabelKey};
+use crate::frame::{Frame, FrameId, HelpMode, LabelKey, TaskBody};
 use crate::metrics::Metrics;
 use crate::runtime::{RtInner, RuntimeHandle};
-use crate::sched::TaskBody;
 
 /// Handle to the current procedure instance; grants `spawn` and `sync`.
 ///
@@ -55,17 +54,14 @@ impl<'scope> Scope<'scope> {
         D::Guards: 'scope,
         F: FnOnce(&Scope<'scope>, D::Guards) + Send + 'scope,
     {
-        let id = self.rt.alloc_id();
-        let frame = Frame::new_child(&self.frame, id);
-        let mut ctx = AcquireCtx::new(&self.rt, id, &frame, &self.frame);
+        let frame = Frame::new_child(&self.frame, self.rt.alloc_id());
+        let mut ctx = AcquireCtx::new(&self.rt, &frame, &self.frame);
         let guards = deps.acquire_all(&mut ctx);
-        let preds = std::mem::take(&mut ctx.preds);
-        let releases = std::mem::take(&mut ctx.releases);
+        let releases = ctx.releases;
 
-        let rt2 = Arc::clone(&self.rt);
-        let frame2 = Arc::clone(&frame);
-        let closure: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let scope: Scope<'scope> = Scope::new(rt2, frame2);
+        type ScopedBody<'a> = Box<dyn FnOnce(&Arc<RtInner>, &Arc<Frame>) + Send + 'a>;
+        let closure: ScopedBody<'scope> = Box::new(move |rt, frame| {
+            let scope: Scope<'scope> = Scope::new(Arc::clone(rt), Arc::clone(frame));
             body(&scope, guards);
         });
         // SAFETY: extending the closure's lifetime to 'static is sound
@@ -73,17 +69,14 @@ impl<'scope> Scope<'scope> {
         // transitively spawned task has completed (root `wait_children`
         // plus each task's implicit sync), so all 'scope borrows the
         // closure captures remain live while it can run, and (b) the
-        // closure is never invoked after the registry drops it. Under a
+        // worker that pops the frame takes the closure out of it, calls
+        // it once and drops it before the task completes. Under a
         // detached root (`Runtime::spawn_root`) 'scope is already
         // 'static and nothing is extended.
-        let task: TaskBody = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Box<dyn FnOnce() + Send>>(
-                closure,
-            )
-        };
-        let ready = self.rt.registry.insert(id, frame, task, releases, &preds);
-        if ready {
-            self.rt.enqueue(id);
+        let task: TaskBody =
+            unsafe { std::mem::transmute::<ScopedBody<'scope>, ScopedBody<'static>>(closure) };
+        if frame.install(task, releases, None) {
+            self.rt.enqueue(frame);
         } else {
             Metrics::incr(&self.rt.metrics.deferred_tasks);
         }
