@@ -18,6 +18,21 @@
 //! buffers (*segments*) plus per-task *views* merged by the Cilk++-style
 //! `reduce` and the paper's novel `split` (see `view.rs` / `state.rs`).
 //!
+//! ## Grants and tokens
+//!
+//! The task that creates a [`Hyperqueue`] owns it and may push and pop.
+//! It hands privileges to a child by passing a *grant* as a spawn
+//! argument: [`Hyperqueue::pushdep`], [`popdep`](Hyperqueue::popdep) or
+//! [`pushpopdep`](Hyperqueue::pushpopdep), each a [`Dep`]. The child's
+//! body receives a [`Token`] of the same mode. There is one token type:
+//! its mode parameter is [`Push`], [`Pop`] or [`PushPop`], the push
+//! methods exist where the mode is [`CanPush`] and the pop methods where
+//! it is [`CanPop`]. [`PushToken`], [`PopToken`] and [`PushPopToken`]
+//! (and [`PushDep`], [`PopDep`], [`PushPopDep`]) name the three modes. A
+//! token delegates further with the same `pushdep`/`popdep` methods, but
+//! only privileges it has (§2.3), and waits for the children it granted
+//! with `sync_push`/`sync_pop` (§5.5).
+//!
 //! ## Example: Figure 2 of the paper
 //!
 //! ```
@@ -59,12 +74,12 @@ mod view;
 
 pub use pool::{PoolStats, SegmentPool};
 pub use queue::{
-    Hyperqueue, PopDep, PopToken, PushDep, PushPopDep, PushPopToken, PushToken,
-    DEFAULT_SEGMENT_CAPACITY,
+    Access, CanPop, CanPush, Dep, Hyperqueue, Pop, PopDep, PopToken, Push, PushDep, PushPop,
+    PushPopDep, PushPopToken, PushToken, Token, DEFAULT_SEGMENT_CAPACITY,
 };
 pub use segment::segment_capacity_for;
 pub use slice::{ReadSlice, WriteSlice};
-pub use state::{Mode, QueueStats, POP_LABEL, PUSH_LABEL};
+pub use state::{Mode, QueueStats};
 
 #[cfg(test)]
 mod tests {
@@ -408,6 +423,94 @@ mod tests {
             q.sync_pop(s); // suspend until the consumer is done (§5.5)
             assert!(!q.empty());
             assert_eq!(q.pop(), 2);
+        });
+    }
+
+    #[test]
+    fn selective_sync_push_waits_only_for_producers() {
+        // The twin of the test above: sync_push waits for both producers
+        // (the late one included), not for the consumer between them.
+        let rt = Runtime::with_workers(4);
+        let produced = AtomicUsize::new(0);
+        let produced = &produced;
+        rt.scope(|s| {
+            let q = Hyperqueue::<u32>::new(s);
+            s.spawn((q.pushdep(),), move |_, (mut p,)| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                p.push(1);
+                produced.fetch_add(1, Ordering::SeqCst);
+            });
+            s.spawn((q.popdep(),), |_, (mut c,)| {
+                assert!(!c.empty());
+                assert_eq!(c.pop(), 1);
+            });
+            s.spawn((q.pushdep(),), move |_, (mut p,)| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                p.push(2);
+                produced.fetch_add(1, Ordering::SeqCst);
+            });
+            q.sync_push(s);
+            assert_eq!(produced.load(Ordering::SeqCst), 2);
+            assert!(!q.empty());
+            assert_eq!(q.pop(), 2);
+            assert!(q.empty());
+        });
+    }
+
+    #[test]
+    fn selective_sync_waits_for_pushpop_children_both_ways() {
+        let rt = Runtime::with_workers(4);
+        let done = AtomicUsize::new(0);
+        let done = &done;
+        rt.scope(|s| {
+            let q = Hyperqueue::<u32>::new(s);
+            let child = move |_: &Scope<'_>, (mut d,): (PushPopToken<u32>,)| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                d.push(1);
+                assert_eq!(d.pop(), 1);
+                done.fetch_add(1, Ordering::SeqCst);
+            };
+            s.spawn((q.pushpopdep(),), child);
+            q.sync_push(s);
+            assert_eq!(done.load(Ordering::SeqCst), 1, "sync_push waits");
+            s.spawn((q.pushpopdep(),), child);
+            q.sync_pop(s);
+            assert_eq!(done.load(Ordering::SeqCst), 2, "sync_pop waits");
+            assert!(q.empty());
+        });
+    }
+
+    #[test]
+    fn sync_push_waits_for_nested_delegations() {
+        // The child re-grants push privileges to a grandchild and returns
+        // at once; the owner's sync_push returns only once the
+        // grandchild's values have reduced into the owner's view.
+        let rt = Runtime::with_workers(4);
+        let grandchild_done = AtomicUsize::new(0);
+        let grandchild_done = &grandchild_done;
+        rt.scope(|s| {
+            let q = Hyperqueue::<u32>::new(s);
+            s.spawn((q.pushdep(),), move |s, (mut p,)| {
+                s.spawn((p.pushdep(),), move |_, (mut g,)| {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    g.push_iter(1..=3);
+                    grandchild_done.fetch_add(1, Ordering::SeqCst);
+                });
+            });
+            q.sync_push(s);
+            assert_eq!(grandchild_done.load(Ordering::SeqCst), 1);
+            assert_eq!(q.pop_batch(8), vec![1, 2, 3]);
+            assert!(q.empty());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most one grant per hyperqueue")]
+    fn two_grants_on_one_queue_in_one_spawn_panic() {
+        let rt = Runtime::with_workers(2);
+        rt.scope(|s| {
+            let q = Hyperqueue::<u32>::new(s);
+            s.spawn((q.pushdep(), q.popdep()), |_, _| {});
         });
     }
 

@@ -9,11 +9,16 @@
 //!   both"). It is `!Send`: it cannot leave its task.
 //! * Privileges are delegated to children by passing
 //!   [`Hyperqueue::pushdep`]/[`popdep`](Hyperqueue::popdep)/
-//!   [`pushpopdep`](Hyperqueue::pushpopdep) values as spawn dependencies;
-//!   the child's body receives a [`PushToken`]/[`PopToken`]/
-//!   [`PushPopToken`]. Tokens can delegate further, but only a *subset* of
-//!   their privileges (§2.3) — enforced by which methods exist on each
-//!   token type, and re-checked at run time.
+//!   [`pushpopdep`](Hyperqueue::pushpopdep) values ([`Dep`]s) as spawn
+//!   dependencies; the child's body receives a [`Token`] of the same mode
+//!   ([`PushToken`]/[`PopToken`]/[`PushPopToken`]). Tokens can delegate
+//!   further, but only a *subset* of their privileges (§2.3) — enforced by
+//!   which methods the mode parameter makes available, and re-checked at
+//!   run time.
+//! * The owner and every token operate through one `Grant`: the queue,
+//!   the holder's frame and its slot in the view table. The view table
+//!   is a slab, so a grant costs one queue-lock section at spawn and one
+//!   at completion, and its release names the queue and the slot.
 //!
 //! # Fast paths and slow paths
 //!
@@ -48,12 +53,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use swan::util::CachePadded;
-use swan::{AcquireCtx, DepArg, Frame, HelpMode, RuntimeHandle, Scope};
+use swan::{AcquireCtx, DepArg, Frame, HelpMode, Release, RuntimeHandle, Scope};
 
 use crate::pool::SegmentPool;
 use crate::segment::Segment;
 use crate::slice::{ReadSlice, WriteSlice};
-use crate::state::{EmptyProbe, Mode, Probe, QueueState, QueueStats, POP_LABEL, PUSH_LABEL};
+use crate::state::{EmptyProbe, Mode, Probe, QueueState, QueueStats, Slot, OWNER};
 
 /// Bytes of value storage in a default segment. The segment is the unit
 /// of structural cost — a queue lock, a link, a wake check and a cold
@@ -163,7 +168,6 @@ impl FastStats {
 }
 
 pub(crate) struct QueueInner<T: Send + 'static> {
-    pub(crate) id: u64,
     pub(crate) rt: RuntimeHandle,
     pub(crate) state: Mutex<QueueState<T>>,
     pub(crate) fast: FastStats,
@@ -241,442 +245,370 @@ impl<T> Default for PopCache<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Shared op implementations (used by the owner object and all tokens).
+// The grant: one implementation of the push/pop/slice surface, shared by the
+// owner object and every token.
 // ---------------------------------------------------------------------------
 
-#[inline]
-fn push_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut SegCache<T>,
-    value: T,
-) {
-    if let Some(seg) = cache {
-        // SAFETY: token/view discipline makes us the unique producer of the
-        // cached user-view tail segment.
-        match unsafe { seg.as_ref().try_push(value) } {
-            Ok(()) => {}
-            Err(v) => push_slow(inner, frame, cache, v), // full → slow path
+/// A task's privileges on one queue: the queue, the task's frame and its
+/// slot in the view table. The owner's grant is slot [`OWNER`]; a token's
+/// is the one its spawn filled. The caches live beside it, with the
+/// holder, so one implementation serves the owner's `&self` methods and
+/// the tokens' `&mut self` ones.
+struct Grant<T: Send + 'static> {
+    inner: Arc<QueueInner<T>>,
+    frame: Arc<Frame>,
+    slot: Slot,
+}
+
+impl<T: Send + 'static> Grant<T> {
+    /// A spawn argument delegating `M` privileges from this grant.
+    fn dep<M: Access>(&self) -> Dep<T, M> {
+        Dep {
+            inner: Arc::clone(&self.inner),
+            parent: self.slot,
+            _mode: PhantomData,
         }
-    } else {
-        push_slow(inner, frame, cache, value);
     }
-}
 
-#[cold]
-#[inline(never)]
-fn push_slow<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut SegCache<T>,
-    value: T,
-) {
-    let seg = {
-        let mut st = inner.lock_counted();
-        // Over-provision: ask for a whole segment of room rather than one
-        // slot, so the next ~capacity pushes stay on the lock-free fast
-        // path instead of re-entering this slow path for the dregs of a
-        // nearly-full tail.
-        let room = st.segment_capacity();
-        let seg = st.producer_segment(frame.id.0, room);
-        // SAFETY: unique producer; `producer_segment` guarantees the room.
-        unsafe {
-            seg.as_ref()
-                .try_push(value)
-                .unwrap_or_else(|_| unreachable!("fresh segment has room"))
+    #[inline]
+    fn push(&self, cache: &mut SegCache<T>, value: T) {
+        if let Some(seg) = cache {
+            // SAFETY: token/view discipline makes us the unique producer of
+            // the cached user-view tail segment.
+            match unsafe { seg.as_ref().try_push(value) } {
+                Ok(()) => {}
+                Err(v) => self.push_slow(cache, v), // full → slow path
+            }
+        } else {
+            self.push_slow(cache, value);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn push_slow(&self, cache: &mut SegCache<T>, value: T) {
+        let seg = {
+            let mut st = self.inner.lock_counted();
+            // Over-provision: ask for a whole segment of room rather than
+            // one slot, so the next ~capacity pushes stay on the lock-free
+            // fast path instead of re-entering this slow path for the dregs
+            // of a nearly-full tail.
+            let room = st.segment_capacity();
+            let seg = st.producer_segment(self.slot, room);
+            // SAFETY: unique producer; `producer_segment` guarantees the
+            // room.
+            unsafe {
+                seg.as_ref()
+                    .try_push(value)
+                    .unwrap_or_else(|_| unreachable!("fresh segment has room"))
+            };
+            seg
         };
-        seg
-    };
-    *cache = Some(seg);
-    // Segment transitions are rare; wake blocked consumers so freshly
-    // linked data is noticed promptly (suppressed when nobody is parked).
-    notify_counted(inner);
-}
-
-/// Commits one lock-free consumer step to `next` (the current segment's
-/// published successor, Acquire-loaded by the caller). Returns `None`
-/// without advancing when the budget is spent and the caller must take
-/// the slow path. The caller must have re-checked the current segment for
-/// data *after* its Acquire load of `next` — see the call sites.
-#[inline]
-fn chain_advance<T: Send + 'static>(
-    inner: &QueueInner<T>,
-    cache: &mut PopCache<T>,
-    next: NonNull<Segment<T>>,
-) -> Option<NonNull<Segment<T>>> {
-    if cache.advances >= MAX_LOCKFREE_ADVANCES {
-        return None;
+        *cache = Some(seg);
+        // Segment transitions are rare; wake blocked consumers so freshly
+        // linked data is noticed promptly (suppressed when nobody is
+        // parked).
+        notify_counted(&self.inner);
     }
-    cache.seg = Some(next);
-    cache.advances += 1;
-    FastStats::incr(&inner.fast.consumer.chain_advances);
-    Some(next)
-}
 
-#[inline]
-fn pop_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-) -> T {
-    if let Some(mut seg) = cache.seg {
+    /// The consumer's lock-free fast path: runs `take` on the cached head
+    /// segment and then on each published successor until `take` yields,
+    /// the chain ends, or [`MAX_LOCKFREE_ADVANCES`] advances have been
+    /// taken since the last locked probe (only that probe recycles drained
+    /// segments). `None` sends the caller to its slow path.
+    #[inline]
+    fn walk_chain<R>(
+        &self,
+        cache: &mut PopCache<T>,
+        mut take: impl FnMut(&Segment<T>) -> Option<R>,
+    ) -> Option<R> {
+        let mut seg = cache.seg?;
         loop {
-            // SAFETY: delegation gate + rule 3 make us the unique consumer.
-            if let Some(v) = unsafe { seg.as_ref().try_pop() } {
-                return v;
+            // SAFETY: the arena keeps the segment alive; the delegation
+            // gate and rule 3 make us its unique consumer.
+            let s = unsafe { seg.as_ref() };
+            if let Some(r) = take(s) {
+                return Some(r);
             }
             // Drained. If a successor is published, the Acquire load of
             // `next` also makes every pre-link push visible — so re-check
             // before advancing past the segment (a value may have been
-            // published between the failed pop above and the link).
-            let Some(next) = NonNull::new(unsafe { seg.as_ref().next() }) else {
-                break;
-            };
-            if let Some(v) = unsafe { seg.as_ref().try_pop() } {
-                return v;
+            // published between the check above and the link).
+            let next = NonNull::new(s.next())?;
+            if let Some(r) = take(s) {
+                return Some(r);
             }
-            match chain_advance(inner, cache, next) {
-                Some(n) => seg = n,
-                None => break,
+            if cache.advances >= MAX_LOCKFREE_ADVANCES {
+                return None;
             }
+            cache.seg = Some(next);
+            cache.advances += 1;
+            FastStats::incr(&self.inner.fast.consumer.chain_advances);
+            seg = next;
         }
     }
-    pop_slow(inner, frame, cache)
-}
 
-#[cold]
-#[inline(never)]
-fn pop_slow<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-) -> T {
-    let mut result: Option<T> = None;
-    let fid = frame.id.0;
-    let _waiting = WaiterGuard::register(&inner.fast.consumer.waiters);
-    inner.rt.block_until(frame, HelpMode::Preceding, || {
-        let mut st = inner.lock_counted();
-        match st.pop_probe(fid) {
-            Probe::Value(v, seg) => {
-                result = Some(v);
-                cache.seg = Some(seg);
-                cache.advances = 0;
-                true
-            }
-            Probe::Empty => panic!(
-                "hyperqueue: pop() on a permanently empty queue is an error (§2.1); \
-                 guard pops with empty()"
-            ),
-            Probe::Blocked => false,
+    #[inline]
+    fn pop(&self, cache: &mut PopCache<T>) -> T {
+        // SAFETY: unique consumer (see `walk_chain`).
+        match self.walk_chain(cache, |s| unsafe { s.try_pop() }) {
+            Some(v) => v,
+            None => self.pop_slow(cache),
         }
-    });
-    result.expect("block_until returns only once the condition holds")
-}
+    }
 
-#[inline]
-fn empty_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-) -> bool {
-    if let Some(mut seg) = cache.seg {
+    #[cold]
+    #[inline(never)]
+    fn pop_slow(&self, cache: &mut PopCache<T>) -> T {
+        let (inner, slot) = (&self.inner, self.slot);
+        let mut result: Option<T> = None;
+        let _waiting = WaiterGuard::register(&inner.fast.consumer.waiters);
+        inner.rt.block_until(&self.frame, HelpMode::Preceding, || {
+            let mut st = inner.lock_counted();
+            match st.pop_probe(slot) {
+                Probe::Value(v, seg) => {
+                    result = Some(v);
+                    cache.seg = Some(seg);
+                    cache.advances = 0;
+                    true
+                }
+                Probe::Empty => panic!(
+                    "hyperqueue: pop() on a permanently empty queue is an error (§2.1); \
+                     guard pops with empty()"
+                ),
+                Probe::Blocked => false,
+            }
+        });
+        result.expect("block_until returns only once the condition holds")
+    }
+
+    #[inline]
+    fn empty(&self, cache: &mut PopCache<T>) -> bool {
+        // SAFETY: unique consumer (see `walk_chain`).
+        let has_data = self.walk_chain(cache, |s| unsafe { !s.is_empty() }.then_some(()));
+        has_data.is_none() && self.empty_slow(cache)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn empty_slow(&self, cache: &mut PopCache<T>) -> bool {
+        let (inner, slot) = (&self.inner, self.slot);
+        let mut result: Option<bool> = None;
+        let _waiting = WaiterGuard::register(&inner.fast.consumer.waiters);
+        inner.rt.block_until(&self.frame, HelpMode::Preceding, || {
+            let mut st = inner.lock_counted();
+            match st.empty_probe(slot) {
+                EmptyProbe::HasData(seg) => {
+                    cache.seg = Some(seg);
+                    cache.advances = 0;
+                    result = Some(false);
+                    true
+                }
+                EmptyProbe::Empty => {
+                    // The probe's consumer_advance may have recycled the
+                    // cached segment (drained and linked-past, e.g. when
+                    // the advance cap broke mid-chain before an empty
+                    // reserved tail). Drop the cache: the owner may push
+                    // again after a true-empty verdict, and a recycled
+                    // segment must not be read through a stale pointer.
+                    cache.seg = None;
+                    cache.advances = 0;
+                    result = Some(true);
+                    true
+                }
+                EmptyProbe::Blocked => false,
+            }
+        });
+        result.expect("block_until returns only once the condition holds")
+    }
+
+    #[inline]
+    fn write_slice(&self, cache: &mut SegCache<T>, len: usize) -> WriteSlice<'_, T> {
+        let len = len.max(1);
+        // Fast path: the cached tail segment has *any* room — return a
+        // (possibly shorter) slice over it without locking. This is the
+        // paper's §5.2 contract: "the slice must fit inside a single
+        // segment; if not, a shorter slice will be returned". Slices are
+        // additionally clamped to the ring's contiguous span so staging
+        // writes need no per-value index arithmetic.
+        if let Some(seg) = cache {
+            // SAFETY: unique producer of the cached segment.
+            let avail = unsafe { seg.as_ref().contiguous_writable(len) };
+            if avail >= 1 {
+                // SAFETY: unique producer; `avail` (at most `len`)
+                // contiguous slots are free.
+                return unsafe { WriteSlice::new(&self.inner, *seg, avail) };
+            }
+        }
+        self.write_slice_slow(cache, len)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn write_slice_slow(&self, cache: &mut SegCache<T>, len: usize) -> WriteSlice<'_, T> {
+        let mut st = self.inner.lock_counted();
+        let len = len.min(st.segment_capacity());
+        let seg = st.producer_segment(self.slot, len);
+        drop(st);
+        *cache = Some(seg);
+        // `producer_segment` guarantees `len` free slots, but a reused
+        // segment's tail may sit mid-ring: clamp to the contiguous span
+        // (never zero when free ≥ 1).
+        // SAFETY: unique producer of `seg`.
+        let len = unsafe { seg.as_ref().contiguous_writable(len) };
+        unsafe { WriteSlice::new(&self.inner, seg, len) }
+    }
+
+    fn read_slice(&self, cache: &mut PopCache<T>, max_len: usize) -> Option<ReadSlice<'_, T>> {
+        if self.empty(cache) {
+            return None;
+        }
+        let seg = cache.seg.expect("empty() == false caches the head segment");
+        // SAFETY: unique consumer of the head segment.
+        Some(unsafe { ReadSlice::new(&self.inner, seg, max_len) })
+    }
+
+    /// The batched push: drains `iter` through write slices, publishing
+    /// once per slice instead of once per value.
+    fn push_iter(&self, cache: &mut SegCache<T>, iter: impl IntoIterator<Item = T>) -> u64 {
+        let mut it = iter.into_iter();
+        let mut pushed = 0u64;
         loop {
-            // SAFETY: unique consumer.
-            if unsafe { !seg.as_ref().is_empty() } {
-                return false;
-            }
-            let Some(next) = NonNull::new(unsafe { seg.as_ref().next() }) else {
-                break;
+            let Some(first) = it.next() else {
+                return pushed;
             };
-            // Re-check after the Acquire load of `next` (see pop_impl).
-            if unsafe { !seg.as_ref().is_empty() } {
-                return false;
-            }
-            match chain_advance(inner, cache, next) {
-                Some(n) => seg = n,
-                None => break,
-            }
-        }
-    }
-    empty_slow(inner, frame, cache)
-}
-
-#[cold]
-#[inline(never)]
-fn empty_slow<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-) -> bool {
-    let mut result: Option<bool> = None;
-    let fid = frame.id.0;
-    let _waiting = WaiterGuard::register(&inner.fast.consumer.waiters);
-    inner.rt.block_until(frame, HelpMode::Preceding, || {
-        let mut st = inner.lock_counted();
-        match st.empty_probe(fid) {
-            EmptyProbe::HasData(seg) => {
-                cache.seg = Some(seg);
-                cache.advances = 0;
-                result = Some(false);
-                true
-            }
-            EmptyProbe::Empty => {
-                // The probe's consumer_advance may have recycled the
-                // cached segment (drained and linked-past, e.g. when the
-                // advance cap broke mid-chain before an empty reserved
-                // tail). Drop the cache: the owner may push again after a
-                // true-empty verdict, and a recycled segment must not be
-                // read through a stale pointer.
-                cache.seg = None;
-                cache.advances = 0;
-                result = Some(true);
-                true
-            }
-            EmptyProbe::Blocked => false,
-        }
-    });
-    result.expect("block_until returns only once the condition holds")
-}
-
-#[inline]
-fn write_slice_impl<'t, T: Send + 'static>(
-    inner: &'t Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut SegCache<T>,
-    len: usize,
-) -> WriteSlice<'t, T> {
-    let len = len.max(1);
-    // Fast path: the cached tail segment has *any* room — return a
-    // (possibly shorter) slice over it without locking. This is the
-    // paper's §5.2 contract: "the slice must fit inside a single segment;
-    // if not, a shorter slice will be returned". Slices are additionally
-    // clamped to the ring's contiguous span so staging writes need no
-    // per-value index arithmetic.
-    if let Some(seg) = cache {
-        // SAFETY: unique producer of the cached segment.
-        let avail = unsafe { seg.as_ref().contiguous_writable(len) };
-        if avail >= 1 {
-            // SAFETY: unique producer; `avail` (at most `len`) contiguous
-            // slots are free.
-            return unsafe { WriteSlice::new(inner, *seg, avail) };
-        }
-    }
-    write_slice_slow(inner, frame, cache, len)
-}
-
-#[cold]
-#[inline(never)]
-fn write_slice_slow<'t, T: Send + 'static>(
-    inner: &'t Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut SegCache<T>,
-    len: usize,
-) -> WriteSlice<'t, T> {
-    let mut st = inner.lock_counted();
-    let len = len.min(st.segment_capacity());
-    let seg = st.producer_segment(frame.id.0, len);
-    drop(st);
-    *cache = Some(seg);
-    // `producer_segment` guarantees `len` free slots, but a reused
-    // segment's tail may sit mid-ring: clamp to the contiguous span
-    // (never zero when free ≥ 1).
-    // SAFETY: unique producer of `seg`.
-    let len = unsafe { seg.as_ref().contiguous_writable(len) };
-    unsafe { WriteSlice::new(inner, seg, len) }
-}
-
-fn read_slice_impl<'t, T: Send + 'static>(
-    inner: &'t Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-    max_len: usize,
-) -> Option<ReadSlice<'t, T>> {
-    if empty_impl(inner, frame, cache) {
-        return None;
-    }
-    let seg = cache
-        .seg
-        .expect("empty_impl(false) caches the head segment");
-    // SAFETY: unique consumer of the head segment.
-    Some(unsafe { ReadSlice::new(inner, seg, max_len) })
-}
-
-/// Shared implementation of the batched push: drains `iter` through
-/// write slices, publishing once per slice instead of once per value.
-fn push_iter_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut SegCache<T>,
-    iter: impl IntoIterator<Item = T>,
-) -> u64 {
-    let mut it = iter.into_iter();
-    let mut pushed = 0u64;
-    loop {
-        let Some(first) = it.next() else {
-            return pushed;
-        };
-        // Reserve generously: unwritten reservation slots are simply never
-        // published, so over-asking costs nothing, while under-asking
-        // costs an extra slice per segment.
-        let want = it.size_hint().0.saturating_add(1).max(32);
-        let mut ws = write_slice_impl(inner, frame, cache, want);
-        ws.push(first);
-        pushed += 1;
-        while ws.remaining() > 0 {
-            match it.next() {
-                Some(v) => {
-                    ws.push(v);
-                    pushed += 1;
-                }
-                None => return pushed,
-            }
-        }
-    }
-}
-
-/// Shared implementation of the copying batched push: memcpys `vals`
-/// through write slices (for `Copy` payloads — the fastest producer path).
-fn push_slice_impl<T: Send + Copy + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut SegCache<T>,
-    mut vals: &[T],
-) -> u64 {
-    let total = vals.len() as u64;
-    while !vals.is_empty() {
-        let mut ws = write_slice_impl(inner, frame, cache, vals.len());
-        let n = ws.extend_from_slice(vals);
-        vals = &vals[n..];
-    }
-    total
-}
-
-/// Shared implementation of the batched pop: bulk-moves up to `max`
-/// currently-visible values into `out` (appending), following published
-/// chain links lock-free. Blocks only when nothing is visible yet;
-/// returns the number appended — `0` iff the queue is permanently empty,
-/// except that `max == 0` short-circuits to `0` without inspecting the
-/// queue. Taking the destination by reference lets steady-state consumers
-/// reuse one buffer instead of allocating a vector per round.
-fn pop_batch_into_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-    max: usize,
-    out: &mut Vec<T>,
-) -> usize {
-    if max == 0 {
-        return 0;
-    }
-    let base = out.len();
-    // Saturate: `usize::MAX` is a legitimate "take everything visible"
-    // request, and the buffer may already hold values.
-    let target = base.saturating_add(max);
-    loop {
-        if let Some(mut seg) = cache.seg {
-            loop {
-                // SAFETY: unique consumer.
-                unsafe { seg.as_ref().pop_bulk(target - out.len(), out) };
-                if out.len() == target {
-                    return out.len() - base;
-                }
-                let Some(next) = NonNull::new(unsafe { seg.as_ref().next() }) else {
-                    break;
-                };
-                // Re-check after the Acquire load of `next` (see pop_impl).
-                unsafe { seg.as_ref().pop_bulk(target - out.len(), out) };
-                if out.len() == target {
-                    return out.len() - base;
-                }
-                match chain_advance(inner, cache, next) {
-                    Some(n) => seg = n,
-                    None => break,
+            // Reserve generously: unwritten reservation slots are simply
+            // never published, so over-asking costs nothing, while
+            // under-asking costs an extra slice per segment.
+            let want = it.size_hint().0.saturating_add(1).max(32);
+            let mut ws = self.write_slice(cache, want);
+            ws.push(first);
+            pushed += 1;
+            while ws.remaining() > 0 {
+                match it.next() {
+                    Some(v) => {
+                        ws.push(v);
+                        pushed += 1;
+                    }
+                    None => return pushed,
                 }
             }
         }
-        if out.len() > base {
-            return out.len() - base;
+    }
+
+    /// The copying batched push: memcpys `vals` through write slices (for
+    /// `Copy` payloads — the fastest producer path).
+    fn push_slice(&self, cache: &mut SegCache<T>, mut vals: &[T]) -> u64
+    where
+        T: Copy,
+    {
+        let total = vals.len() as u64;
+        while !vals.is_empty() {
+            let mut ws = self.write_slice(cache, vals.len());
+            let n = ws.extend_from_slice(vals);
+            vals = &vals[n..];
         }
-        // Nothing visible: wait for data or the permanent-empty verdict.
-        if empty_slow(inner, frame, cache) {
+        total
+    }
+
+    /// The batched pop: bulk-moves up to `max` currently-visible values
+    /// into `out` (appending), following published chain links lock-free.
+    /// Blocks only when nothing is visible yet; returns the number
+    /// appended — `0` iff the queue is permanently empty, except that
+    /// `max == 0` short-circuits to `0` without inspecting the queue.
+    /// Taking the destination by reference lets steady-state consumers
+    /// reuse one buffer instead of allocating a vector per round.
+    fn pop_batch_into(&self, cache: &mut PopCache<T>, max: usize, out: &mut Vec<T>) -> usize {
+        if max == 0 {
             return 0;
         }
+        let base = out.len();
+        // Saturate: `usize::MAX` is a legitimate "take everything visible"
+        // request, and the buffer may already hold values.
+        let target = base.saturating_add(max);
+        loop {
+            let full = self.walk_chain(cache, |s| {
+                // SAFETY: unique consumer (see `walk_chain`).
+                unsafe { s.pop_bulk(target - out.len(), out) };
+                (out.len() == target).then_some(())
+            });
+            if full.is_some() || out.len() > base {
+                return out.len() - base;
+            }
+            // Nothing visible: wait for data or the permanent-empty verdict.
+            if self.empty_slow(cache) {
+                return 0;
+            }
+        }
+    }
+
+    /// Owning wrapper over [`Grant::pop_batch_into`]: empty vector iff the
+    /// queue is permanently empty.
+    fn pop_batch(&self, cache: &mut PopCache<T>, max: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        self.pop_batch_into(cache, max, &mut out);
+        out
+    }
+
+    /// The batched visitor: feeds `f` contiguous slices until the queue is
+    /// permanently empty. Returns the total number of values consumed.
+    fn for_each_batch(
+        &self,
+        cache: &mut PopCache<T>,
+        max_batch: usize,
+        mut f: impl FnMut(&[T]),
+    ) -> u64 {
+        let mut total = 0u64;
+        while let Some(rs) = self.read_slice(cache, max_batch) {
+            f(rs.as_slice());
+            total += rs.len() as u64;
+        }
+        total
+    }
+
+    /// Selective sync (§5.5): waits, running descendants meanwhile, until
+    /// this grant has no live push-privileged children (`push`) or no live
+    /// pop-privileged ones. Panics from the subtree resurface here.
+    fn sync(&self, scope: &Scope<'_>, push: bool) {
+        debug_assert!(
+            Arc::ptr_eq(scope.frame(), &self.frame),
+            "selective sync runs in the task holding the grant"
+        );
+        let live = || {
+            let (pushes, pops) = self.inner.state.lock().delegations(self.slot);
+            if push {
+                pushes
+            } else {
+                pops
+            }
+        };
+        self.inner
+            .rt
+            .block_until(&self.frame, HelpMode::Descendants, || live() == 0);
+        if let Some(payload) = scope.frame().take_panic() {
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
-/// Owning wrapper over [`pop_batch_into_impl`]: empty vector iff the
-/// queue is permanently empty.
-fn pop_batch_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-    max: usize,
-) -> Vec<T> {
-    let mut out = Vec::new();
-    pop_batch_into_impl(inner, frame, cache, max, &mut out);
-    out
-}
-
-/// Shared implementation of the batched visitor: feeds `f` contiguous
-/// slices until the queue is permanently empty. Returns the total number
-/// of values consumed.
-fn for_each_batch_impl<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    frame: &Arc<Frame>,
-    cache: &mut PopCache<T>,
-    max_batch: usize,
-    mut f: impl FnMut(&[T]),
-) -> u64 {
-    let mut total = 0u64;
-    while let Some(rs) = read_slice_impl(inner, frame, cache, max_batch) {
-        f(rs.as_slice());
-        total += rs.len() as u64;
-    }
-    total
-}
-
-fn spawn_transfer_and_release<T: Send + 'static>(
-    inner: &Arc<QueueInner<T>>,
-    ctx: &mut AcquireCtx<'_>,
-    mode: Mode,
-) {
-    let parent = Arc::clone(ctx.parent_frame());
-    let child = Arc::clone(ctx.frame());
-    let pred = {
-        let mut st = inner.state.lock();
-        st.spawn_transfer(parent.id.0, &child, mode)
-    };
-    if let Some(p) = pred {
-        // Rule 3: serialize pop-privileged siblings.
-        ctx.add_predecessor(&p);
-    }
-    if mode.has_push() {
-        parent.label_incr((inner.id, PUSH_LABEL));
-    }
-    if mode.has_pop() {
-        parent.label_incr((inner.id, POP_LABEL));
-    }
-    let inner2 = Arc::clone(inner);
-    ctx.on_release(move || {
-        {
-            let mut st = inner2.state.lock();
-            st.complete(child.id.0);
-        }
-        if mode.has_push() {
-            parent.label_decr((inner2.id, PUSH_LABEL));
-        }
-        if mode.has_pop() {
-            parent.label_decr((inner2.id, POP_LABEL));
-        }
+/// A grant's end: the spawned task completed (after its implicit sync), so
+/// its views reduce into their predecessor's (§4.2).
+impl<T: Send + 'static> Release for QueueInner<T> {
+    fn release(&self, slot: usize) {
+        self.state.lock().complete(slot);
         // Completion may have linked new data into the consumer chain or
         // retired the last preceding producer: wake blocked waiters.
-        notify_counted(&inner2);
-    });
+        notify_counted(self);
+    }
 }
 
-fn initial_push_cache<T: Send + 'static>(inner: &Arc<QueueInner<T>>, frame_id: u64) -> SegCache<T> {
-    let st = inner.state.lock();
-    st.user_tail_segment(frame_id)
+/// Runs `f` on a copy of one of the owner's caches and stores the copy
+/// back.
+fn with<C: Copy, R>(cache: &Cell<C>, f: impl FnOnce(&mut C) -> R) -> R {
+    let mut c = cache.get();
+    let r = f(&mut c);
+    cache.set(c);
+    r
 }
 
 // ---------------------------------------------------------------------------
@@ -707,8 +639,7 @@ fn initial_push_cache<T: Send + 'static>(inner: &Arc<QueueInner<T>>, frame_id: u
 /// assert_eq!(out, (0..100).collect::<Vec<_>>());
 /// ```
 pub struct Hyperqueue<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-    owner: Arc<Frame>,
+    grant: Grant<T>,
     push_cache: Cell<SegCache<T>>,
     pop_cache: Cell<PopCache<T>>,
     /// The queue must not leave its owner task.
@@ -754,36 +685,30 @@ impl<T: Send + 'static> Hyperqueue<T> {
         pool: Option<Arc<SegmentPool<T>>>,
     ) -> Self {
         let owner = Arc::clone(scope.frame());
-        let rt = scope.runtime();
         let state = QueueState::new(&owner, capacity, recycle, pool);
+        let push_cache = state.user_tail(OWNER);
         let inner = Arc::new(QueueInner {
-            id: swan::next_object_id(),
-            rt,
+            rt: scope.runtime(),
             state: Mutex::new(state),
             fast: FastStats::default(),
         });
-        let push_cache = initial_push_cache(&inner, owner.id.0);
         Hyperqueue {
-            inner,
-            owner,
+            grant: Grant {
+                inner,
+                frame: owner,
+                slot: OWNER,
+            },
             push_cache: Cell::new(push_cache),
             pop_cache: Cell::new(PopCache::default()),
             _not_send: PhantomData,
         }
     }
 
-    /// The queue's object id (diagnostics; labels for selective sync).
-    pub fn object_id(&self) -> u64 {
-        self.inner.id
-    }
-
     /// `pushdep` access for a spawn: the child may only push.
     pub fn pushdep(&self) -> PushDep<T> {
         // The child takes the user view; our cached tail is no longer ours.
         self.push_cache.set(None);
-        PushDep {
-            inner: Arc::clone(&self.inner),
-        }
+        self.grant.dep()
     }
 
     /// `popdep` access for a spawn: the child may only pop.
@@ -791,25 +716,19 @@ impl<T: Send + 'static> Hyperqueue<T> {
         // Pop spawns also take the user view (§4.2) and the consumer role.
         self.push_cache.set(None);
         self.pop_cache.set(PopCache::default());
-        PopDep {
-            inner: Arc::clone(&self.inner),
-        }
+        self.grant.dep()
     }
 
     /// `pushpopdep` access for a spawn: the child may push and pop.
     pub fn pushpopdep(&self) -> PushPopDep<T> {
         self.push_cache.set(None);
         self.pop_cache.set(PopCache::default());
-        PushPopDep {
-            inner: Arc::clone(&self.inner),
-        }
+        self.grant.dep()
     }
 
     /// Pushes a value as the owner task.
     pub fn push(&self, value: T) {
-        let mut cache = self.push_cache.get();
-        push_impl(&self.inner, &self.owner, &mut cache, value);
-        self.push_cache.set(cache);
+        with(&self.push_cache, |c| self.grant.push(c, value))
     }
 
     /// Pushes every value of `iter`, in order, through write slices —
@@ -830,10 +749,7 @@ impl<T: Send + 'static> Hyperqueue<T> {
     /// });
     /// ```
     pub fn push_iter(&self, iter: impl IntoIterator<Item = T>) -> u64 {
-        let mut cache = self.push_cache.get();
-        let n = push_iter_impl(&self.inner, &self.owner, &mut cache, iter);
-        self.push_cache.set(cache);
-        n
+        with(&self.push_cache, |c| self.grant.push_iter(c, iter))
     }
 
     /// Alias of [`Hyperqueue::push_iter`] mirroring `Extend::extend`.
@@ -848,20 +764,14 @@ impl<T: Send + 'static> Hyperqueue<T> {
     where
         T: Copy,
     {
-        let mut cache = self.push_cache.get();
-        let n = push_slice_impl(&self.inner, &self.owner, &mut cache, vals);
-        self.push_cache.set(cache);
-        n
+        with(&self.push_cache, |c| self.grant.push_slice(c, vals))
     }
 
     /// Pops the next value as the owner task. Blocks while the value is in
     /// flight; **panics** if the queue is permanently empty (guard with
     /// [`Hyperqueue::empty`]).
     pub fn pop(&self) -> T {
-        let mut cache = self.pop_cache.get();
-        let v = pop_impl(&self.inner, &self.owner, &mut cache);
-        self.pop_cache.set(cache);
-        v
+        with(&self.pop_cache, |c| self.grant.pop(c))
     }
 
     /// Pops up to `max` currently-visible values in one batch (a single
@@ -891,10 +801,7 @@ impl<T: Send + 'static> Hyperqueue<T> {
     /// assert_eq!(sum, 1000 * 999 / 2);
     /// ```
     pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut cache = self.pop_cache.get();
-        let v = pop_batch_impl(&self.inner, &self.owner, &mut cache, max);
-        self.pop_cache.set(cache);
-        v
+        with(&self.pop_cache, |c| self.grant.pop_batch(c, max))
     }
 
     /// Like [`Hyperqueue::pop_batch`] but appends into a caller-owned
@@ -922,10 +829,7 @@ impl<T: Send + 'static> Hyperqueue<T> {
     /// });
     /// ```
     pub fn pop_batch_into(&self, max: usize, out: &mut Vec<T>) -> usize {
-        let mut cache = self.pop_cache.get();
-        let n = pop_batch_into_impl(&self.inner, &self.owner, &mut cache, max, out);
-        self.pop_cache.set(cache);
-        n
+        with(&self.pop_cache, |c| self.grant.pop_batch_into(c, max, out))
     }
 
     /// Drains the queue through read slices of up to `max_batch` values,
@@ -933,20 +837,16 @@ impl<T: Send + 'static> Hyperqueue<T> {
     /// permanently empty. Values are dropped after `f` observes them.
     /// Returns the total number of values consumed.
     pub fn for_each_batch(&self, max_batch: usize, f: impl FnMut(&[T])) -> u64 {
-        let mut cache = self.pop_cache.get();
-        let n = for_each_batch_impl(&self.inner, &self.owner, &mut cache, max_batch, f);
-        self.pop_cache.set(cache);
-        n
+        with(&self.pop_cache, |c| {
+            self.grant.for_each_batch(c, max_batch, f)
+        })
     }
 
     /// The paper's `empty()`: `false` iff a value is available to this
     /// task; `true` iff no more values can ever become visible to it;
     /// blocks until one of the two is certain (§2.1).
     pub fn empty(&self) -> bool {
-        let mut cache = self.pop_cache.get();
-        let r = empty_impl(&self.inner, &self.owner, &mut cache);
-        self.pop_cache.set(cache);
-        r
+        with(&self.pop_cache, |c| self.grant.empty(c))
     }
 
     /// Requests a write slice of up to `len` values (§5.2). The returned
@@ -954,30 +854,25 @@ impl<T: Send + 'static> Hyperqueue<T> {
     /// room ("if not, a shorter slice will be returned") — size loops with
     /// [`WriteSlice::capacity`], or use [`Hyperqueue::push_iter`].
     pub fn write_slice(&self, len: usize) -> WriteSlice<'_, T> {
-        let mut cache = self.push_cache.get();
-        let ws = write_slice_impl(&self.inner, &self.owner, &mut cache, len);
-        self.push_cache.set(cache);
-        ws
+        with(&self.push_cache, |c| self.grant.write_slice(c, len))
     }
 
     /// Requests a read slice of up to `max_len` currently-visible values;
     /// `None` iff the queue is permanently empty (§5.2).
     pub fn read_slice(&self, max_len: usize) -> Option<ReadSlice<'_, T>> {
-        let mut cache = self.pop_cache.get();
-        let rs = read_slice_impl(&self.inner, &self.owner, &mut cache, max_len);
-        self.pop_cache.set(cache);
-        rs
+        with(&self.pop_cache, |c| self.grant.read_slice(c, max_len))
     }
 
     /// Selective sync over pop-privileged children (§5.5:
-    /// `sync (popdep<T>) queue;`).
+    /// `sync (popdep<T>) queue;`). `scope` is the owner's.
     pub fn sync_pop(&self, scope: &Scope<'_>) {
-        scope.sync_label((self.inner.id, POP_LABEL));
+        self.grant.sync(scope, false);
     }
 
-    /// Selective sync over push-privileged children.
+    /// Selective sync over push-privileged children. `scope` is the
+    /// owner's.
     pub fn sync_push(&self, scope: &Scope<'_>) {
-        scope.sync_label((self.inner.id, PUSH_LABEL));
+        self.grant.sync(scope, true);
     }
 
     /// Allocation/recycling counters plus the fast-path observability
@@ -987,8 +882,9 @@ impl<T: Send + 'static> Hyperqueue<T> {
     /// its increments use and is approximate while tasks are still
     /// running — see [`QueueStats`] for the precise contract.
     pub fn stats(&self) -> QueueStats {
-        let mut s = self.inner.state.lock().stats;
-        let (locks, advances, suppressed) = self.inner.fast.snapshot();
+        let inner = &self.grant.inner;
+        let mut s = inner.state.lock().stats;
+        let (locks, advances, suppressed) = inner.fast.snapshot();
         s.lock_acquisitions = locks;
         s.chain_advances = advances;
         s.notifies_suppressed = suppressed;
@@ -997,95 +893,134 @@ impl<T: Send + 'static> Hyperqueue<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Dependency arguments.
+// Access modes, dependency arguments and tokens.
 // ---------------------------------------------------------------------------
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Push {}
+    impl Sealed for super::Pop {}
+    impl Sealed for super::PushPop {}
+}
+
+/// A grant's access mode at the type level: the `M` of [`Dep`] and
+/// [`Token`]. Implemented by [`Push`], [`Pop`] and [`PushPop`] only.
+pub trait Access: sealed::Sealed + Send + 'static {
+    /// The same mode as a value.
+    const MODE: Mode;
+}
+
+/// Modes that grant push privileges: [`Push`] and [`PushPop`].
+pub trait CanPush: Access {}
+
+/// Modes that grant pop privileges: [`Pop`] and [`PushPop`].
+pub trait CanPop: Access {}
+
+/// Push-only access (`pushdep`).
+pub enum Push {}
+
+/// Pop-only access (`popdep`).
+pub enum Pop {}
+
+/// Combined access (`pushpopdep`).
+pub enum PushPop {}
+
+impl Access for Push {
+    const MODE: Mode = Mode::Push;
+}
+impl Access for Pop {
+    const MODE: Mode = Mode::Pop;
+}
+impl Access for PushPop {
+    const MODE: Mode = Mode::PushPop;
+}
+impl CanPush for Push {}
+impl CanPush for PushPop {}
+impl CanPop for Pop {}
+impl CanPop for PushPop {}
+
+/// Spawn argument granting `M` access to a hyperqueue (the paper's
+/// `pushdep<T>`, `popdep<T>` and `pushpopdep<T>`). Made by the owner
+/// object or a token, and spent in a spawn by the task that made it; the
+/// child's body receives a [`Token`] of the same mode.
+pub struct Dep<T: Send + 'static, M: Access> {
+    inner: Arc<QueueInner<T>>,
+    /// The spawning task's slot.
+    parent: Slot,
+    _mode: PhantomData<M>,
+}
 
 /// Spawn argument granting push-only access (the paper's `pushdep<T>`).
-pub struct PushDep<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-}
-
+pub type PushDep<T> = Dep<T, Push>;
 /// Spawn argument granting pop-only access (`popdep<T>`).
-pub struct PopDep<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-}
-
+pub type PopDep<T> = Dep<T, Pop>;
 /// Spawn argument granting combined access (`pushpopdep<T>`).
-pub struct PushPopDep<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-}
+pub type PushPopDep<T> = Dep<T, PushPop>;
 
-impl<T: Send + 'static> DepArg for PushDep<T> {
-    type Guard = PushToken<T>;
-    fn acquire(self, ctx: &mut AcquireCtx<'_>) -> PushToken<T> {
-        spawn_transfer_and_release(&self.inner, ctx, Mode::Push);
+impl<T: Send + 'static, M: Access> DepArg for Dep<T, M> {
+    type Guard = Token<T, M>;
+    fn acquire(self, ctx: &mut AcquireCtx<'_>) -> Token<T, M> {
         let frame = Arc::clone(ctx.frame());
-        let cache = initial_push_cache(&self.inner, frame.id.0);
-        PushToken {
-            inner: self.inner,
-            frame,
-            cache,
+        let transfer = self.inner.state.lock().spawn_transfer(
+            self.parent,
+            ctx.parent_frame(),
+            &frame,
+            M::MODE,
+        );
+        if let Some(p) = transfer.pred {
+            // Rule 3: serialize pop-privileged siblings.
+            ctx.add_predecessor(&p);
         }
-    }
-}
-
-impl<T: Send + 'static> DepArg for PopDep<T> {
-    type Guard = PopToken<T>;
-    fn acquire(self, ctx: &mut AcquireCtx<'_>) -> PopToken<T> {
-        spawn_transfer_and_release(&self.inner, ctx, Mode::Pop);
-        let frame = Arc::clone(ctx.frame());
-        PopToken {
-            inner: self.inner,
-            frame,
-            cache: PopCache::default(),
-        }
-    }
-}
-
-impl<T: Send + 'static> DepArg for PushPopDep<T> {
-    type Guard = PushPopToken<T>;
-    fn acquire(self, ctx: &mut AcquireCtx<'_>) -> PushPopToken<T> {
-        spawn_transfer_and_release(&self.inner, ctx, Mode::PushPop);
-        let frame = Arc::clone(ctx.frame());
-        let push_cache = initial_push_cache(&self.inner, frame.id.0);
-        PushPopToken {
-            inner: self.inner,
-            frame,
-            push_cache,
+        ctx.on_release(Arc::clone(&self.inner) as Arc<dyn Release>, transfer.slot);
+        Token {
+            grant: Grant {
+                inner: self.inner,
+                frame,
+                slot: transfer.slot,
+            },
+            push_cache: transfer.push_tail,
             pop_cache: PopCache::default(),
+            _mode: PhantomData,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Tokens (task-side capability objects).
-// ---------------------------------------------------------------------------
+/// The capability a task spawned with a [`Dep`] holds: it pushes if `M`
+/// is [`CanPush`], pops if `M` is [`CanPop`], and delegates to its own
+/// children only privileges it has (§2.3) — which methods exist is
+/// decided by `M`, and the view table re-checks at spawn time.
+pub struct Token<T: Send + 'static, M: Access> {
+    grant: Grant<T>,
+    push_cache: SegCache<T>,
+    pop_cache: PopCache<T>,
+    _mode: PhantomData<M>,
+}
 
 /// Push capability held by a task spawned with [`PushDep`].
-pub struct PushToken<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-    frame: Arc<Frame>,
-    cache: SegCache<T>,
-}
+pub type PushToken<T> = Token<T, Push>;
+/// Pop capability held by a task spawned with [`PopDep`].
+pub type PopToken<T> = Token<T, Pop>;
+/// Combined capability held by a task spawned with [`PushPopDep`].
+pub type PushPopToken<T> = Token<T, PushPop>;
 
-// SAFETY: tokens move into exactly one task body (possibly on another
-// thread). The cached raw segment pointer is owned by the queue arena,
+// SAFETY: a token moves into exactly one task body (possibly on another
+// thread). The cached raw segment pointers are owned by the queue arena,
 // which the Arc keeps alive, and the view discipline makes this token the
-// unique producer of that segment.
-unsafe impl<T: Send + 'static> Send for PushToken<T> {}
+// unique producer (consumer) of the segment it caches.
+unsafe impl<T: Send + 'static, M: Access> Send for Token<T, M> {}
 
-impl<T: Send + 'static> PushToken<T> {
+impl<T: Send + 'static, M: CanPush> Token<T, M> {
     /// Appends `value` to the queue in this task's position of the serial
     /// order.
     #[inline]
     pub fn push(&mut self, value: T) {
-        push_impl(&self.inner, &self.frame, &mut self.cache, value);
+        self.grant.push(&mut self.push_cache, value);
     }
 
     /// Pushes every value of `iter` through write slices (see
     /// [`Hyperqueue::push_iter`]). Returns the number of values pushed.
     pub fn push_iter(&mut self, iter: impl IntoIterator<Item = T>) -> u64 {
-        push_iter_impl(&self.inner, &self.frame, &mut self.cache, iter)
+        self.grant.push_iter(&mut self.push_cache, iter)
     }
 
     /// Copies `vals` into the queue (see [`Hyperqueue::push_slice`]).
@@ -1093,214 +1028,92 @@ impl<T: Send + 'static> PushToken<T> {
     where
         T: Copy,
     {
-        push_slice_impl(&self.inner, &self.frame, &mut self.cache, vals)
-    }
-
-    /// Delegates push privileges to a child spawn (recursive producers,
-    /// Fig. 2/3).
-    pub fn pushdep(&mut self) -> PushDep<T> {
-        self.cache = None; // the child takes the user view
-        PushDep {
-            inner: Arc::clone(&self.inner),
-        }
+        self.grant.push_slice(&mut self.push_cache, vals)
     }
 
     /// Requests a write slice of up to `len` values (§5.2); may be
     /// shorter (see [`Hyperqueue::write_slice`]).
     pub fn write_slice(&mut self, len: usize) -> WriteSlice<'_, T> {
-        write_slice_impl(&self.inner, &self.frame, &mut self.cache, len)
+        self.grant.write_slice(&mut self.push_cache, len)
     }
 
-    /// Selective sync over push-privileged children of the current task.
+    /// Delegates push privileges to a child spawn (recursive producers,
+    /// Fig. 2/3).
+    pub fn pushdep(&mut self) -> PushDep<T> {
+        self.push_cache = None; // the child takes the user view
+        self.grant.dep()
+    }
+
+    /// Selective sync over this task's push-privileged children.
     pub fn sync_push(&self, scope: &Scope<'_>) {
-        scope.sync_label((self.inner.id, PUSH_LABEL));
-    }
-
-    /// The queue's object id.
-    pub fn object_id(&self) -> u64 {
-        self.inner.id
+        self.grant.sync(scope, true);
     }
 }
 
-impl<T: Send + 'static> Extend<T> for PushToken<T> {
+impl<T: Send + 'static, M: CanPush> Extend<T> for Token<T, M> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         self.push_iter(iter);
     }
 }
 
-/// Pop capability held by a task spawned with [`PopDep`].
-pub struct PopToken<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-    frame: Arc<Frame>,
-    cache: PopCache<T>,
-}
-
-// SAFETY: see PushToken.
-unsafe impl<T: Send + 'static> Send for PopToken<T> {}
-
-impl<T: Send + 'static> PopToken<T> {
+impl<T: Send + 'static, M: CanPop> Token<T, M> {
     /// Removes and returns the next value in serial order. Blocks while
     /// the value is in flight; panics if permanently empty.
     #[inline]
     pub fn pop(&mut self) -> T {
-        pop_impl(&self.inner, &self.frame, &mut self.cache)
+        self.grant.pop(&mut self.pop_cache)
     }
 
     /// Pops up to `max` values in one batch (see
     /// [`Hyperqueue::pop_batch`]); empty iff permanently empty.
     pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
-        pop_batch_impl(&self.inner, &self.frame, &mut self.cache, max)
+        self.grant.pop_batch(&mut self.pop_cache, max)
     }
 
     /// Appends up to `max` values into `out` (see
     /// [`Hyperqueue::pop_batch_into`]); `0` iff permanently empty.
     pub fn pop_batch_into(&mut self, max: usize, out: &mut Vec<T>) -> usize {
-        pop_batch_into_impl(&self.inner, &self.frame, &mut self.cache, max, out)
+        self.grant.pop_batch_into(&mut self.pop_cache, max, out)
     }
 
     /// Drains the queue through batches of up to `max_batch` values (see
     /// [`Hyperqueue::for_each_batch`]). Returns the number consumed.
     pub fn for_each_batch(&mut self, max_batch: usize, f: impl FnMut(&[T])) -> u64 {
-        for_each_batch_impl(&self.inner, &self.frame, &mut self.cache, max_batch, f)
+        self.grant.for_each_batch(&mut self.pop_cache, max_batch, f)
     }
 
     /// The paper's `empty()` (see [`Hyperqueue::empty`]).
     #[inline]
     pub fn empty(&mut self) -> bool {
-        empty_impl(&self.inner, &self.frame, &mut self.cache)
-    }
-
-    /// Delegates pop privileges to a child spawn.
-    pub fn popdep(&mut self) -> PopDep<T> {
-        self.cache = PopCache::default(); // the child becomes the consumer
-        PopDep {
-            inner: Arc::clone(&self.inner),
-        }
+        self.grant.empty(&mut self.pop_cache)
     }
 
     /// Requests a read slice of up to `max_len` values; `None` iff
     /// permanently empty (§5.2).
     pub fn read_slice(&mut self, max_len: usize) -> Option<ReadSlice<'_, T>> {
-        read_slice_impl(&self.inner, &self.frame, &mut self.cache, max_len)
+        self.grant.read_slice(&mut self.pop_cache, max_len)
     }
 
-    /// Selective sync over pop-privileged children of the current task.
-    pub fn sync_pop(&self, scope: &Scope<'_>) {
-        scope.sync_label((self.inner.id, POP_LABEL));
-    }
-
-    /// The queue's object id.
-    pub fn object_id(&self) -> u64 {
-        self.inner.id
-    }
-}
-
-/// Combined capability held by a task spawned with [`PushPopDep`].
-pub struct PushPopToken<T: Send + 'static> {
-    inner: Arc<QueueInner<T>>,
-    frame: Arc<Frame>,
-    push_cache: SegCache<T>,
-    pop_cache: PopCache<T>,
-}
-
-// SAFETY: see PushToken.
-unsafe impl<T: Send + 'static> Send for PushPopToken<T> {}
-
-impl<T: Send + 'static> PushPopToken<T> {
-    /// Pushes a value (see [`PushToken::push`]).
-    #[inline]
-    pub fn push(&mut self, value: T) {
-        push_impl(&self.inner, &self.frame, &mut self.push_cache, value);
-    }
-
-    /// Pushes every value of `iter` (see [`Hyperqueue::push_iter`]).
-    pub fn push_iter(&mut self, iter: impl IntoIterator<Item = T>) -> u64 {
-        push_iter_impl(&self.inner, &self.frame, &mut self.push_cache, iter)
-    }
-
-    /// Copies `vals` into the queue (see [`Hyperqueue::push_slice`]).
-    pub fn push_slice(&mut self, vals: &[T]) -> u64
-    where
-        T: Copy,
-    {
-        push_slice_impl(&self.inner, &self.frame, &mut self.push_cache, vals)
-    }
-
-    /// Pops a value (see [`PopToken::pop`]).
-    #[inline]
-    pub fn pop(&mut self) -> T {
-        pop_impl(&self.inner, &self.frame, &mut self.pop_cache)
-    }
-
-    /// Pops up to `max` values in one batch (see
-    /// [`Hyperqueue::pop_batch`]).
-    pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
-        pop_batch_impl(&self.inner, &self.frame, &mut self.pop_cache, max)
-    }
-
-    /// Appends up to `max` values into `out` (see
-    /// [`Hyperqueue::pop_batch_into`]); `0` iff permanently empty.
-    pub fn pop_batch_into(&mut self, max: usize, out: &mut Vec<T>) -> usize {
-        pop_batch_into_impl(&self.inner, &self.frame, &mut self.pop_cache, max, out)
-    }
-
-    /// Drains the queue through batches (see
-    /// [`Hyperqueue::for_each_batch`]).
-    pub fn for_each_batch(&mut self, max_batch: usize, f: impl FnMut(&[T])) -> u64 {
-        for_each_batch_impl(&self.inner, &self.frame, &mut self.pop_cache, max_batch, f)
-    }
-
-    /// `empty()` (see [`Hyperqueue::empty`]).
-    #[inline]
-    pub fn empty(&mut self) -> bool {
-        empty_impl(&self.inner, &self.frame, &mut self.pop_cache)
-    }
-
-    /// Delegates push privileges only.
-    pub fn pushdep(&mut self) -> PushDep<T> {
-        self.push_cache = None;
-        PushDep {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Delegates pop privileges only.
+    /// Delegates pop privileges to a child spawn.
     pub fn popdep(&mut self) -> PopDep<T> {
+        // Pop spawns take the user view (§4.2) and the consumer role.
         self.push_cache = None;
         self.pop_cache = PopCache::default();
-        PopDep {
-            inner: Arc::clone(&self.inner),
-        }
+        self.grant.dep()
     }
 
+    /// Selective sync over this task's pop-privileged children.
+    pub fn sync_pop(&self, scope: &Scope<'_>) {
+        self.grant.sync(scope, false);
+    }
+}
+
+impl<T: Send + 'static> Token<T, PushPop> {
     /// Delegates both privileges.
     pub fn pushpopdep(&mut self) -> PushPopDep<T> {
         self.push_cache = None;
         self.pop_cache = PopCache::default();
-        PushPopDep {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
-    /// Requests a write slice (§5.2); may be shorter than requested.
-    pub fn write_slice(&mut self, len: usize) -> WriteSlice<'_, T> {
-        write_slice_impl(&self.inner, &self.frame, &mut self.push_cache, len)
-    }
-
-    /// Requests a read slice (§5.2).
-    pub fn read_slice(&mut self, max_len: usize) -> Option<ReadSlice<'_, T>> {
-        read_slice_impl(&self.inner, &self.frame, &mut self.pop_cache, max_len)
-    }
-
-    /// The queue's object id.
-    pub fn object_id(&self) -> u64 {
-        self.inner.id
-    }
-}
-
-impl<T: Send + 'static> Extend<T> for PushPopToken<T> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        self.push_iter(iter);
+        self.grant.dep()
     }
 }
 
@@ -1311,9 +1124,9 @@ mod tests {
 
     fn default_capacity_of<T: Send + 'static>(s: &Scope<'_>) -> usize {
         let q = Hyperqueue::<T>::new(s);
-        let st = q.inner.state.lock();
+        let st = q.grant.inner.state.lock();
         let cap = st.segment_capacity();
-        let first = st.user_tail_segment(q.owner.id.0).expect("owner's segment");
+        let first = st.user_tail(OWNER).expect("owner's segment");
         // SAFETY: the queue keeps its first segment alive.
         assert_eq!(unsafe { first.as_ref() }.capacity(), cap);
         cap

@@ -10,11 +10,17 @@
 //! queue view is empty while the consumer child executes" (Fig. 6
 //! discussion), see DESIGN.md §2.
 //!
+//! The table is a slab: a task's grant is an index ([`Slot`]) into it,
+//! carried by the task's token and by its release hook, and the owner's
+//! entry is slot [`OWNER`]. A grant costs one lock section at spawn
+//! ([`QueueState::spawn_transfer`]) and one at completion
+//! ([`QueueState::complete`]). Each entry also counts its live push- and
+//! pop-privileged children; selective sync (§5.5) waits on those counts.
+//!
 //! All view-linking operations run under the queue mutex. The paper's
 //! "special optimization" (reduce only on steals) is explicitly *not*
 //! implemented — the paper's own evaluation omits it too (§4.5).
 
-use std::collections::HashMap;
 use std::ptr::NonNull;
 use std::sync::{Arc, Weak};
 
@@ -47,29 +53,72 @@ impl Mode {
     }
 }
 
-/// Selective-sync label tag for push privileges.
-pub const PUSH_LABEL: u8 = 1;
-/// Selective-sync label tag for pop privileges.
-pub const POP_LABEL: u8 = 2;
+/// Index of a grant's entry in the view table.
+pub(crate) type Slot = usize;
 
-pub(crate) struct FrameEntry<T> {
-    pub(crate) frame: Arc<Frame>,
-    parent: Option<u64>,
+/// The owner's slot: [`QueueState::new`] fills it first, and it stays
+/// until the queue drops.
+pub(crate) const OWNER: Slot = 0;
+
+struct Entry<T> {
+    frame: Arc<Frame>,
+    parent: Option<Slot>,
     /// Nearest *live* older sibling with privileges on this queue.
-    left: Option<u64>,
+    left: Option<Slot>,
     /// Nearest live younger sibling.
-    right_sib: Option<u64>,
+    right_sib: Option<Slot>,
     /// Youngest live child with privileges on this queue.
-    last_live_child: Option<u64>,
-    pub(crate) user: View<T>,
-    pub(crate) children: View<T>,
-    pub(crate) right: View<T>,
-    pub(crate) has_push: bool,
-    pub(crate) has_pop: bool,
-    /// Live pop-privileged children; consuming requires 0 (see module docs).
-    pub(crate) pop_delegations: usize,
+    last_live_child: Option<Slot>,
+    user: View<T>,
+    children: View<T>,
+    right: View<T>,
+    has_push: bool,
+    has_pop: bool,
+    /// Live push-privileged children; `sync_push` waits for 0.
+    push_delegations: usize,
+    /// Live pop-privileged children; consuming (and `sync_pop`) requires 0
+    /// (see module docs).
+    pop_delegations: usize,
     /// Rule-3 predecessor tracking: last pop-privileged child spawned.
     last_pop_child: Option<Weak<Frame>>,
+}
+
+impl<T> Entry<T> {
+    fn new(
+        frame: &Arc<Frame>,
+        parent: Option<Slot>,
+        left: Option<Slot>,
+        user: View<T>,
+        mode: Mode,
+    ) -> Self {
+        Entry {
+            frame: Arc::clone(frame),
+            parent,
+            left,
+            right_sib: None,
+            last_live_child: None,
+            user,
+            children: View::EMPTY,
+            right: View::EMPTY,
+            has_push: mode.has_push(),
+            has_pop: mode.has_pop(),
+            push_delegations: 0,
+            pop_delegations: 0,
+            last_pop_child: None,
+        }
+    }
+}
+
+/// What a spawn hands the child's grant.
+pub(crate) struct Transfer<T> {
+    /// The child's entry.
+    pub(crate) slot: Slot,
+    /// Rule-3 predecessor: the previously spawned pop-privileged sibling
+    /// (pop modes only).
+    pub(crate) pred: Option<Weak<Frame>>,
+    /// The segment the child's user view ends in, for a push grant to
+    /// cache: its first pushes then take no lock.
+    pub(crate) push_tail: Option<NonNull<Segment<T>>>,
 }
 
 /// Counters reported by [`crate::Hyperqueue::stats`].
@@ -162,12 +211,12 @@ pub(crate) enum EmptyProbe<T> {
 }
 
 pub(crate) struct QueueState<T> {
-    pub(crate) frames: HashMap<u64, FrameEntry<T>>,
+    /// The view table, indexed by [`Slot`]; `None` marks a vacant slot.
+    entries: Vec<Option<Entry<T>>>,
+    /// Vacant slots, reused before the table grows.
+    vacant: Vec<Slot>,
     /// The singleton consumer view (invariant 2).
-    pub(crate) queue_view: View<T>,
-    /// Frame id of the owning task (diagnostics).
-    #[allow(dead_code)]
-    owner: u64,
+    queue_view: View<T>,
     next_nonlocal: u64,
     seg_cap: usize,
     recycle_enabled: bool,
@@ -197,9 +246,9 @@ impl<T> QueueState<T> {
         pool: Option<Arc<SegmentPool<T>>>,
     ) -> Self {
         let mut st = QueueState {
-            frames: HashMap::new(),
+            entries: Vec::new(),
+            vacant: Vec::new(),
             queue_view: View::EMPTY,
-            owner: owner.id.0,
             next_nonlocal: 0,
             seg_cap: segment_capacity_for(seg_cap),
             recycle_enabled: recycle,
@@ -212,24 +261,34 @@ impl<T> QueueState<T> {
         let nl = st.fresh_nonlocal();
         let (queue, user) = View::local(s0).split(nl);
         st.queue_view = queue;
-        st.frames.insert(
-            owner.id.0,
-            FrameEntry {
-                frame: Arc::clone(owner),
-                parent: None,
-                left: None,
-                right_sib: None,
-                last_live_child: None,
-                user,
-                children: View::EMPTY,
-                right: View::EMPTY,
-                has_push: true,
-                has_pop: true,
-                pop_delegations: 0,
-                last_pop_child: None,
-            },
-        );
+        let slot = st.insert(Entry::new(owner, None, None, user, Mode::PushPop));
+        debug_assert_eq!(slot, OWNER);
         st
+    }
+
+    fn insert(&mut self, entry: Entry<T>) -> Slot {
+        match self.vacant.pop() {
+            Some(slot) => {
+                self.entries[slot] = Some(entry);
+                slot
+            }
+            None => {
+                self.entries.push(Some(entry));
+                self.entries.len() - 1
+            }
+        }
+    }
+
+    fn entry(&self, slot: Slot) -> &Entry<T> {
+        self.entries[slot].as_ref().expect("a live grant's slot")
+    }
+
+    fn entry_mut(&mut self, slot: Slot) -> &mut Entry<T> {
+        self.entries[slot].as_mut().expect("a live grant's slot")
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Entry<T>> {
+        self.entries.iter().flatten()
     }
 
     fn fresh_nonlocal(&mut self) -> u64 {
@@ -254,162 +313,147 @@ impl<T> QueueState<T> {
         seg
     }
 
-    /// Number of live entries (grants) on this queue.
-    #[allow(dead_code)]
-    pub(crate) fn live_grants(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Capacity of every segment this queue allocates (the requested
     /// capacity after [`segment_capacity_for`]).
     pub(crate) fn segment_capacity(&self) -> usize {
         self.seg_cap
     }
 
-    /// The segment a producer token may cache at acquire time (the user
-    /// view's local tail, if any).
-    pub(crate) fn user_tail_segment(&self, id: u64) -> Option<NonNull<Segment<T>>> {
-        self.frames.get(&id).and_then(|e| e.user.tail.as_local())
+    /// The segment `slot`'s user view ends in, if it is local: what a
+    /// producer may cache for lock-free pushes.
+    pub(crate) fn user_tail(&self, slot: Slot) -> Option<NonNull<Segment<T>>> {
+        self.entry(slot).user.tail.as_local()
+    }
+
+    /// Live (push-privileged, pop-privileged) children of `slot`: what
+    /// selective sync waits on.
+    pub(crate) fn delegations(&self, slot: Slot) -> (usize, usize) {
+        let e = self.entry(slot);
+        (e.push_delegations, e.pop_delegations)
     }
 
     // ---- spawn-time transfer (§4.2) -------------------------------------
 
-    /// Handles a spawn of `child` with `mode` privileges by the task owning
-    /// `parent_id`'s entry. Returns the rule-3 predecessor (the previously
-    /// spawned pop-privileged sibling) if the mode has pop privileges.
+    /// Handles a spawn of `child` with `mode` privileges by `spawner`, the
+    /// task holding the grant in `parent`.
     pub(crate) fn spawn_transfer(
         &mut self,
-        parent_id: u64,
+        parent: Slot,
+        spawner: &Arc<Frame>,
         child: &Arc<Frame>,
         mode: Mode,
-    ) -> Option<Weak<Frame>> {
-        let child_id = child.id.0;
-        assert!(
-            !self.frames.contains_key(&child_id),
-            "a task may hold at most one grant per hyperqueue; \
-             use pushpopdep for combined access"
-        );
-        let (user, pred, left) = {
-            let p = self
-                .frames
-                .get_mut(&parent_id)
-                .expect("spawning task holds no grant on this hyperqueue");
-            if mode.has_push() {
-                assert!(
-                    p.has_push,
-                    "child cannot receive push privileges its parent lacks (§2.3)"
-                );
-            }
-            if mode.has_pop() {
-                assert!(
-                    p.has_pop,
-                    "child cannot receive pop privileges its parent lacks (§2.3)"
-                );
-            }
-            // "The user view, if any, is passed from the parent frame to
-            // the child frame. The parent's user view is cleared." (§4.2)
-            let user = p.user.take();
-            let mut pred = None;
-            if mode.has_pop() {
-                // Rule 3: a pop task waits for the previous pop task.
-                pred = p.last_pop_child.replace(Arc::downgrade(child));
-                p.pop_delegations += 1;
-            }
-            let left = p.last_live_child.replace(child_id);
-            (user, pred, left)
-        };
-        if let Some(l) = left {
-            self.frames
-                .get_mut(&l)
-                .expect("live-chain left sibling present")
-                .right_sib = Some(child_id);
+    ) -> Transfer<T> {
+        let p = self
+            .entries
+            .get(parent)
+            .and_then(Option::as_ref)
+            .filter(|p| Arc::ptr_eq(&p.frame, spawner))
+            .expect("spawning task holds no grant on this hyperqueue");
+        if mode.has_push() {
+            assert!(
+                p.has_push,
+                "child cannot receive push privileges its parent lacks (§2.3)"
+            );
         }
-        self.frames.insert(
-            child_id,
-            FrameEntry {
-                frame: Arc::clone(child),
-                parent: Some(parent_id),
-                left,
-                right_sib: None,
-                last_live_child: None,
-                user,
-                children: View::EMPTY,
-                right: View::EMPTY,
-                has_push: mode.has_push(),
-                has_pop: mode.has_pop(),
-                pop_delegations: 0,
-                last_pop_child: None,
-            },
-        );
+        if mode.has_pop() {
+            assert!(
+                p.has_pop,
+                "child cannot receive pop privileges its parent lacks (§2.3)"
+            );
+        }
+        // A spawn acquires its arguments in a row, so a second grant to
+        // the same child finds it as the parent's youngest live child.
+        let left = p.last_live_child;
+        if let Some(l) = left {
+            assert!(
+                !Arc::ptr_eq(&self.entry(l).frame, child),
+                "a task may hold at most one grant per hyperqueue; \
+                 use pushpopdep for combined access"
+            );
+        }
+        let p = self.entry_mut(parent);
+        // "The user view, if any, is passed from the parent frame to the
+        // child frame. The parent's user view is cleared." (§4.2)
+        let user = p.user.take();
+        let mut pred = None;
+        if mode.has_pop() {
+            // Rule 3: a pop task waits for the previous pop task.
+            pred = p.last_pop_child.replace(Arc::downgrade(child));
+            p.pop_delegations += 1;
+        }
+        if mode.has_push() {
+            p.push_delegations += 1;
+        }
+        let push_tail = user.tail.as_local().filter(|_| mode.has_push());
+        let slot = self.insert(Entry::new(child, Some(parent), left, user, mode));
+        self.entry_mut(parent).last_live_child = Some(slot);
+        if let Some(l) = left {
+            self.entry_mut(l).right_sib = Some(slot);
+        }
         self.debug_validate();
-        pred
+        Transfer {
+            slot,
+            pred,
+            push_tail,
+        }
     }
 
     // ---- completion-time reduction (§4.2) --------------------------------
 
-    /// Handles completion of the task owning entry `id`: reduces its views
+    /// Handles completion of the task holding `slot`: reduces its views
     /// in view order (children < user < right) and merges the result into
     /// the live left sibling's right view, or the parent's children view
     /// (the Cilk++ reducer discipline the paper builds on).
-    pub(crate) fn complete(&mut self, id: u64) {
-        let entry = self.frames.remove(&id).expect("completing unknown grant");
+    pub(crate) fn complete(&mut self, slot: Slot) {
+        let entry = self.entries[slot].take().expect("completing a vacant slot");
+        self.vacant.push(slot);
         debug_assert!(
             entry.last_live_child.is_none(),
             "children complete before their parent (implicit sync)"
         );
+        debug_assert_eq!(entry.push_delegations, 0, "push children still live");
         debug_assert_eq!(entry.pop_delegations, 0, "pop children still live");
         // SAFETY: queue lock held (we have &mut self); segments alive in
         // the arena.
         let mut v = unsafe { View::reduce(entry.children, entry.user) };
         v = unsafe { View::reduce(v, entry.right) };
         if let Some(l) = entry.left {
-            let le = self
-                .frames
-                .get_mut(&l)
-                .expect("live left sibling entry present");
-            let lr = le.right.take();
-            le.right = unsafe { View::reduce(lr, v) };
+            let le = self.entry_mut(l);
+            Self::append(&mut le.right, v);
             le.right_sib = entry.right_sib;
         } else if let Some(p) = entry.parent {
-            let pe = self.frames.get_mut(&p).expect("parent entry present");
-            let pc = pe.children.take();
-            pe.children = unsafe { View::reduce(pc, v) };
+            Self::append(&mut self.entry_mut(p).children, v);
         } else {
             // The owner entry completes only via Hyperqueue::drop; data, if
             // any, stays reachable from the queue view.
         }
         if let Some(r) = entry.right_sib {
-            self.frames
-                .get_mut(&r)
-                .expect("live right sibling entry present")
-                .left = entry.left;
+            self.entry_mut(r).left = entry.left;
         }
         if let Some(p) = entry.parent {
-            let pe = self.frames.get_mut(&p).expect("parent entry present");
-            if pe.last_live_child == Some(id) {
+            let pe = self.entry_mut(p);
+            if pe.last_live_child == Some(slot) {
                 pe.last_live_child = entry.left;
             }
-            if entry.has_pop {
-                debug_assert!(pe.pop_delegations > 0);
-                pe.pop_delegations -= 1;
-            }
+            pe.push_delegations -= usize::from(entry.has_push);
+            pe.pop_delegations -= usize::from(entry.has_pop);
         }
         self.debug_validate();
     }
 
     // ---- producer side ----------------------------------------------------
 
-    /// Slow-path push support: returns the segment the producer of entry
-    /// `id` must push to, allocating/attaching as needed. The caller caches
-    /// the returned pointer for lock-free fast-path pushes.
-    pub(crate) fn producer_segment(&mut self, id: u64, need: usize) -> NonNull<Segment<T>> {
-        let seg = self.producer_segment_inner(id, need);
+    /// Slow-path push support: returns the segment the producer holding
+    /// `slot` must push to, allocating/attaching as needed. The caller
+    /// caches the returned pointer for lock-free fast-path pushes.
+    pub(crate) fn producer_segment(&mut self, slot: Slot, need: usize) -> NonNull<Segment<T>> {
+        let seg = self.producer_segment_inner(slot, need);
         self.debug_validate();
         seg
     }
 
-    fn producer_segment_inner(&mut self, id: u64, need: usize) -> NonNull<Segment<T>> {
-        let e = self.frames.get(&id).expect("push without a grant");
+    fn producer_segment_inner(&mut self, slot: Slot, need: usize) -> NonNull<Segment<T>> {
+        let e = self.entry(slot);
         assert!(e.has_push, "push requires push privileges");
         match e.user.tail {
             Ptr::Local(seg) => {
@@ -425,11 +469,10 @@ impl<T> QueueState<T> {
                 // SAFETY: lock held; `seg` is a tail (next == null by
                 // invariant 5).
                 unsafe { seg.as_ref().set_next(fresh.as_ptr()) };
-                let e = self.frames.get_mut(&id).expect("just read");
-                e.user.tail = Ptr::Local(fresh);
+                self.entry_mut(slot).user.tail = Ptr::Local(fresh);
                 fresh
             }
-            Ptr::Nil => self.attach_fresh_head(id),
+            Ptr::Nil => self.attach_fresh_head(slot),
             Ptr::NonLocal(_) => unreachable!(
                 "a push grant's user view never has a non-local tail \
                  (it is ε or ends in the segment being produced)"
@@ -444,65 +487,57 @@ impl<T> QueueState<T> {
     /// (non-empty) children view, the live left sibling's right view, or —
     /// recursively through the ancestors — ultimately the owner's children
     /// view.
-    fn attach_fresh_head(&mut self, id: u64) -> NonNull<Segment<T>> {
+    fn attach_fresh_head(&mut self, slot: Slot) -> NonNull<Segment<T>> {
         let snew = self.alloc_segment();
         let nl = self.fresh_nonlocal();
         let (tmp, user) = View::local(snew).split(nl);
         self.stats.head_attaches += 1;
-        {
-            let e = self.frames.get_mut(&id).expect("push without a grant");
-            debug_assert!(e.user.is_empty());
-            e.user = user;
-        }
+        let e = self.entry_mut(slot);
+        debug_assert!(e.user.is_empty());
+        e.user = user;
         // Level 0: the pushing frame's own completed/live children precede
         // its continuation.
-        {
-            let e = &self.frames[&id];
-            if let Some(lc) = e.last_live_child {
-                let le = self.frames.get_mut(&lc).expect("live child entry");
-                let lr = le.right.take();
-                le.right = unsafe { View::reduce(lr, tmp) };
-                return snew;
-            }
-            if !e.children.is_empty() {
-                let e = self.frames.get_mut(&id).expect("just read");
-                let c = e.children.take();
-                e.children = unsafe { View::reduce(c, tmp) };
-                return snew;
-            }
+        if let Some(lc) = e.last_live_child {
+            Self::append(&mut self.entry_mut(lc).right, tmp);
+            return snew;
+        }
+        if !e.children.is_empty() {
+            Self::append(&mut e.children, tmp);
+            return snew;
         }
         // Ascend: live left sibling's right view, else the parent's
         // children view if non-empty, else recurse (paper §4.1).
-        let mut cur = id;
+        let mut cur = slot;
         loop {
-            let e = &self.frames[&cur];
+            let e = self.entry(cur);
             if let Some(l) = e.left {
-                let le = self.frames.get_mut(&l).expect("live left sibling");
-                let lr = le.right.take();
-                le.right = unsafe { View::reduce(lr, tmp) };
+                Self::append(&mut self.entry_mut(l).right, tmp);
                 return snew;
             }
             match e.parent {
+                // Top-level (owner) reached: merge with its children view
+                // even if empty.
                 None => {
-                    // Top-level (owner) reached: merge with its children
-                    // view even if empty.
-                    let oe = self.frames.get_mut(&cur).expect("owner entry");
-                    let c = oe.children.take();
-                    oe.children = unsafe { View::reduce(c, tmp) };
+                    Self::append(&mut self.entry_mut(cur).children, tmp);
                     return snew;
                 }
                 Some(p) => {
-                    let pe = &self.frames[&p];
+                    let pe = self.entry_mut(p);
                     if !pe.children.is_empty() {
-                        let pe = self.frames.get_mut(&p).expect("just read");
-                        let c = pe.children.take();
-                        pe.children = unsafe { View::reduce(c, tmp) };
+                        Self::append(&mut pe.children, tmp);
                         return snew;
                     }
                     cur = p;
                 }
             }
         }
+    }
+
+    /// `*view ← reduce(*view, tail)`, for views of this table: callers
+    /// hold `&mut self`, so the queue lock.
+    fn append(view: &mut View<T>, tail: View<T>) {
+        // SAFETY: queue lock held (see above); segments alive in the arena.
+        *view = unsafe { View::reduce(view.take(), tail) };
     }
 
     // ---- consumer side ----------------------------------------------------
@@ -555,33 +590,49 @@ impl<T> QueueState<T> {
     /// or the grant is a descendant of the consumer (work the consumer
     /// already spawned). Ancestors do not count: their *future* pushes come
     /// after the consumer in the serial elision and are invisible to it.
-    fn live_push_grant_precedes(&self, consumer: &Arc<Frame>) -> bool {
-        self.frames.values().any(|e| {
-            e.has_push
-                && e.frame.id != consumer.id
+    ///
+    /// A live grant keeps its ancestors' grants live (implicit sync) and
+    /// holds no privilege they lack (§2.3), so it suffices to look at the
+    /// consumer's live push children and, for it and each ancestor, at the
+    /// live older siblings.
+    fn live_push_grant_precedes(&self, consumer: Slot) -> bool {
+        let mut found = self.entry(consumer).push_delegations > 0;
+        let mut cur = Some(consumer);
+        while let (false, Some(c)) = (found, cur) {
+            let mut older = self.entry(c).left;
+            while let (false, Some(l)) = (found, older) {
+                found = self.entry(l).has_push;
+                older = self.entry(l).left;
+            }
+            cur = self.entry(c).parent;
+        }
+        debug_assert_eq!(
+            found,
+            self.live().any(|e| e.has_push
                 && matches!(
-                    program_order(&e.frame.path, &consumer.path),
+                    program_order(&e.frame.path, &self.entry(consumer).frame.path),
                     ProgramOrder::Before | ProgramOrder::DescendantOfB
-                )
-        })
+                )),
+            "the view table's shape disagrees with program order"
+        );
+        found
     }
 
-    /// Consumer-side pop probe. The caller must be the task owning entry
-    /// `id` (enforced structurally by token ownership).
-    pub(crate) fn pop_probe(&mut self, id: u64) -> Probe<T> {
-        let e = self.frames.get(&id).expect("pop without a grant");
+    /// Consumer-side pop probe. The caller must be the task holding
+    /// `slot` (enforced structurally by token ownership).
+    pub(crate) fn pop_probe(&mut self, slot: Slot) -> Probe<T> {
+        let e = self.entry(slot);
         assert!(e.has_pop, "pop requires pop privileges");
         if e.pop_delegations > 0 {
             // The queue view is (logically) with a pop-privileged child.
             return Probe::Blocked;
         }
-        let consumer = Arc::clone(&e.frame);
         let seg = self.consumer_advance();
         // SAFETY: unique consumer (delegation gate + rule 3).
         if let Some(v) = unsafe { seg.as_ref().try_pop() } {
             return Probe::Value(v, seg);
         }
-        if self.live_push_grant_precedes(&consumer) {
+        if self.live_push_grant_precedes(slot) {
             Probe::Blocked
         } else {
             Probe::Empty
@@ -591,37 +642,28 @@ impl<T> QueueState<T> {
     /// Consumer-side `empty()` probe (paper §2.1: false only when a value
     /// is available; true only when no more values can become visible;
     /// otherwise the caller must block).
-    pub(crate) fn empty_probe(&mut self, id: u64) -> EmptyProbe<T> {
-        let e = self.frames.get(&id).expect("empty() without a grant");
+    pub(crate) fn empty_probe(&mut self, slot: Slot) -> EmptyProbe<T> {
+        let e = self.entry(slot);
         assert!(e.has_pop, "empty() requires pop privileges");
         if e.pop_delegations > 0 {
             return EmptyProbe::Blocked;
         }
-        let consumer = Arc::clone(&e.frame);
         let seg = self.consumer_advance();
         // SAFETY: unique consumer.
         if unsafe { !seg.as_ref().is_empty() } {
             return EmptyProbe::HasData(seg);
         }
-        if self.live_push_grant_precedes(&consumer) {
+        if self.live_push_grant_precedes(slot) {
             EmptyProbe::Blocked
         } else {
             EmptyProbe::Empty
         }
     }
 
-    /// Read-slice support: the head segment if it currently holds data.
-    #[allow(dead_code)]
-    pub(crate) fn reader_segment(&mut self, id: u64) -> Option<NonNull<Segment<T>>> {
-        match self.empty_probe(id) {
-            EmptyProbe::HasData(seg) => Some(seg),
-            _ => None,
-        }
-    }
-
     /// Checks the structural invariants of §4.4 (1-6; 7-9 are ordering
-    /// statements validated behaviourally by the determinism tests).
-    /// Panics on violation. Called from tests and, in debug builds, after
+    /// statements validated behaviourally by the determinism tests) and
+    /// the slab's own: vacant slots are empty, and each entry's delegation
+    /// counts equal its live children. Panics on violation. Called from tests and, in debug builds, after
     /// every view-table mutation.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     pub(crate) fn validate_invariants(&self) {
@@ -640,7 +682,24 @@ impl<T> QueueState<T> {
             }
         };
         count(&self.queue_view, &mut head_refs, &mut tail_refs);
-        for e in self.frames.values() {
+        assert!(self.vacant.iter().all(|&v| self.entries[v].is_none()));
+        let mut delegations = vec![(0, 0); self.entries.len()];
+        for e in self.live() {
+            if let Some(p) = e.parent {
+                delegations[p].0 += usize::from(e.has_push);
+                delegations[p].1 += usize::from(e.has_pop);
+            }
+        }
+        for (slot, e) in self.entries.iter().enumerate() {
+            if let Some(e) = e {
+                assert_eq!(
+                    (e.push_delegations, e.pop_delegations),
+                    delegations[slot],
+                    "delegation counts of slot {slot}"
+                );
+            }
+        }
+        for e in self.live() {
             count(&e.user, &mut head_refs, &mut tail_refs);
             count(&e.children, &mut head_refs, &mut tail_refs);
             count(&e.right, &mut head_refs, &mut tail_refs);
@@ -779,17 +838,31 @@ mod tests {
         (st, owner)
     }
 
-    /// Pushes `vals` as the producer of entry `id`, via the slow path.
-    fn push_all(st: &mut QueueState<u32>, id: u64, vals: &[u32]) {
+    /// A child `id` of the task holding `parent` (whose frame is
+    /// `spawner`), granted `mode`: its frame and its transfer.
+    fn grant(
+        st: &mut QueueState<u32>,
+        parent: Slot,
+        spawner: &Arc<Frame>,
+        id: u64,
+        mode: Mode,
+    ) -> (Arc<Frame>, Transfer<u32>) {
+        let child = Frame::new_child(spawner, FrameId(id));
+        let t = st.spawn_transfer(parent, spawner, &child, mode);
+        (child, t)
+    }
+
+    /// Pushes `vals` as the producer holding `slot`, via the slow path.
+    fn push_all(st: &mut QueueState<u32>, slot: Slot, vals: &[u32]) {
         for &v in vals {
-            let seg = st.producer_segment(id, 1);
+            let seg = st.producer_segment(slot, 1);
             // SAFETY: tests run single-threaded; unique producer.
             unsafe { seg.as_ref().try_push(v).unwrap() };
         }
     }
 
-    fn pop_expect(st: &mut QueueState<u32>, id: u64, expect: u32) {
-        match st.pop_probe(id) {
+    fn pop_expect(st: &mut QueueState<u32>, slot: Slot, expect: u32) {
+        match st.pop_probe(slot) {
             Probe::Value(v, _) => assert_eq!(v, expect),
             Probe::Blocked => panic!("unexpected Blocked while popping"),
             Probe::Empty => panic!("unexpected Empty while popping"),
@@ -799,11 +872,11 @@ mod tests {
     #[test]
     fn owner_push_then_pop_in_order() {
         let (mut st, _o) = state_with_owner(4);
-        push_all(&mut st, 100, &[1, 2, 3, 4, 5, 6, 7]); // spans 2+ segments
+        push_all(&mut st, OWNER, &[1, 2, 3, 4, 5, 6, 7]); // spans 2+ segments
         for i in 1..=7 {
-            pop_expect(&mut st, 100, i);
+            pop_expect(&mut st, OWNER, i);
         }
-        match st.pop_probe(100) {
+        match st.pop_probe(OWNER) {
             Probe::Empty => {}
             _ => panic!("owner with no children: queue must be permanently empty"),
         }
@@ -812,31 +885,31 @@ mod tests {
     #[test]
     fn segment_overflow_links_segments() {
         let (mut st, _o) = state_with_owner(2);
-        push_all(&mut st, 100, &[10, 20, 30, 40, 50]);
+        push_all(&mut st, OWNER, &[10, 20, 30, 40, 50]);
         assert!(st.stats.segments_allocated >= 3);
         for v in [10, 20, 30, 40, 50] {
-            pop_expect(&mut st, 100, v);
+            pop_expect(&mut st, OWNER, v);
         }
     }
 
     #[test]
     fn drained_segments_are_recycled() {
         let (mut st, _o) = state_with_owner(2);
-        push_all(&mut st, 100, &[1, 2, 3, 4]);
+        push_all(&mut st, OWNER, &[1, 2, 3, 4]);
         for v in [1, 2, 3, 4] {
-            pop_expect(&mut st, 100, v);
+            pop_expect(&mut st, OWNER, v);
         }
         assert!(st.stats.segments_recycled >= 1, "expected recycling");
         // Freelist reuse on the next overflow.
         let before = st.stats.segments_allocated;
-        push_all(&mut st, 100, &[5, 6, 7, 8]);
+        push_all(&mut st, OWNER, &[5, 6, 7, 8]);
         assert!(st.stats.freelist_hits >= 1);
         assert_eq!(
             st.stats.segments_allocated, before,
             "steady state must not allocate"
         );
         for v in [5, 6, 7, 8] {
-            pop_expect(&mut st, 100, v);
+            pop_expect(&mut st, OWNER, v);
         }
     }
 
@@ -844,13 +917,13 @@ mod tests {
     fn child_inherits_user_view_and_merges_back() {
         // owner spawns push child A; A pushes; A completes; owner pops.
         let (mut st, owner) = state_with_owner(8);
-        let a = Frame::new_child(&owner, FrameId(101));
-        let pred = st.spawn_transfer(100, &a, Mode::Push);
-        assert!(pred.is_none(), "push tasks have no rule-3 predecessor");
-        push_all(&mut st, 101, &[7, 8, 9]);
-        st.complete(101);
+        let (_a, a) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        assert!(a.pred.is_none(), "push tasks have no rule-3 predecessor");
+        assert!(a.push_tail.is_some(), "A inherits the owner's segment");
+        push_all(&mut st, a.slot, &[7, 8, 9]);
+        st.complete(a.slot);
         for v in [7, 8, 9] {
-            pop_expect(&mut st, 100, v);
+            pop_expect(&mut st, OWNER, v);
         }
     }
 
@@ -859,18 +932,16 @@ mod tests {
         // owner spawns A then B (both push); B pushes first (out of order
         // in time), then A; the consumer must still see A's values first.
         let (mut st, owner) = state_with_owner(4);
-        let a = Frame::new_child(&owner, FrameId(101));
-        let b = Frame::new_child(&owner, FrameId(102));
-        st.spawn_transfer(100, &a, Mode::Push);
-        st.spawn_transfer(100, &b, Mode::Push);
-        push_all(&mut st, 102, &[20, 21]); // B goes first in time
-        push_all(&mut st, 101, &[10, 11]);
-        st.complete(102); // B completes first
-        st.complete(101);
+        let (_a, a) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        let (_b, b) = grant(&mut st, OWNER, &owner, 102, Mode::Push);
+        push_all(&mut st, b.slot, &[20, 21]); // B goes first in time
+        push_all(&mut st, a.slot, &[10, 11]);
+        st.complete(b.slot); // B completes first
+        st.complete(a.slot);
         for v in [10, 11, 20, 21] {
-            pop_expect(&mut st, 100, v);
+            pop_expect(&mut st, OWNER, v);
         }
-        match st.pop_probe(100) {
+        match st.pop_probe(OWNER) {
             Probe::Empty => {}
             _ => panic!("should be permanently empty"),
         }
@@ -881,19 +952,18 @@ mod tests {
         // A pushes into the initial segment: values are visible to the
         // owner even while A is still live (rule 2 concurrency).
         let (mut st, owner) = state_with_owner(4);
-        let a = Frame::new_child(&owner, FrameId(101));
-        st.spawn_transfer(100, &a, Mode::Push);
-        push_all(&mut st, 101, &[1, 2]);
-        pop_expect(&mut st, 100, 1);
+        let (_a, a) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        push_all(&mut st, a.slot, &[1, 2]);
+        pop_expect(&mut st, OWNER, 1);
         // ...but after draining, the owner must BLOCK (A might push more),
         // not report empty.
-        pop_expect(&mut st, 100, 2);
-        match st.pop_probe(100) {
+        pop_expect(&mut st, OWNER, 2);
+        match st.pop_probe(OWNER) {
             Probe::Blocked => {}
             _ => panic!("live preceding producer ⇒ Blocked"),
         }
-        st.complete(101);
-        match st.pop_probe(100) {
+        st.complete(a.slot);
+        match st.pop_probe(OWNER) {
             Probe::Empty => {}
             _ => panic!("producer done ⇒ Empty"),
         }
@@ -905,21 +975,20 @@ mod tests {
         // segment to A.right. While A is live, B's values are unreachable;
         // once A completes they become poppable in order.
         let (mut st, owner) = state_with_owner(4);
-        let a = Frame::new_child(&owner, FrameId(101));
-        let b = Frame::new_child(&owner, FrameId(102));
-        st.spawn_transfer(100, &a, Mode::Push);
-        st.spawn_transfer(100, &b, Mode::Push);
-        push_all(&mut st, 102, &[5, 6]); // B: fresh segment via attach
+        let (_a, a) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        let (_b, b) = grant(&mut st, OWNER, &owner, 102, Mode::Push);
+        assert!(b.push_tail.is_none(), "B starts with an empty user view");
+        push_all(&mut st, b.slot, &[5, 6]); // B: fresh segment via attach
         assert_eq!(st.stats.head_attaches, 1);
-        match st.pop_probe(100) {
+        match st.pop_probe(OWNER) {
             Probe::Blocked => {} // A live, nothing linked yet
             _ => panic!("B's values must be invisible while A is live"),
         }
-        st.complete(101); // A pushed nothing, completes
-        pop_expect(&mut st, 100, 5);
-        pop_expect(&mut st, 100, 6);
-        st.complete(102);
-        match st.pop_probe(100) {
+        st.complete(a.slot); // A pushed nothing, completes
+        pop_expect(&mut st, OWNER, 5);
+        pop_expect(&mut st, OWNER, 6);
+        st.complete(b.slot);
+        match st.pop_probe(OWNER) {
             Probe::Empty => {}
             _ => panic!("all producers done"),
         }
@@ -928,20 +997,20 @@ mod tests {
     #[test]
     fn pop_delegation_blocks_parent() {
         let (mut st, owner) = state_with_owner(4);
-        push_all(&mut st, 100, &[1]);
-        let c = Frame::new_child(&owner, FrameId(101));
-        let pred = st.spawn_transfer(100, &c, Mode::Pop);
-        assert!(pred.is_none(), "first pop child has no predecessor");
+        push_all(&mut st, OWNER, &[1]);
+        let (_c, c) = grant(&mut st, OWNER, &owner, 101, Mode::Pop);
+        assert!(c.pred.is_none(), "first pop child has no predecessor");
+        assert!(c.push_tail.is_none(), "a pop grant caches no push tail");
         // Parent now blocked from consuming (queue view delegated).
-        match st.pop_probe(100) {
+        match st.pop_probe(OWNER) {
             Probe::Blocked => {}
             _ => panic!("parent must not pop while a pop child is live"),
         }
         // The child consumes...
-        pop_expect(&mut st, 101, 1);
-        st.complete(101);
+        pop_expect(&mut st, c.slot, 1);
+        st.complete(c.slot);
         // ...and the parent regains access.
-        match st.pop_probe(100) {
+        match st.pop_probe(OWNER) {
             Probe::Empty => {}
             _ => panic!("no producers left: Empty"),
         }
@@ -950,30 +1019,31 @@ mod tests {
     #[test]
     fn rule3_second_pop_child_names_first_as_predecessor() {
         let (mut st, owner) = state_with_owner(4);
-        let c1 = Frame::new_child(&owner, FrameId(101));
-        let c2 = Frame::new_child(&owner, FrameId(102));
-        assert!(st.spawn_transfer(100, &c1, Mode::Pop).is_none());
-        assert_eq!(
-            pred_id(st.spawn_transfer(100, &c2, Mode::Pop)),
-            Some(FrameId(101))
-        );
+        let (_c1, t1) = grant(&mut st, OWNER, &owner, 101, Mode::Pop);
+        assert!(t1.pred.is_none());
+        let (_c2, t2) = grant(&mut st, OWNER, &owner, 102, Mode::Pop);
+        assert_eq!(pred_id(t2.pred), Some(FrameId(101)));
         // pushpop also participates in the pop chain.
-        let c3 = Frame::new_child(&owner, FrameId(103));
-        assert_eq!(
-            pred_id(st.spawn_transfer(100, &c3, Mode::PushPop)),
-            Some(FrameId(102))
-        );
+        let (_c3, t3) = grant(&mut st, OWNER, &owner, 103, Mode::PushPop);
+        assert_eq!(pred_id(t3.pred), Some(FrameId(102)));
     }
 
     #[test]
     #[should_panic(expected = "push privileges")]
     fn privilege_subsetting_is_enforced() {
         let (mut st, owner) = state_with_owner(4);
-        let c = Frame::new_child(&owner, FrameId(101));
-        st.spawn_transfer(100, &c, Mode::Pop);
+        let (c, t) = grant(&mut st, OWNER, &owner, 101, Mode::Pop);
         // A pop-only child trying to delegate push privileges must panic.
-        let gc = Frame::new_child(&c, FrameId(102));
-        st.spawn_transfer(101, &gc, Mode::Push);
+        grant(&mut st, t.slot, &c, 102, Mode::Push);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no grant")]
+    fn a_grant_is_spawned_only_by_its_holder() {
+        let (mut st, owner) = state_with_owner(4);
+        let (c, _t) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        // The owner's slot, but the child's frame spawning.
+        grant(&mut st, OWNER, &c, 102, Mode::Push);
     }
 
     #[test]
@@ -981,21 +1051,58 @@ mod tests {
         // owner -> A(push); A -> A1(push), A2(push); order must be
         // A1's values, A2's values, then A's own later pushes.
         let (mut st, owner) = state_with_owner(4);
-        let a = Frame::new_child(&owner, FrameId(101));
-        st.spawn_transfer(100, &a, Mode::Push);
-        let a1 = Frame::new_child(&a, FrameId(102));
-        let a2 = Frame::new_child(&a, FrameId(103));
-        st.spawn_transfer(101, &a1, Mode::Push);
-        st.spawn_transfer(101, &a2, Mode::Push);
-        push_all(&mut st, 103, &[30]); // A2 first in time
-        push_all(&mut st, 102, &[20]);
-        push_all(&mut st, 101, &[40]); // A pushes after spawning children
-        st.complete(103);
-        st.complete(102);
-        st.complete(101);
+        let (a, ta) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        let (_a1, t1) = grant(&mut st, ta.slot, &a, 102, Mode::Push);
+        let (_a2, t2) = grant(&mut st, ta.slot, &a, 103, Mode::Push);
+        push_all(&mut st, t2.slot, &[30]); // A2 first in time
+        push_all(&mut st, t1.slot, &[20]);
+        push_all(&mut st, ta.slot, &[40]); // A pushes after spawning children
+        st.complete(t2.slot);
+        st.complete(t1.slot);
+        st.complete(ta.slot);
         for v in [20, 30, 40] {
-            pop_expect(&mut st, 100, v);
+            pop_expect(&mut st, OWNER, v);
         }
+    }
+
+    /// The entry counts selective sync waits on: each grant counts its
+    /// live push- and pop-privileged children (a `pushpopdep` child in
+    /// both), and only its own.
+    #[test]
+    fn delegation_counts_track_live_children() {
+        let (mut st, owner) = state_with_owner(4);
+        assert_eq!(st.delegations(OWNER), (0, 0));
+        let (a, ta) = grant(&mut st, OWNER, &owner, 101, Mode::Push);
+        let (_b, tb) = grant(&mut st, OWNER, &owner, 102, Mode::Pop);
+        let (_c, tc) = grant(&mut st, OWNER, &owner, 103, Mode::PushPop);
+        assert_eq!(st.delegations(OWNER), (2, 2));
+        // A grandchild counts for its parent, not for the owner.
+        let (_g, tg) = grant(&mut st, ta.slot, &a, 104, Mode::Push);
+        assert_eq!(st.delegations(ta.slot), (1, 0));
+        assert_eq!(st.delegations(OWNER), (2, 2));
+        st.complete(tb.slot);
+        assert_eq!(st.delegations(OWNER), (2, 1));
+        st.complete(tg.slot);
+        st.complete(ta.slot);
+        assert_eq!(st.delegations(OWNER), (1, 1));
+        st.complete(tc.slot);
+        assert_eq!(st.delegations(OWNER), (0, 0));
+    }
+
+    /// Completed grants free their slots and later grants reuse them, so
+    /// the table stays as large as the most grants ever live at once.
+    #[test]
+    fn vacant_slots_are_reused() {
+        let (mut st, owner) = state_with_owner(4);
+        for round in 0..3u64 {
+            let ts: Vec<_> = (0..4)
+                .map(|i| grant(&mut st, OWNER, &owner, 200 + 10 * round + i, Mode::Push))
+                .collect();
+            for (_, t) in &ts {
+                st.complete(t.slot);
+            }
+        }
+        assert_eq!(st.entries.len(), 5, "owner plus four live grants at most");
     }
 
     #[test]
@@ -1004,7 +1111,7 @@ mod tests {
         {
             let owner = Frame::new_root(FrameId(100));
             let mut st = QueueState::new(&owner, 2, true, Some(Arc::clone(&pool)));
-            push_all(&mut st, 100, &[1, 2, 3, 4, 5]);
+            push_all(&mut st, OWNER, &[1, 2, 3, 4, 5]);
             // Cold pool: every segment was a miss (heap allocation).
             assert!(st.stats.segments_allocated >= 2);
             assert_eq!(st.stats.pool_draws, 0);
@@ -1017,9 +1124,9 @@ mod tests {
             // Warm pool: the next state allocates nothing from the heap.
             let owner = Frame::new_root(FrameId(200));
             let mut st = QueueState::new(&owner, 2, true, Some(Arc::clone(&pool)));
-            push_all(&mut st, 200, &[7, 8, 9]);
+            push_all(&mut st, OWNER, &[7, 8, 9]);
             for v in [7, 8, 9] {
-                pop_expect(&mut st, 200, v);
+                pop_expect(&mut st, OWNER, v);
             }
             assert_eq!(st.stats.segments_allocated, 0, "warm pool must serve");
             assert!(st.stats.pool_draws >= 1);
@@ -1032,7 +1139,7 @@ mod tests {
         // (checked under miri-like logic by using Arc counters in the
         // segment test; here we just exercise the path).
         let (mut st, _o) = state_with_owner(4);
-        push_all(&mut st, 100, &[1, 2, 3]);
+        push_all(&mut st, OWNER, &[1, 2, 3]);
         drop(st); // must not leak or double-free
     }
 }

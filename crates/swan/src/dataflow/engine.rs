@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Weak};
 
-use crate::frame::{Frame, ReleaseFn};
+use crate::frame::{Frame, ReleaseHook};
 use crate::runtime::{RtInner, RuntimeHandle};
 
 /// Context available to [`DepArg::acquire`] during a spawn.
@@ -20,7 +20,7 @@ pub struct AcquireCtx<'a> {
     pub(crate) rt: &'a Arc<RtInner>,
     pub(crate) frame: &'a Arc<Frame>,
     pub(crate) parent: &'a Arc<Frame>,
-    pub(crate) releases: Vec<ReleaseFn>,
+    pub(crate) releases: Vec<ReleaseHook>,
 }
 
 impl<'a> AcquireCtx<'a> {
@@ -52,10 +52,11 @@ impl<'a> AcquireCtx<'a> {
         self.frame.wait_for(pred);
     }
 
-    /// Registers a callback to run when the spawned task completes (after
-    /// its body and its implicit sync — the §4.2 "task completion" moment).
-    pub fn on_release(&mut self, f: impl FnOnce() + Send + 'static) {
-        self.releases.push(Box::new(f));
+    /// Asks for `object.release(slot)` when the spawned task completes
+    /// (after its body and its implicit sync — the §4.2 "task completion"
+    /// moment).
+    pub fn on_release(&mut self, object: Arc<dyn Release>, slot: usize) {
+        self.releases.push((object, slot));
     }
 
     /// A runtime handle, for dependency objects that need the blocking/help
@@ -65,6 +66,14 @@ impl<'a> AcquireCtx<'a> {
             inner: Arc::clone(self.rt),
         }
     }
+}
+
+/// A dependency object that must hear when a task holding one of its
+/// grants completes. It names the grant by a slot of its own choosing
+/// ([`AcquireCtx::on_release`]), so registering costs no closure.
+pub trait Release: Send + Sync {
+    /// Handles completion of the task registered under `slot`.
+    fn release(&self, slot: usize);
 }
 
 /// A spawn argument with an access mode.

@@ -30,9 +30,8 @@ use parking_lot::Mutex;
 use crate::dataflow::engine::{AcquireCtx, DepArg};
 use crate::frame::Frame;
 
-/// Global object-id allocator shared by all dependency-object kinds
-/// (versioned objects, hyperqueues). Ids label selective-sync counters and
-/// debugging output.
+/// Global object-id allocator for dependency objects. Ids label debugging
+/// output.
 static NEXT_OBJECT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Allocates a fresh dependency-object id.
@@ -108,7 +107,7 @@ impl<T: Send + 'static> Versioned<T> {
         }
     }
 
-    /// Object id (diagnostics, selective sync labels).
+    /// Object id (diagnostics).
     pub fn object_id(&self) -> u64 {
         self.inner.id
     }

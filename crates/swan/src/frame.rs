@@ -25,12 +25,12 @@
 //! task; nothing else arbitrates.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
+use crate::dataflow::Release;
 use crate::runtime::RtInner;
 
 /// Type-erased task body. The worker that runs it passes the runtime and
@@ -39,9 +39,9 @@ use crate::runtime::RtInner;
 /// for the safety argument).
 pub(crate) type TaskBody = Box<dyn FnOnce(&Arc<RtInner>, &Arc<Frame>) + Send + 'static>;
 
-/// Completion callback registered by dependency objects at spawn time
-/// (e.g. hyperqueue view reduction, producer-section release).
-pub(crate) type ReleaseFn = Box<dyn FnOnce() + Send + 'static>;
+/// Completion hook registered by a dependency object at spawn time (e.g.
+/// hyperqueue view reduction): the object and the slot it named.
+pub(crate) type ReleaseHook = (Arc<dyn Release>, usize);
 
 /// Completion hook of a detached root (`Runtime::spawn_root`): receives
 /// the subtree's panic payload, if any.
@@ -51,9 +51,6 @@ pub(crate) type RootHook = Box<dyn FnOnce(Option<Box<dyn Any + Send>>) + Send + 
 /// Ids are allocated from a global monotonic counter and never reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FrameId(pub u64);
-
-/// Label for selective sync counters: (object id, access-mode tag).
-pub type LabelKey = (u64, u8);
 
 /// A node of the spawn tree.
 pub struct Frame {
@@ -73,9 +70,6 @@ pub struct Frame {
     next_child_seq: AtomicU32,
     /// First panic payload observed in this frame's subtree.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    /// Outstanding children counted per (object, mode) label; backs the
-    /// paper's selective sync (`sync (popdep<int>)queue;`, §5.5).
-    labeled: Mutex<HashMap<LabelKey, usize>>,
     /// Predecessors that have not completed, plus one guard the spawner
     /// holds until the task is fully registered ([`Frame::install`]).
     /// Whoever drops it to zero enqueues the task.
@@ -87,7 +81,7 @@ pub struct Frame {
 #[derive(Default)]
 struct TaskState {
     body: Option<TaskBody>,
-    releases: Vec<ReleaseFn>,
+    releases: Vec<ReleaseHook>,
     /// `Some` only for a detached root.
     on_done: Option<RootHook>,
     succs: Vec<Arc<Frame>>,
@@ -105,7 +99,6 @@ impl Frame {
             children_active: AtomicUsize::new(0),
             next_child_seq: AtomicU32::new(0),
             panic: Mutex::new(None),
-            labeled: Mutex::new(HashMap::new()),
             pending: AtomicUsize::new(1),
             task: Mutex::new(TaskState::default()),
         })
@@ -158,7 +151,7 @@ impl Frame {
     pub(crate) fn install(
         &self,
         body: TaskBody,
-        releases: Vec<ReleaseFn>,
+        releases: Vec<ReleaseHook>,
         on_done: Option<RootHook>,
     ) -> bool {
         {
@@ -179,7 +172,7 @@ impl Frame {
 
     /// Takes the task's body, release callbacks and root hook; the worker
     /// that popped the frame calls this exactly once.
-    pub(crate) fn take_task(&self) -> (TaskBody, Vec<ReleaseFn>, Option<RootHook>) {
+    pub(crate) fn take_task(&self) -> (TaskBody, Vec<ReleaseHook>, Option<RootHook>) {
         let mut state = self.task.lock();
         let body = state.body.take().expect("a queued task has a body");
         (
@@ -242,30 +235,6 @@ impl Frame {
     /// True if a panic is pending in this frame.
     pub fn has_panic(&self) -> bool {
         self.panic.lock().is_some()
-    }
-
-    /// Increments the labeled-children counter for `key`.
-    pub fn label_incr(&self, key: LabelKey) {
-        *self.labeled.lock().entry(key).or_insert(0) += 1;
-    }
-
-    /// Decrements the labeled-children counter for `key`.
-    pub fn label_decr(&self, key: LabelKey) {
-        let mut map = self.labeled.lock();
-        match map.get_mut(&key) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                if *n == 0 {
-                    map.remove(&key);
-                }
-            }
-            _ => debug_assert!(false, "label_decr without matching incr"),
-        }
-    }
-
-    /// Number of outstanding children carrying label `key`.
-    pub fn label_count(&self, key: LabelKey) -> usize {
-        self.labeled.lock().get(&key).copied().unwrap_or(0)
     }
 
     /// True if `self` is a strict ancestor of `other`.
@@ -499,19 +468,5 @@ mod tests {
         b.wait_for(&Arc::downgrade(&a));
         assert!(!b.install(noop(), vec![], None));
         assert_eq!(complete(&a), vec![FrameId(2)]);
-    }
-
-    #[test]
-    fn labeled_counters() {
-        let r = root();
-        let key = (42u64, 1u8);
-        assert_eq!(r.label_count(key), 0);
-        r.label_incr(key);
-        r.label_incr(key);
-        assert_eq!(r.label_count(key), 2);
-        r.label_decr(key);
-        assert_eq!(r.label_count(key), 1);
-        r.label_decr(key);
-        assert_eq!(r.label_count(key), 0);
     }
 }

@@ -50,8 +50,8 @@ pub mod util;
 
 pub use config::{ChaosConfig, RuntimeConfig};
 pub use dataflow::{
-    next_object_id, AcquireCtx, DepArg, DepList, InDep, InOutDep, OutDep, ReadGuard, Versioned,
-    WriteGuard,
+    next_object_id, AcquireCtx, DepArg, DepList, InDep, InOutDep, OutDep, ReadGuard, Release,
+    Versioned, WriteGuard,
 };
 pub use frame::{Frame, FrameId, HelpMode};
 pub use jobs::{Entered, JobTable, JobTableStats, Refused, RetryDecision, RetryPolicy};

@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::config::RuntimeConfig;
-use crate::frame::{Frame, FrameId, HelpMode, TaskBody};
+use crate::frame::{Frame, FrameId, HelpMode, ReleaseHook, TaskBody};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::sched::{Latch, Sleeper, TaskQueue};
 use crate::scope::Scope;
@@ -153,10 +153,29 @@ impl RtInner {
         // (Cilk's implicit sync at function end). Panics propagate to the
         // parent rather than unwinding the worker.
         self.wait_children(&frame, false);
+        self.finish(&frame, releases);
+        Metrics::incr(&self.metrics.tasks_executed);
+        self.sleeper.notify_all();
+        if let Some(on_done) = on_done {
+            // A detached root: this worker is the thread that would have
+            // slept in `Runtime::scope`. The root stays open until the
+            // hook has returned and its captures are dropped (`_open`
+            // outlives the call); a panicking hook must not take the
+            // worker down with it.
+            let _open = OpenScope(self);
+            let payload = frame.take_panic();
+            let _ = panic::catch_unwind(AssertUnwindSafe(move || on_done(payload)));
+        }
+    }
+
+    /// Completes `frame`'s task: release callbacks, successor hand-off and
+    /// parent bookkeeping. Also ends a task whose spawn failed while
+    /// acquiring its arguments, so the grants already taken are released.
+    pub(crate) fn finish(&self, frame: &Arc<Frame>, releases: Vec<ReleaseHook>) {
         // Release callbacks run *after* the implicit sync: this is the
         // "task completion" moment of §4.2 where views are reduced.
-        for release in releases {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(release)) {
+        for (object, slot) in releases {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| object.release(slot))) {
                 frame.record_panic(payload);
             }
         }
@@ -169,18 +188,6 @@ impl RtInner {
                 // A root's last child: its scope's caller may be waiting.
                 self.latch.release();
             }
-        }
-        Metrics::incr(&self.metrics.tasks_executed);
-        self.sleeper.notify_all();
-        if let Some(on_done) = on_done {
-            // A detached root: this worker is the thread that would have
-            // slept in `Runtime::scope`. The root stays open until the
-            // hook has returned and its captures are dropped (`_open`
-            // outlives the call); a panicking hook must not take the
-            // worker down with it.
-            let _open = OpenScope(self);
-            let payload = frame.take_panic();
-            let _ = panic::catch_unwind(AssertUnwindSafe(move || on_done(payload)));
         }
     }
 

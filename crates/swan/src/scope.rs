@@ -8,10 +8,11 @@
 //! `sync` on them, mirroring the paper's Cilk-style `spawn`/`sync`.
 
 use std::marker::PhantomData;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::dataflow::engine::{AcquireCtx, DepList};
-use crate::frame::{Frame, FrameId, HelpMode, LabelKey, TaskBody};
+use crate::frame::{Frame, FrameId, TaskBody};
 use crate::metrics::Metrics;
 use crate::runtime::{RtInner, RuntimeHandle};
 
@@ -56,7 +57,16 @@ impl<'scope> Scope<'scope> {
     {
         let frame = Frame::new_child(&self.frame, self.rt.alloc_id());
         let mut ctx = AcquireCtx::new(&self.rt, &frame, &self.frame);
-        let guards = deps.acquire_all(&mut ctx);
+        let guards = match panic::catch_unwind(AssertUnwindSafe(|| deps.acquire_all(&mut ctx))) {
+            Ok(guards) => guards,
+            Err(payload) => {
+                // A refused argument (say, a second grant on one
+                // hyperqueue): the child ends before it runs, releasing
+                // what the arguments before it took.
+                self.rt.finish(&frame, ctx.releases);
+                panic::resume_unwind(payload);
+            }
+        };
         let releases = ctx.releases;
 
         type ScopedBody<'a> = Box<dyn FnOnce(&Arc<RtInner>, &Arc<Frame>) + Send + 'a>;
@@ -95,20 +105,6 @@ impl<'scope> Scope<'scope> {
     /// it exists for memory-footprint control idioms.
     pub fn synched(&self) -> bool {
         self.frame.children_active() == 0
-    }
-
-    /// Selective sync (§5.5): waits until all outstanding children carrying
-    /// `label` have completed. Hyperqueue handles expose a typed wrapper
-    /// (`sync (popdep<T>)queue`).
-    pub fn sync_label(&self, label: LabelKey) {
-        let frame = Arc::clone(&self.frame);
-        let f2 = Arc::clone(&self.frame);
-        self.rt.block_until(&frame, HelpMode::Descendants, move || {
-            f2.label_count(label) == 0
-        });
-        if let Some(payload) = self.frame.take_panic() {
-            std::panic::resume_unwind(payload);
-        }
     }
 
     /// The frame backing this scope.
