@@ -42,8 +42,8 @@
 //! continuation for the flusher to run once that fsync is done, so no
 //! thread waits on the disk at all. While one fsync is in flight, every append that
 //! arrives behind it lands in the next batch, so N concurrent appenders
-//! amortize to far fewer than N fsyncs (the `journal_load` bench asserts
-//! < 1 fsync per job at depth ≥ 32). [`JournalConfig::fsync_batch`] caps
+//! amortize to far fewer than N fsyncs (`group_commit_amortizes_fsyncs`
+//! asserts < 1 fsync per append at depth 8). [`JournalConfig::fsync_batch`] caps
 //! how many records one fsync may cover, bounding worst-case commit
 //! latency under sustained load.
 //!
@@ -932,6 +932,11 @@ mod tests {
             "no group commit happened: {stats:?}"
         );
         drop(journal);
+        // Interleaved appenders still leave a journal that replays clean,
+        // every job present.
+        let replay = replay_dir(&dir).unwrap();
+        assert_eq!(replay.jobs.len(), threads * per_thread);
+        assert_eq!(replay.corrupt_records, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@
 
 use std::sync::{Arc, Weak};
 
-use crate::frame::{Frame, ReleaseHook};
+use crate::frame::{Frame, Releases};
 use crate::runtime::{RtInner, RuntimeHandle};
 
 /// Context available to [`DepArg::acquire`] during a spawn.
@@ -20,7 +20,7 @@ pub struct AcquireCtx<'a> {
     pub(crate) rt: &'a Arc<RtInner>,
     pub(crate) frame: &'a Arc<Frame>,
     pub(crate) parent: &'a Arc<Frame>,
-    pub(crate) releases: Vec<ReleaseHook>,
+    pub(crate) releases: Releases,
 }
 
 impl<'a> AcquireCtx<'a> {
@@ -29,7 +29,7 @@ impl<'a> AcquireCtx<'a> {
             rt,
             frame,
             parent,
-            releases: Vec::new(),
+            releases: Releases::default(),
         }
     }
 
@@ -56,7 +56,7 @@ impl<'a> AcquireCtx<'a> {
     /// (after its body and its implicit sync — the §4.2 "task completion"
     /// moment).
     pub fn on_release(&mut self, object: Arc<dyn Release>, slot: usize) {
-        self.releases.push((object, slot));
+        self.releases.push(object, slot);
     }
 
     /// A runtime handle, for dependency objects that need the blocking/help

@@ -41,7 +41,30 @@ pub(crate) type TaskBody = Box<dyn FnOnce(&Arc<RtInner>, &Arc<Frame>) + Send + '
 
 /// Completion hook registered by a dependency object at spawn time (e.g.
 /// hyperqueue view reduction): the object and the slot it named.
-pub(crate) type ReleaseHook = (Arc<dyn Release>, usize);
+type ReleaseHook = (Arc<dyn Release>, usize);
+
+/// A task's release hooks, in registration order. The first two live
+/// inline, which covers nearly every task (one or two grants), so only a
+/// task with a third hook allocates for them.
+#[derive(Default)]
+pub(crate) struct Releases {
+    inline: [Option<ReleaseHook>; 2],
+    spill: Vec<ReleaseHook>,
+}
+
+impl Releases {
+    pub(crate) fn push(&mut self, object: Arc<dyn Release>, slot: usize) {
+        match self.inline.iter_mut().find(|hook| hook.is_none()) {
+            Some(free) => *free = Some((object, slot)),
+            None => self.spill.push((object, slot)),
+        }
+    }
+
+    /// The hooks, in registration order.
+    pub(crate) fn hooks(self) -> impl Iterator<Item = ReleaseHook> {
+        self.inline.into_iter().flatten().chain(self.spill)
+    }
+}
 
 /// Completion hook of a detached root (`Runtime::spawn_root`): receives
 /// the subtree's panic payload, if any.
@@ -81,7 +104,7 @@ pub struct Frame {
 #[derive(Default)]
 struct TaskState {
     body: Option<TaskBody>,
-    releases: Vec<ReleaseHook>,
+    releases: Releases,
     /// `Some` only for a detached root.
     on_done: Option<RootHook>,
     succs: Vec<Arc<Frame>>,
@@ -151,7 +174,7 @@ impl Frame {
     pub(crate) fn install(
         &self,
         body: TaskBody,
-        releases: Vec<ReleaseHook>,
+        releases: Releases,
         on_done: Option<RootHook>,
     ) -> bool {
         {
@@ -172,7 +195,7 @@ impl Frame {
 
     /// Takes the task's body, release callbacks and root hook; the worker
     /// that popped the frame calls this exactly once.
-    pub(crate) fn take_task(&self) -> (TaskBody, Vec<ReleaseHook>, Option<RootHook>) {
+    pub(crate) fn take_task(&self) -> (TaskBody, Releases, Option<RootHook>) {
         let mut state = self.task.lock();
         let body = state.body.take().expect("a queued task has a body");
         (
@@ -425,14 +448,14 @@ mod tests {
     fn insert_without_preds_is_ready() {
         let r = root();
         let a = Frame::new_child(&r, FrameId(1));
-        assert!(a.install(noop(), vec![], None));
+        assert!(a.install(noop(), Releases::default(), None));
         drop(a.take_task());
         assert!(complete(&a).is_empty());
         assert!(a.is_done());
         // A completed task adds no edge, even while its frame lives on.
         let b = Frame::new_child(&r, FrameId(2));
         b.wait_for(&Arc::downgrade(&a));
-        assert!(b.install(noop(), vec![], None));
+        assert!(b.install(noop(), Releases::default(), None));
     }
 
     #[test]
@@ -440,9 +463,12 @@ mod tests {
         let r = root();
         let a = Frame::new_child(&r, FrameId(1));
         let b = Frame::new_child(&r, FrameId(2));
-        assert!(a.install(noop(), vec![], None));
+        assert!(a.install(noop(), Releases::default(), None));
         b.wait_for(&Arc::downgrade(&a));
-        assert!(!b.install(noop(), vec![], None), "not ready yet");
+        assert!(
+            !b.install(noop(), Releases::default(), None),
+            "not ready yet"
+        );
         assert_eq!(complete(&a), vec![FrameId(2)]);
     }
 
@@ -456,7 +482,7 @@ mod tests {
         // Self-edges are meaningless (a task reading and updating one
         // object names itself).
         b.wait_for(&Arc::downgrade(&b));
-        assert!(b.install(noop(), vec![], None));
+        assert!(b.install(noop(), Releases::default(), None));
     }
 
     #[test]
@@ -466,7 +492,23 @@ mod tests {
         let b = Frame::new_child(&r, FrameId(2));
         b.wait_for(&Arc::downgrade(&a));
         b.wait_for(&Arc::downgrade(&a));
-        assert!(!b.install(noop(), vec![], None));
+        assert!(!b.install(noop(), Releases::default(), None));
         assert_eq!(complete(&a), vec![FrameId(2)]);
+    }
+
+    #[test]
+    fn releases_spill_past_two_in_registration_order() {
+        struct Slots;
+        impl Release for Slots {
+            fn release(&self, _slot: usize) {}
+        }
+        let object: Arc<dyn Release> = Arc::new(Slots);
+        let mut releases = Releases::default();
+        for slot in 0..4 {
+            releases.push(Arc::clone(&object), slot);
+        }
+        assert_eq!(releases.spill.len(), 2);
+        let slots: Vec<usize> = releases.hooks().map(|(_, slot)| slot).collect();
+        assert_eq!(slots, [0, 1, 2, 3]);
     }
 }

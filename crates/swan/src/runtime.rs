@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::config::RuntimeConfig;
-use crate::frame::{Frame, FrameId, HelpMode, ReleaseHook, TaskBody};
+use crate::frame::{Frame, FrameId, HelpMode, Releases, TaskBody};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::sched::{Latch, Sleeper, TaskQueue};
 use crate::scope::Scope;
@@ -171,10 +171,10 @@ impl RtInner {
     /// Completes `frame`'s task: release callbacks, successor hand-off and
     /// parent bookkeeping. Also ends a task whose spawn failed while
     /// acquiring its arguments, so the grants already taken are released.
-    pub(crate) fn finish(&self, frame: &Arc<Frame>, releases: Vec<ReleaseHook>) {
+    pub(crate) fn finish(&self, frame: &Arc<Frame>, releases: Releases) {
         // Release callbacks run *after* the implicit sync: this is the
         // "task completion" moment of §4.2 where views are reduced.
-        for (object, slot) in releases {
+        for (object, slot) in releases.hooks() {
             if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| object.release(slot))) {
                 frame.record_panic(payload);
             }
@@ -211,24 +211,9 @@ impl RtInner {
     /// descendants meanwhile. With `rethrow`, resumes any panic collected
     /// from the subtree (used by explicit `sync` and scope roots).
     pub(crate) fn wait_children(self: &Arc<Self>, frame: &Arc<Frame>, rethrow: bool) {
-        if frame.children_active() > 0 {
-            let mut backoff = Backoff::new();
-            loop {
-                if frame.children_active() == 0 {
-                    break;
-                }
-                if self.try_help(frame, HelpMode::Descendants) {
-                    backoff.reset();
-                    continue;
-                }
-                if backoff.is_completed() {
-                    Metrics::incr(&self.metrics.parks);
-                    self.sleeper.park(PARK_TIMEOUT);
-                } else {
-                    backoff.snooze();
-                }
-            }
-        }
+        self.block_until(frame, HelpMode::Descendants, || {
+            frame.children_active() == 0
+        });
         if rethrow {
             if let Some(payload) = frame.take_panic() {
                 panic::resume_unwind(payload);
@@ -495,7 +480,7 @@ impl Runtime {
         let root = Frame::new_root(self.inner.alloc_id());
         let body: TaskBody =
             Box::new(move |rt, frame| body(&Scope::new(Arc::clone(rt), Arc::clone(frame))));
-        let ready = root.install(body, Vec::new(), Some(Box::new(on_done)));
+        let ready = root.install(body, Releases::default(), Some(Box::new(on_done)));
         debug_assert!(ready, "a detached root has no predecessors");
         self.inner.enqueue(root);
     }

@@ -13,18 +13,16 @@
 //!   queue's views (the stateless farm shape).
 //!
 //! Every job's output is checked against its serial elision, so the
-//! throughput and latency numbers (p50/p95/p99 into `BENCH_service.json`)
-//! describe *correct* executions. The harness also reports the graph's
-//! storage counters: after warm-up + [`CompiledGraph::prewarm`], the
-//! steady state allocates **zero** segments per job.
+//! latency numbers describe *correct* executions. After warm-up +
+//! [`CompiledGraph::prewarm`], the steady state allocates **zero**
+//! segments per job (`tests/service.rs` holds it to that).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pipelines::graph::{Admission, CompiledGraph, GraphSpec, ServiceConfig};
-use pipelines::service::ServiceStorageStats;
 use swan::{JobTableStats, Runtime};
 
 use crate::logstream::line_digest;
@@ -223,23 +221,10 @@ pub fn build_logstream_service(
 pub struct ServiceReport {
     /// Jobs completed.
     pub jobs: u64,
-    /// Wall-clock for the whole run.
-    pub elapsed: Duration,
-    /// Jobs per second over the run.
-    pub throughput_jobs_per_sec: f64,
     /// Median submit→result job latency, microseconds.
     pub p50_us: f64,
-    /// 95th-percentile job latency, microseconds.
-    pub p95_us: f64,
     /// 99th-percentile job latency, microseconds.
     pub p99_us: f64,
-    /// Worst observed job latency, microseconds.
-    pub max_us: f64,
-    /// Graph storage counters at the end of the run.
-    pub storage: ServiceStorageStats,
-    /// Heap segment allocations during the measured loop itself (i.e.
-    /// after warm-up + prewarm). Zero in the steady state.
-    pub steady_segment_allocs: u64,
     /// Admission counters at the end of the run.
     pub admission: JobTableStats,
 }
@@ -268,11 +253,9 @@ where
     I: Clone + Send + 'static,
     O: Send + 'static,
 {
-    let allocs_before = graph.telemetry().storage.segments_allocated;
     let next = AtomicUsize::new(0);
     let completed = AtomicU64::new(0);
     let latencies = parking_lot::Mutex::new(Vec::with_capacity(cfg.jobs));
-    let t0 = Instant::now();
     std::thread::scope(|s| {
         for _ in 0..cfg.clients.max(1) {
             s.spawn(|| {
@@ -296,23 +279,13 @@ where
             });
         }
     });
-    let elapsed = t0.elapsed();
     let mut lat = latencies.into_inner();
     lat.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let jobs = completed.load(Ordering::Relaxed);
-    let telemetry = graph.telemetry();
-    let storage = telemetry.storage;
     ServiceReport {
-        jobs,
-        elapsed,
-        throughput_jobs_per_sec: jobs as f64 / elapsed.as_secs_f64().max(1e-9),
+        jobs: completed.load(Ordering::Relaxed),
         p50_us: percentile(&lat, 50.0),
-        p95_us: percentile(&lat, 95.0),
         p99_us: percentile(&lat, 99.0),
-        max_us: lat.last().copied().unwrap_or(0.0),
-        steady_segment_allocs: storage.segments_allocated.saturating_sub(allocs_before),
-        storage,
-        admission: telemetry.admission,
+        admission: graph.telemetry().admission,
     }
 }
 

@@ -31,7 +31,7 @@ fn small_cfg(jobs: usize) -> ServiceWorkloadConfig {
 }
 
 /// How many sequential jobs the steady-state test sustains. 1000+ by
-/// default (the acceptance criterion); `HQ_SERVICE_JOBS` overrides for
+/// default (the acceptance check); `HQ_SERVICE_JOBS` overrides for
 /// instrumented (TSan) runs.
 fn sustained_jobs() -> usize {
     std::env::var("HQ_SERVICE_JOBS")
