@@ -14,20 +14,6 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
     (t0.elapsed(), r)
 }
 
-/// Best-of-`n` timing (keeps the minimum, the standard noise reducer for
-/// throughput-style runs).
-pub fn best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
-    let mut best: Option<(Duration, R)> = None;
-    for _ in 0..n.max(1) {
-        let (d, r) = time(&mut f);
-        match &best {
-            Some((bd, _)) if *bd <= d => {}
-            _ => best = Some((d, r)),
-        }
-    }
-    best.expect("n >= 1")
-}
-
 /// The core counts a speedup sweep visits: 1, 2, 4, … up to the machine
 /// (mirroring the x-axis of Figures 8/11).
 pub fn core_sweep(max: usize) -> Vec<usize> {
@@ -178,17 +164,6 @@ mod tests {
         assert!(v.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(core_sweep(3), vec![1, 2, 3]);
         assert_eq!(core_sweep(1), vec![1]);
-    }
-
-    #[test]
-    fn best_of_returns_min() {
-        let mut calls = 0;
-        let (d, _) = best_of(3, || {
-            calls += 1;
-            std::thread::sleep(Duration::from_millis(calls));
-        });
-        assert_eq!(calls, 3);
-        assert!(d <= Duration::from_millis(3));
     }
 
     #[test]

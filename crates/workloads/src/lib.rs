@@ -11,10 +11,9 @@
 //!   pipeline (tee + keyed shards with an ordered fan-in + a farm), the
 //!   workload that exercises `pipelines::graph` beyond the paper's
 //!   straight chains
-//! * [`service`] — thousands of small wordcount/logstream jobs fired at
-//!   a **persistent** compiled graph by closed-loop clients: the
-//!   service-runtime workload (throughput + p50/p95/p99 job latency,
-//!   zero-allocation steady state)
+//! * [`service`] — small wordcount/logstream jobs served by a
+//!   **persistent** compiled graph: the service-runtime workload (serial
+//!   elisions, a seeded per-job corpus, zero-allocation steady state)
 //! * [`wire`] — the job codecs that put the service workloads on the
 //!   `hqd` network-ingress protocol (see `pipelines::ingress`)
 //!

@@ -3,7 +3,7 @@
 //! Fronts a persistent [`pipelines::service::CompiledGraph`] with the TCP
 //! ingress protocol (`pipelines::ingress`; frame layout in the README's
 //! "Network ingress" section). Submit jobs with any protocol client —
-//! `ingress_load` in the bench crate is the closed-loop load generator.
+//! `cargo run --example ingress -- --addr host:port` verifies a few.
 //!
 //! ```text
 //! hqd [--addr 127.0.0.1:7171] [--workload wordcount|logstream]

@@ -20,14 +20,26 @@ use proptest::prelude::*;
 use swan::Runtime;
 use workloads::service::{job_lines, logstream_digest_spec, wordcount_spec, ServiceWorkloadConfig};
 use workloads::wire::{
-    decode_lines, encode_lines, expected_wordcount_bytes, LogstreamCodec, WordcountCodec,
+    decode_lines, encode_lines, expected_logstream_bytes, expected_wordcount_bytes, LogstreamCodec,
+    WordcountCodec,
 };
 
 const BACKOFF: Duration = Duration::from_micros(200);
 
 fn wordcount_server(workers: usize, cfg: IngressConfig) -> (Arc<Runtime>, IngressServer) {
+    serve(workers, wordcount_spec(3, 16), WordcountCodec, cfg)
+}
+
+/// `spec` compiled on a fresh `workers`-worker runtime with small
+/// segments, behind `codec` on a loopback port.
+fn serve<C: JobCodec>(
+    workers: usize,
+    spec: GraphSpec<C::In, C::Out>,
+    codec: C,
+    cfg: IngressConfig,
+) -> (Arc<Runtime>, IngressServer) {
     let rt = Arc::new(Runtime::with_workers(workers));
-    let graph = Arc::new(wordcount_spec(3, 16).compile(
+    let graph = Arc::new(spec.compile(
         Arc::clone(&rt),
         ServiceConfig {
             max_in_flight: 2,
@@ -35,8 +47,7 @@ fn wordcount_server(workers: usize, cfg: IngressConfig) -> (Arc<Runtime>, Ingres
             ..ServiceConfig::default()
         },
     ));
-    let server =
-        IngressServer::bind("127.0.0.1:0", graph, Arc::new(WordcountCodec), cfg).expect("bind");
+    let server = IngressServer::bind("127.0.0.1:0", graph, Arc::new(codec), cfg).expect("bind");
     (rt, server)
 }
 
@@ -341,14 +352,39 @@ fn graceful_shutdown_drains_accepted_jobs_and_answers_them() {
 #[test]
 fn responses_are_byte_identical_across_1_2_8_workers() {
     let cfg = ServiceWorkloadConfig::small();
+    assert_identical_across_1_2_8_workers(
+        &cfg,
+        "wordcount",
+        |workers| wordcount_server(workers, IngressConfig::default()),
+        expected_wordcount_bytes,
+    );
+    assert_identical_across_1_2_8_workers(
+        &cfg,
+        "logstream",
+        |workers| {
+            let spec = logstream_digest_spec(cfg.parse_work);
+            serve(workers, spec, LogstreamCodec, IngressConfig::default())
+        },
+        |lines| expected_logstream_bytes(lines, cfg.parse_work),
+    );
+}
+
+/// 24 jobs over two concurrent connections to `serve(workers)` at 1, 2
+/// and 8 workers: every reply equals `expected` of its job's lines, and
+/// the three runs' replies are byte-identical.
+fn assert_identical_across_1_2_8_workers(
+    cfg: &ServiceWorkloadConfig,
+    workload: &str,
+    serve: impl Fn(usize) -> (Arc<Runtime>, IngressServer),
+    expected: impl Fn(&[String]) -> Vec<u8>,
+) {
     let jobs = 24usize;
     let mut reference: Option<Vec<Vec<u8>>> = None;
     for workers in [1usize, 2, 8] {
-        let (rt, server) = wordcount_server(workers, IngressConfig::default());
+        let (rt, server) = serve(workers);
         let addr = server.local_addr();
         // Two concurrent connections splitting the job range.
         let responses: Vec<Vec<u8>> = std::thread::scope(|s| {
-            let cfg = &cfg;
             let handles: Vec<_> = (0..2)
                 .map(|half| {
                     s.spawn(move || {
@@ -358,7 +394,7 @@ fn responses_are_byte_identical_across_1_2_8_workers() {
                             let payload = encode_lines(&job_lines(cfg, j));
                             match client.submit_and_wait(j as u64, &payload, BACKOFF).unwrap() {
                                 JobOutcome::Result(bytes) => out.push((j, bytes)),
-                                JobOutcome::Failed(m) => panic!("job {j}: {m}"),
+                                JobOutcome::Failed(m) => panic!("{workload} job {j}: {m}"),
                             }
                         }
                         out
@@ -375,19 +411,92 @@ fn responses_are_byte_identical_across_1_2_8_workers() {
         for (j, bytes) in responses.iter().enumerate() {
             assert_eq!(
                 bytes,
-                &expected_wordcount_bytes(&job_lines(&cfg, j)),
-                "job {j} at {workers} workers diverged from its serial elision"
+                &expected(&job_lines(cfg, j)),
+                "{workload} job {j} at {workers} workers diverged from its serial elision"
             );
         }
         match &reference {
             None => reference = Some(responses),
             Some(r) => assert_eq!(
                 r, &responses,
-                "responses at {workers} workers differ from the 1-worker bytes"
+                "{workload} responses at {workers} workers differ from the 1-worker bytes"
             ),
         }
         server.shutdown();
         rt.quiesce();
+    }
+}
+
+/// Connections the C10K-shaped identity check holds open at once.
+const MANY_CONNECTIONS: usize = 4096;
+
+/// 4096 connections open at once, each with one small wordcount job in
+/// flight, all driven by one client thread: every reply must equal its
+/// serial elision at 1, 2 and 8 workers, with no job refused. Each
+/// connection costs two fds (both ends live in this process), so the
+/// test raises RLIMIT_NOFILE, and it re-runs itself in a child process
+/// so neither the limit nor the sockets reach sibling tests.
+#[test]
+#[ignore = "opens 8k sockets: run in release by exact name"]
+#[cfg(unix)]
+fn connections_4096_from_one_thread_are_byte_identical_across_1_2_8_workers() {
+    if std::env::var_os(CHILD_ENV).is_none() {
+        return run_helper_in_child(
+            "connections_4096_from_one_thread_are_byte_identical_across_1_2_8_workers",
+        );
+    }
+    let need = 2 * MANY_CONNECTIONS as u64 + 256;
+    let limit = epoll::raise_nofile_limit(16 * 1024).expect("read RLIMIT_NOFILE");
+    assert!(
+        limit >= need,
+        "RLIMIT_NOFILE stays at {limit} (hard limit); this test needs {need} fds"
+    );
+    let cfg = ServiceWorkloadConfig {
+        job_lines: 4,
+        ..ServiceWorkloadConfig::small()
+    };
+    let expected: Vec<Vec<u8>> = (0..MANY_CONNECTIONS)
+        .map(|j| expected_wordcount_bytes(&job_lines(&cfg, j)))
+        .collect();
+    for workers in [1usize, 2, 8] {
+        let (rt, server) = wordcount_server(
+            workers,
+            IngressConfig {
+                max_queued: MANY_CONNECTIONS,
+                ..IngressConfig::default()
+            },
+        );
+        let addr = server.local_addr();
+        // Each IngressClient owns a 16 KiB read buffer: 64 MiB for all.
+        let mut clients: Vec<IngressClient> = (0..MANY_CONNECTIONS)
+            .map(|c| IngressClient::connect(addr).unwrap_or_else(|e| panic!("connect {c}: {e}")))
+            .collect();
+        for (j, client) in clients.iter_mut().enumerate() {
+            client
+                .submit(j as u64, &encode_lines(&job_lines(&cfg, j)))
+                .unwrap_or_else(|e| panic!("submit {j}: {e}"));
+        }
+        for (j, client) in clients.iter_mut().enumerate() {
+            let frame = client
+                .recv()
+                .unwrap_or_else(|e| panic!("reply {j} at {workers} workers: {e}"));
+            assert_eq!(
+                (frame.kind, frame.req_id),
+                (FrameKind::Result, j as u64),
+                "job {j} at {workers} workers"
+            );
+            assert_eq!(
+                frame.body, expected[j],
+                "job {j} at {workers} workers diverged from its serial elision"
+            );
+        }
+        drop(clients);
+        let stats = server.shutdown();
+        rt.quiesce();
+        let n = MANY_CONNECTIONS as u64;
+        assert_eq!(stats.jobs_accepted, n, "accepted at {workers} workers");
+        assert_eq!(stats.jobs_completed, n, "completed at {workers} workers");
+        assert_eq!(stats.retries_sent, 0, "retries at {workers} workers");
     }
 }
 
@@ -883,13 +992,18 @@ fn fd_exhaustion_helper() {
     rt.quiesce();
 }
 
+/// Set in the environment of every child [`run_helper_in_child`] starts.
+#[cfg(unix)]
+const CHILD_ENV: &str = "HQ_INGRESS_TEST_CHILD";
+
 /// Runs one `#[ignore]`d helper test of this file alone in a child
 /// process (via the test harness itself): for tests that change or read
 /// process-wide state — the fd limit, the set of live threads.
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 fn run_helper_in_child(helper: &str) {
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
+        .env(CHILD_ENV, "1")
         .args([
             "--exact",
             helper,
